@@ -307,11 +307,12 @@ int main(int argc, char** argv) {
         << FormatNumber(ToNanoseconds(*real_time, unit))
         << ", \"cpu_time_ns\": "
         << FormatNumber(ToNanoseconds(cpu_time.value_or(*real_time), unit));
-    // Counter passthrough: throughput, the admission service's latency
-    // percentiles, and the flash-crowd shed fraction (already in their
-    // final units — counters are not scaled by time_unit).
-    for (const char* counter :
-         {"items_per_second", "p50_ns", "p99_ns", "shed_fraction"}) {
+    // Counter passthrough: throughput, admission latency percentiles, the
+    // flash-crowd shed fraction and the round trip's daemon CPU per
+    // request (already in their final units — counters are not scaled by
+    // time_unit).
+    for (const char* counter : {"items_per_second", "p50_ns", "p99_ns",
+                                "shed_fraction", "daemon_cpu_ns"}) {
       if (const auto value = FindNumber(entry, counter)) {
         out << ", \"" << counter << "\": " << FormatNumber(*value);
       }

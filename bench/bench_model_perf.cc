@@ -3,10 +3,14 @@
 // run-time overhead", and that re-evaluating the model (on configuration
 // change) is fast. google-benchmark microbenchmarks of every piece of that
 // pipeline.
+#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -504,6 +508,92 @@ void BM_AdmissionDaemonFlashCrowd(benchmark::State& state) {
           : 0.0;
 }
 BENCHMARK(BM_AdmissionDaemonFlashCrowd)->Arg(8)->Arg(32)->UseRealTime();
+
+int64_t ThreadCpuNs(clockid_t clock) {
+  timespec now{};
+  ZS_CHECK(::clock_gettime(clock, &now) == 0);
+  return static_cast<int64_t>(now.tv_sec) * 1'000'000'000 + now.tv_nsec;
+}
+
+// The admission wire path one request at a time: one persistent
+// connection to the real daemon, one admit + teardown pair per iteration,
+// each request timed by the client from send to decoded response. With
+// no connect()/close() in the loop this is the per-request cost that
+// BM_AdmissionDaemonFlashCrowd mixes with per-connection cost. p50_ns /
+// p99_ns are client-observed round trips (not the service's internal
+// quantiles); daemon_cpu_ns is the daemon thread's CPU time per request,
+// which includes whatever it spends waiting awake between requests.
+void BM_AdmitRoundTrip(benchmark::State& state) {
+  const std::string socket_path = "/tmp/zs_bench_rtt_" +
+                                  std::to_string(::getpid()) + ".sock";
+  service::AdmissionServiceConfig config;
+  config.classes = {{"gold", 0.001}, {"silver", 0.01}, {"bronze", 0.05}};
+  config.registry.capacity = 1 << 10;
+  auto svc = service::AdmissionService::Create(config);
+  ZS_CHECK(svc.ok());
+  ZS_CHECK((*svc)->PublishLimits({1 << 10, 1 << 10, 1 << 10}).ok());
+  service::DaemonOptions options;
+  options.socket_path = socket_path;
+  auto daemon = service::AdmitDaemon::Create(svc->get(), options);
+  ZS_CHECK(daemon.ok());
+  std::thread serve([&daemon] { (void)(*daemon)->Serve(); });
+  clockid_t daemon_clock;
+  ZS_CHECK(::pthread_getcpuclockid(serve.native_handle(), &daemon_clock) ==
+           0);
+
+  const int fd = ConnectBenchSocket(socket_path);
+  std::string buffer;
+  std::vector<double> round_trip_ns;
+  round_trip_ns.reserve(2 * static_cast<size_t>(state.max_iterations));
+  const auto round_trip = [&](const std::string& frame) {
+    const auto start = std::chrono::steady_clock::now();
+    SendAllBench(fd, frame);
+    const service::Response response = ReadResponseFrame(fd, &buffer);
+    round_trip_ns.push_back(static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count()));
+    ZS_CHECK(response.status == service::WireStatus::kOk);
+    return response;
+  };
+  service::Request admit;
+  admit.op = service::OpCode::kAdmitClass;  // session_id 0: auto-assign
+  std::string admit_frame;
+  service::AppendFrame(&admit_frame, service::EncodeRequest(admit));
+  service::Request teardown;
+  teardown.op = service::OpCode::kTeardown;
+
+  const int64_t cpu_start = ThreadCpuNs(daemon_clock);
+  for (auto _ : state) {
+    teardown.session_id = round_trip(admit_frame).session_id;
+    std::string teardown_frame;
+    service::AppendFrame(&teardown_frame, service::EncodeRequest(teardown));
+    round_trip(teardown_frame);
+  }
+  const int64_t daemon_cpu_ns = ThreadCpuNs(daemon_clock) - cpu_start;
+  ::close(fd);
+  (*daemon)->RequestShutdown();
+  serve.join();
+  ::unlink(socket_path.c_str());
+
+  const auto requests = static_cast<int64_t>(round_trip_ns.size());
+  state.SetItemsProcessed(requests);
+  const auto quantile = [&](double q) {
+    const auto rank = static_cast<size_t>(q * static_cast<double>(requests));
+    const auto nth = round_trip_ns.begin() +
+                     static_cast<ptrdiff_t>(std::min(
+                         rank, round_trip_ns.size() - 1));
+    std::nth_element(round_trip_ns.begin(), nth, round_trip_ns.end());
+    return *nth;
+  };
+  if (requests > 0) {
+    state.counters["p50_ns"] = quantile(0.5);
+    state.counters["p99_ns"] = quantile(0.99);
+    state.counters["daemon_cpu_ns"] =
+        static_cast<double>(daemon_cpu_ns) / static_cast<double>(requests);
+  }
+}
+BENCHMARK(BM_AdmitRoundTrip)->UseRealTime();
 
 void BM_ModelBuild(benchmark::State& state) {
   for (auto _ : state) {

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <climits>
 #include <cstring>
+#include <thread>
 
 namespace zonestream::service {
 
@@ -18,6 +19,14 @@ namespace {
 common::Status ErrnoStatus(const std::string& what) {
   return common::Status::InvalidArgument(what + ": " +
                                          std::strerror(errno));
+}
+
+// The spin's clock: real time even under an injected clock_ms, which
+// only drives the (millisecond) deadlines.
+int64_t SteadyNowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 
 }  // namespace
@@ -78,7 +87,10 @@ common::StatusOr<std::unique_ptr<AdmitDaemon>> AdmitDaemon::Create(
     daemon->too_large_counter_ =
         m->GetCounter("service.overload.too_large_closes");
     daemon->connections_gauge_ = m->GetGauge("service.daemon.connections");
+    daemon->spin_polls_counter_ = m->GetCounter("service.daemon.spin_polls");
+    daemon->spin_hits_counter_ = m->GetCounter("service.daemon.spin_hits");
   }
+  daemon->spin_on_host_ = SpinsOnHost(std::thread::hardware_concurrency());
   return daemon;
 }
 
@@ -159,6 +171,9 @@ void AdmitDaemon::ReadFrom(Connection& connection, int64_t now_ms) {
         Bump(too_large_counter_, &overload_.too_large_closes);
         return;
       }
+      // A short read drained the socket: another recv could only return
+      // EAGAIN, and level-triggered poll() reports bytes that arrive later.
+      if (static_cast<size_t>(n) < sizeof(buffer)) break;
       continue;
     }
     if (n == 0) {
@@ -319,6 +334,10 @@ void AdmitDaemon::WriteTo(Connection& connection, int64_t now_ms) {
     if (n <= 0) {
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
       if (n < 0 && errno == EINTR) continue;
+      // The peer is gone (EPIPE, ECONNRESET): nothing left can be
+      // delivered. Keeping it would leave the connection unreapable and
+      // its hangup would make every later poll return at once.
+      connection.out.clear();
       connection.drop = true;
       return;
     }
@@ -351,6 +370,27 @@ void AdmitDaemon::EnforceDeadlines(int64_t now_ms) {
   }
 }
 
+int AdmitDaemon::WaitReady(int timeout_ms) {
+  const nfds_t count = pollfds_.size();
+  if (spin_deadline_ns_ != 0 && timeout_ms != 0) {
+    // The last poll served a request: stay awake for the rest of its
+    // window, so a request arriving in it skips the wake-up.
+    const int64_t deadline = spin_deadline_ns_;
+    spin_deadline_ns_ = 0;
+    int64_t polls = 0;
+    int ready = 0;
+    do {
+      ready = ::poll(pollfds_.data(), count, 0);
+      ++polls;
+    } while (ready == 0 && SteadyNowNs() < deadline);
+    spin_.spin_polls += polls;
+    if (spin_polls_counter_ != nullptr) spin_polls_counter_->Increment(polls);
+    if (ready > 0) Bump(spin_hits_counter_, &spin_.spin_hits);
+    if (ready != 0) return ready;
+  }
+  return ::poll(pollfds_.data(), count, timeout_ms);
+}
+
 bool AdmitDaemon::PollOnce(int timeout_ms) {
   if (shutdown_.load(std::memory_order_relaxed)) {
     // Flush what's already queued, then stop.
@@ -358,28 +398,29 @@ bool AdmitDaemon::PollOnce(int timeout_ms) {
     for (Connection& connection : connections_) WriteTo(connection, now_ms);
     return false;
   }
-  std::vector<pollfd> fds;
-  fds.reserve(connections_.size() + 1);
-  fds.push_back({listen_fd_, POLLIN, 0});
+  pollfds_.clear();
+  pollfds_.push_back({listen_fd_, POLLIN, 0});
   for (const Connection& connection : connections_) {
     short events = POLLIN;
     if (!connection.out.empty()) events |= POLLOUT;
-    fds.push_back({connection.fd, events, 0});
+    pollfds_.push_back({connection.fd, events, 0});
   }
-  const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
+  const int ready = WaitReady(timeout_ms);
   if (ready < 0 && errno != EINTR) return !shutdown_.load();
   const int64_t now_ms = NowMs();
   request_budget_ = options_.max_requests_per_poll > 0
                         ? options_.max_requests_per_poll
                         : INT_MAX;
   if (ready > 0) {
+    const int64_t answered_before =
+        requests_served_ + overload_.shed_requests;
     // Serve only the connections that were actually polled: accepting
     // first would grow connections_ past the pollfd array and misindex
-    // (or read past) fds for the tail entries.
-    const size_t polled = fds.size() - 1;
+    // (or read past) pollfds_ for the tail entries.
+    const size_t polled = pollfds_.size() - 1;
     for (size_t i = 0; i < polled; ++i) {
       Connection& connection = connections_[i];
-      const short revents = fds[i + 1].revents;
+      const short revents = pollfds_[i + 1].revents;
       if ((revents & (POLLERR | POLLHUP)) != 0 && connection.out.empty()) {
         connection.drop = true;
       }
@@ -388,7 +429,12 @@ bool AdmitDaemon::PollOnce(int timeout_ms) {
       }
       if (!connection.out.empty()) WriteTo(connection, now_ms);
     }
-    if ((fds[0].revents & POLLIN) != 0) AcceptPending(now_ms);
+    if ((pollfds_[0].revents & POLLIN) != 0) AcceptPending(now_ms);
+    if (spin_on_host_ &&
+        requests_served_ + overload_.shed_requests != answered_before) {
+      spin_deadline_ns_ =
+          SteadyNowNs() + std::chrono::nanoseconds(kSpinWindow).count();
+    }
   }
   EnforceDeadlines(now_ms);
   // Reap dropped connections whose output drained, and force-closed

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -14,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+#include "raw_socket.h"
 #include "service/admission_service.h"
 #include "service/client.h"
 #include "service/protocol.h"
@@ -267,6 +270,165 @@ TEST_F(DaemonTest, ShutdownOpStopsServe) {
   daemon_.reset();
   std::remove(socket_path_.c_str());
   socket_path_.clear();
+}
+
+TEST_F(DaemonTest, FrameSplitAcrossSendsWithPausesIsServed) {
+  StartDaemon("split");
+  const int fd = ConnectRaw(socket_path_);
+  Request admit;
+  admit.op = OpCode::kAdmitClass;
+  admit.class_index = 1;
+  std::string frame;
+  AppendFrame(&frame, EncodeRequest(admit));
+  // Cut inside the length prefix and inside the payload; each pause lets
+  // the daemon read the partial frame and go back to waiting.
+  SendAll(fd, frame.substr(0, 2));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  SendAll(fd, frame.substr(2, frame.size() - 5));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  SendAll(fd, frame.substr(frame.size() - 3));
+  const auto responses = ReadResponses(fd, 1);
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].status, WireStatus::kOk);
+  EXPECT_EQ(responses[0].class_index, 1u);
+  EXPECT_EQ(responses[0].occupancy, 1);
+  ::close(fd);
+}
+
+// Daemon driven by hand through PollOnce (no serve thread), so the spin
+// counters can be read exactly between polls.
+class DaemonPollTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    AdmissionServiceConfig config;
+    config.classes = {{"gold", 0.001}};
+    config.registry.shards = 1;
+    config.registry.capacity = 256;
+    auto service = AdmissionService::Create(config);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    service_ = std::move(*service);
+    ASSERT_TRUE(service_->PublishLimits({100}).ok());
+    socket_path_ = TempSocketPath(
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    DaemonOptions options;
+    options.socket_path = socket_path_;
+    options.metrics = &metrics_;
+    auto daemon = AdmitDaemon::Create(service_.get(), options);
+    ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
+    daemon_ = std::move(*daemon);
+    spins_ = AdmitDaemon::SpinsOnHost(std::thread::hardware_concurrency());
+  }
+
+  void TearDown() override {
+    if (fd_ >= 0) ::close(fd_);
+    daemon_.reset();
+    std::remove(socket_path_.c_str());
+  }
+
+  // Connects a client and polls until the daemon has accepted it.
+  void Connect() {
+    fd_ = ConnectRaw(socket_path_);
+    for (int i = 0; i < 100 && daemon_->connection_count() == 0; ++i) {
+      ASSERT_TRUE(daemon_->PollOnce(10));
+    }
+    ASSERT_EQ(daemon_->connection_count(), 1);
+  }
+
+  // Sends `frames` and polls until the daemon has served `total` requests.
+  void ServeUntil(const std::string& frames, int64_t total) {
+    SendAll(fd_, frames);
+    for (int i = 0; i < 100 && daemon_->requests_served() < total; ++i) {
+      ASSERT_TRUE(daemon_->PollOnce(10));
+    }
+    ASSERT_EQ(daemon_->requests_served(), total);
+  }
+
+  obs::Registry metrics_;
+  std::unique_ptr<AdmissionService> service_;
+  std::unique_ptr<AdmitDaemon> daemon_;
+  std::string socket_path_;
+  int fd_ = -1;
+  bool spins_ = false;  // whether daemons spin on the host running the test
+};
+
+TEST(DaemonSpinTest, SpinsOnlyWithMoreThanOneOnlineCpu) {
+  EXPECT_FALSE(AdmitDaemon::SpinsOnHost(0));  // unknown count
+  EXPECT_FALSE(AdmitDaemon::SpinsOnHost(1));
+  EXPECT_TRUE(AdmitDaemon::SpinsOnHost(2));
+  EXPECT_TRUE(AdmitDaemon::SpinsOnHost(4));
+  EXPECT_TRUE(AdmitDaemon::SpinsOnHost(256));
+}
+
+TEST_F(DaemonPollTest, PollOnceZeroNeverSpins) {
+  Connect();
+  ServeUntil(PingFrames(1), 1);
+  EXPECT_EQ(daemon_->spin_stats().spin_polls, 0);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(daemon_->PollOnce(0));
+  EXPECT_EQ(daemon_->spin_stats().spin_polls, 0);
+  // The spin was armed all along: the first poll with a timeout takes it.
+  ASSERT_TRUE(daemon_->PollOnce(1));
+  EXPECT_EQ(daemon_->spin_stats().spin_polls > 0, spins_);
+}
+
+TEST_F(DaemonPollTest, SpinAnswersRequestSentShortlyAfterServedOne) {
+  Connect();
+  ServeUntil(PingFrames(1), 1);
+  ASSERT_EQ(ReadResponses(fd_, 1).size(), 1u);
+  // The next request is on the wire before the daemon's next poll, so
+  // the spin's first zero-timeout poll finds it and no wake-up is taken.
+  SendAll(fd_, PingFrames(1));
+  ASSERT_TRUE(daemon_->PollOnce(1000));
+  ASSERT_EQ(daemon_->requests_served(), 2);
+  const int64_t hits = spins_ ? 1 : 0;
+  EXPECT_EQ(daemon_->spin_stats().spin_hits, hits);
+  EXPECT_EQ(metrics_.GetCounter("service.daemon.spin_hits")->value(), hits);
+  EXPECT_EQ(metrics_.GetCounter("service.daemon.spin_polls")->value(),
+            daemon_->spin_stats().spin_polls);
+  const auto responses = ReadResponses(fd_, 1);
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].status, WireStatus::kOk);
+}
+
+TEST_F(DaemonPollTest, IdleDaemonStopsSpinningAfterOneWindow) {
+  Connect();
+  ServeUntil(PingFrames(1), 1);
+  // Nothing arrives: the spin runs out its window, then the poll blocks.
+  ASSERT_TRUE(daemon_->PollOnce(1));
+  const int64_t polls = daemon_->spin_stats().spin_polls;
+  EXPECT_EQ(polls > 0, spins_);
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(daemon_->PollOnce(1));
+  EXPECT_EQ(daemon_->spin_stats().spin_polls, polls);
+  EXPECT_EQ(daemon_->spin_stats().spin_hits, 0);
+}
+
+TEST_F(DaemonPollTest, BurstLargerThanReadBufferIsServedInOnePoll) {
+  Connect();
+  const std::string burst = PingFrames(600);
+  ASSERT_GT(burst.size(), 3 * 4096u);
+  SendAll(fd_, burst);
+  // Every recv that fills the 4 KiB buffer is followed by another, so the
+  // whole queued burst is read and served by a single poll.
+  ASSERT_TRUE(daemon_->PollOnce(1000));
+  ASSERT_EQ(daemon_->requests_served(), 600);
+  const auto responses = ReadResponses(fd_, 600);
+  ASSERT_EQ(responses.size(), 600u);
+  for (const Response& response : responses) {
+    EXPECT_EQ(response.status, WireStatus::kOk);
+  }
+}
+
+TEST_F(DaemonPollTest, PeerClosedWithResponsePendingIsReaped) {
+  Connect();
+  SendAll(fd_, PingFrames(1));
+  ::close(fd_);
+  fd_ = -1;
+  // The response cannot be delivered; the connection must still go, or
+  // its hangup would wake every later poll at once.
+  for (int i = 0; i < 3 && daemon_->connection_count() > 0; ++i) {
+    ASSERT_TRUE(daemon_->PollOnce(10));
+  }
+  EXPECT_EQ(daemon_->connection_count(), 0);
+  EXPECT_EQ(daemon_->requests_served(), 1);
 }
 
 TEST(DaemonCreateTest, RejectsUnbindablePath) {

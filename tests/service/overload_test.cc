@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
+#include "raw_socket.h"
 #include "service/admission_service.h"
 #include "service/client.h"
 #include "service/daemon.h"
@@ -32,49 +33,6 @@ namespace {
 std::string TempSocketPath(const char* tag) {
   return std::string("/tmp/zs_overload_test_") + tag + "_" +
          std::to_string(::getpid()) + ".sock";
-}
-
-int ConnectRaw(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", path.c_str());
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  return fd;
-}
-
-// Reads whole response frames from a blocking fd until EOF or `count`
-// frames arrive.
-std::vector<Response> ReadResponses(int fd, size_t count) {
-  std::vector<Response> responses;
-  std::string buffer;
-  char chunk[4096];
-  while (responses.size() < count) {
-    size_t consumed = 0;
-    std::string_view payload;
-    while (NextFrame(buffer, &consumed, &payload) == FrameParse::kFrame) {
-      auto response = DecodeResponse(payload);
-      EXPECT_TRUE(response.ok()) << response.status().ToString();
-      if (response.ok()) responses.push_back(*response);
-      buffer.erase(0, consumed);
-      if (responses.size() >= count) return responses;
-    }
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<size_t>(n));
-  }
-  return responses;
-}
-
-std::string PingFrames(int count) {
-  Request ping;
-  ping.op = OpCode::kPing;
-  const std::string one = EncodeRequest(ping);
-  std::string frames;
-  for (int i = 0; i < count; ++i) AppendFrame(&frames, one);
-  return frames;
 }
 
 // Daemon driven manually via PollOnce (no serve thread) with a
