@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,23 +21,33 @@ constexpr double kVariance = 100e3 * 100e3;
 // ---------------------------------------------------------------------------
 // Family-generic property tests
 
-std::vector<std::shared_ptr<const SizeDistribution>> AllFamilies() {
-  std::vector<std::shared_ptr<const SizeDistribution>> families;
-  families.push_back(std::make_shared<GammaSizeDistribution>(
-      *GammaSizeDistribution::Create(kMean, kVariance)));
-  families.push_back(std::make_shared<LognormalSizeDistribution>(
-      *LognormalSizeDistribution::Create(kMean, kVariance)));
-  families.push_back(std::make_shared<TruncatedParetoSizeDistribution>(
-      *TruncatedParetoSizeDistribution::Create(100e3, 2.5, 2000e3)));
+// One family under test. gtest prints each parameter into the listed test
+// name, and its default printer for a shared_ptr prints the heap address,
+// which changes on every run; PrintTo prints the family's name instead, so
+// every case is registered under the same name on every build.
+struct Family {
+  std::shared_ptr<const SizeDistribution> dist;
+};
+
+void PrintTo(const Family& family, std::ostream* os) {
+  *os << family.dist->name();
+}
+
+std::vector<Family> AllFamilies() {
+  std::vector<Family> families;
+  families.push_back({std::make_shared<GammaSizeDistribution>(
+      *GammaSizeDistribution::Create(kMean, kVariance))});
+  families.push_back({std::make_shared<LognormalSizeDistribution>(
+      *LognormalSizeDistribution::Create(kMean, kVariance))});
+  families.push_back({std::make_shared<TruncatedParetoSizeDistribution>(
+      *TruncatedParetoSizeDistribution::Create(100e3, 2.5, 2000e3))});
   return families;
 }
 
-class SizeDistributionPropertyTest
-    : public ::testing::TestWithParam<
-          std::shared_ptr<const SizeDistribution>> {};
+class SizeDistributionPropertyTest : public ::testing::TestWithParam<Family> {};
 
 TEST_P(SizeDistributionPropertyTest, DensityIntegratesToOne) {
-  const SizeDistribution& dist = *GetParam();
+  const SizeDistribution& dist = *GetParam().dist;
   const double lo = dist.Quantile(0.0);
   const double hi = dist.Quantile(1.0 - 1e-10);
   const double integral = numeric::CompositeGaussLegendre(
@@ -43,7 +56,7 @@ TEST_P(SizeDistributionPropertyTest, DensityIntegratesToOne) {
 }
 
 TEST_P(SizeDistributionPropertyTest, DensityMatchesCdfDerivative) {
-  const SizeDistribution& dist = *GetParam();
+  const SizeDistribution& dist = *GetParam().dist;
   for (double p : {0.1, 0.3, 0.5, 0.7, 0.9}) {
     const double x = dist.Quantile(p);
     const double h = x * 1e-6;
@@ -56,7 +69,7 @@ TEST_P(SizeDistributionPropertyTest, DensityMatchesCdfDerivative) {
 }
 
 TEST_P(SizeDistributionPropertyTest, QuantileInvertsCdf) {
-  const SizeDistribution& dist = *GetParam();
+  const SizeDistribution& dist = *GetParam().dist;
   for (double p : {0.001, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999}) {
     EXPECT_NEAR(dist.Cdf(dist.Quantile(p)), p, 1e-8)
         << dist.name() << " p=" << p;
@@ -64,7 +77,7 @@ TEST_P(SizeDistributionPropertyTest, QuantileInvertsCdf) {
 }
 
 TEST_P(SizeDistributionPropertyTest, SampleMomentsMatch) {
-  const SizeDistribution& dist = *GetParam();
+  const SizeDistribution& dist = *GetParam().dist;
   numeric::Rng rng(4242);
   numeric::RunningStats stats;
   for (int i = 0; i < 200000; ++i) stats.Add(dist.Sample(&rng));
@@ -74,7 +87,7 @@ TEST_P(SizeDistributionPropertyTest, SampleMomentsMatch) {
 }
 
 TEST_P(SizeDistributionPropertyTest, CdfBoundaries) {
-  const SizeDistribution& dist = *GetParam();
+  const SizeDistribution& dist = *GetParam().dist;
   EXPECT_DOUBLE_EQ(dist.Cdf(0.0), 0.0) << dist.name();
   EXPECT_DOUBLE_EQ(dist.Cdf(-10.0), 0.0) << dist.name();
   EXPECT_NEAR(dist.Cdf(dist.mean() * 1000.0), 1.0, 1e-9) << dist.name();
@@ -82,9 +95,8 @@ TEST_P(SizeDistributionPropertyTest, CdfBoundaries) {
 
 INSTANTIATE_TEST_SUITE_P(
     Families, SizeDistributionPropertyTest, ::testing::ValuesIn(AllFamilies()),
-    [](const ::testing::TestParamInfo<
-        std::shared_ptr<const SizeDistribution>>& param_info) {
-      std::string name = param_info.param->name();
+    [](const ::testing::TestParamInfo<Family>& param_info) {
+      std::string name = param_info.param.dist->name();
       for (char& c : name) {
         if (c == '-') c = '_';
       }
