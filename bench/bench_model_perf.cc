@@ -25,6 +25,7 @@
 #include "core/glitch_model.h"
 #include "core/snc.h"
 #include "fault/fault_model.h"
+#include "numeric/special_functions.h"
 #include "obs/metrics.h"
 #include "obs/round_trace.h"
 #include "server/media_server.h"
@@ -34,6 +35,7 @@
 #include "service/rcu.h"
 #include "sim/importance_sampling.h"
 #include "sim/replication.h"
+#include "workload/vbr_trace.h"
 
 namespace zonestream {
 namespace {
@@ -184,6 +186,35 @@ void BM_GammaBatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GammaBatch)->Arg(26);
+
+// One Gamma quantile at the shape of the end-to-end benchmark's serve_array
+// content, (200/95)^2, cycling through 32 evenly spaced p in (0, 1): the
+// VBR generator's copula hands it uniform p, so this is the mean cost per
+// frame.
+void BM_InverseRegularizedGammaP(benchmark::State& state) {
+  const double shape = (200.0 / 95.0) * (200.0 / 95.0);
+  constexpr int kPoints = 32;
+  size_t i = 0;
+  for (auto _ : state) {
+    const double p = (static_cast<double>(i++ % kPoints) + 0.5) / kPoints;
+    benchmark::DoNotOptimize(numeric::InverseRegularizedGammaP(shape, p));
+  }
+}
+BENCHMARK(BM_InverseRegularizedGammaP);
+
+// One 120 s clip (3000 frames) of serve_array's VBR content: mean
+// 200 kB/s, stddev 95 kB/s, scene correlation 0.9.
+void BM_VbrTraceGenerate(benchmark::State& state) {
+  workload::VbrTraceConfig config;
+  config.mean_bandwidth_bps = 200e3;
+  config.bandwidth_stddev_bps = 95e3;
+  config.scene_correlation = 0.9;
+  for (auto _ : state) {
+    auto generator = workload::VbrTraceGenerator::Create(config, /*seed=*/7);
+    benchmark::DoNotOptimize(generator->Generate(120.0).bandwidth_bps.data());
+  }
+}
+BENCHMARK(BM_VbrTraceGenerate);
 
 // Same round loop with the full observability stack attached (registry
 // counters + histograms + trace recorder). The delta against

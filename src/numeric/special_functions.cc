@@ -11,8 +11,14 @@ namespace {
 constexpr int kMaxIterations = 500;
 constexpr double kEpsilon = 3.0e-15;
 constexpr double kTiny = 1.0e-300;
+// InverseRegularizedGammaP: a cap on its steps (Halley converges in a few;
+// bisecting the widest bracket to an ulp takes about 60) and the predicted
+// error in ln x at which it stops.
+constexpr int kMaxInverseSteps = 100;
+constexpr double kInverseTolerance = 1.0e-17;
 
-// Series expansion of P(a, x), converges quickly for x < a + 1.
+// Series for P(a, x) over the prefactor x^a e^{-x} / Γ(a), converges
+// quickly for x < a + 1.
 double GammaPSeries(double a, double x) {
   double ap = a;
   double sum = 1.0 / a;
@@ -23,10 +29,11 @@ double GammaPSeries(double a, double x) {
     sum += term;
     if (std::fabs(term) < std::fabs(sum) * kEpsilon) break;
   }
-  return sum * std::exp(-x + a * std::log(x) - LogGamma(a));
+  return sum;
 }
 
-// Continued fraction for Q(a, x) (modified Lentz), converges for x > a + 1.
+// Continued fraction for Q(a, x) over the same prefactor (modified Lentz),
+// converges for x > a + 1.
 double GammaQContinuedFraction(double a, double x) {
   double b = x + 1.0 - a;
   double c = 1.0 / kTiny;
@@ -44,7 +51,25 @@ double GammaQContinuedFraction(double a, double x) {
     h *= delta;
     if (std::fabs(delta - 1.0) < kEpsilon) break;
   }
-  return std::exp(-x + a * std::log(x) - LogGamma(a)) * h;
+  return h;
+}
+
+struct GammaTail {
+  double value;      // P(a, x), or Q(a, x) for the upper tail
+  double prefactor;  // x^a e^{-x} / Γ(a): x times the density, dP/d(ln x)
+};
+
+// P(a, x) or Q(a, x) for x > 0 given ln Γ(a): the series below a + 1, the
+// continued fraction above it, and the complement for the other tail.
+GammaTail IncompleteGamma(double a, double x, double log_gamma_a,
+                          bool upper) {
+  const double prefactor = std::exp(-x + a * std::log(x) - log_gamma_a);
+  if (x < a + 1.0) {
+    const double p = GammaPSeries(a, x) * prefactor;
+    return {upper ? 1.0 - p : p, prefactor};
+  }
+  const double q = GammaQContinuedFraction(a, x) * prefactor;
+  return {upper ? q : 1.0 - q, prefactor};
 }
 
 }  // namespace
@@ -58,16 +83,14 @@ double RegularizedGammaP(double a, double x) {
   ZS_CHECK_GT(a, 0.0);
   ZS_CHECK_GE(x, 0.0);
   if (x == 0.0) return 0.0;
-  if (x < a + 1.0) return GammaPSeries(a, x);
-  return 1.0 - GammaQContinuedFraction(a, x);
+  return IncompleteGamma(a, x, LogGamma(a), /*upper=*/false).value;
 }
 
 double RegularizedGammaQ(double a, double x) {
   ZS_CHECK_GT(a, 0.0);
   ZS_CHECK_GE(x, 0.0);
   if (x == 0.0) return 1.0;
-  if (x < a + 1.0) return 1.0 - GammaPSeries(a, x);
-  return GammaQContinuedFraction(a, x);
+  return IncompleteGamma(a, x, LogGamma(a), /*upper=*/true).value;
 }
 
 double InverseRegularizedGammaP(double a, double p) {
@@ -76,44 +99,58 @@ double InverseRegularizedGammaP(double a, double p) {
   ZS_CHECK_LT(p, 1.0);
   if (p == 0.0) return 0.0;
 
-  // Bracket the root in log space. P(a, x) -> 0 as x -> 0 like
-  // x^a/(a Γ(a)), so very small quantiles sit at astronomically small x for
-  // small shapes; the log-space bracket handles the full range robustly.
-  const double g = LogGamma(a);
-  // Lower endpoint from the leading series term: x_lo with
-  // P(a, x_lo) <= p is (p a Γ(a))^{1/a} scaled down.
-  double log_lo = (std::log(p) + std::log(a) + g) / a - 1.0;
-  double log_hi = std::log(a + 30.0 * std::sqrt(a) + 30.0);  // far upper tail
-  for (int i = 0; i < 400 && RegularizedGammaP(a, std::exp(log_lo)) > p; ++i) {
-    log_lo -= 2.0;
-  }
-  for (int i = 0; i < 400 && RegularizedGammaP(a, std::exp(log_hi)) < p; ++i) {
-    log_hi += 1.0;
-  }
+  // Solve in t = ln x, where the lower tail P ~ x^a / Γ(a + 1) is close to
+  // linear. Bracket: P(a, x) <= x^a / Γ(a + 1) for every x, so the leading
+  // series term is below the root; Q(a, a + 30√a + 30) < 2^-53 <= 1 - p
+  // for every shape, so that point is above it.
+  const double log_gamma_a = LogGamma(a);
+  double lo = (std::log(p) + std::log(a) + log_gamma_a) / a;
+  double hi = std::log(a + 30.0 * std::sqrt(a) + 30.0);
+  // Below the smallest normal double the leading term is the root to a
+  // relative O(x); exp rounds it to a subnormal, or to 0 below those.
+  if (lo < std::log(std::numeric_limits<double>::min())) return std::exp(lo);
 
-  // Bisection on log x until the bracket is tight.
-  for (int i = 0; i < 200 && (log_hi - log_lo) > 1e-14; ++i) {
-    const double log_mid = 0.5 * (log_lo + log_hi);
-    if (RegularizedGammaP(a, std::exp(log_mid)) < p) {
-      log_lo = log_mid;
-    } else {
-      log_hi = log_mid;
+  // Start from Wilson–Hilferty ((x/a)^{1/3} is nearly normal with mean
+  // 1 - 1/(9a) and variance 1/(9a)) when a > 1, and from the series term
+  // when a <= 1 or where Wilson–Hilferty falls below it.
+  double t = lo;
+  if (a > 1.0) {
+    const double v = 1.0 / (9.0 * a);
+    const double cube_root = 1.0 - v + NormalQuantile(p) * std::sqrt(v);
+    if (cube_root > 0.0) {
+      t = std::fmax(lo, std::log(a) + 3.0 * std::log(cube_root));
     }
   }
-  double x = std::exp(0.5 * (log_lo + log_hi));
 
-  // Newton polish with the analytic density (in linear space).
-  for (int i = 0; i < 4; ++i) {
-    const double err = RegularizedGammaP(a, x) - p;
-    const double density = std::exp(-x + (a - 1.0) * std::log(x) - g);
-    if (density <= 0.0 || !std::isfinite(density)) break;
-    double step = err / density;
-    const double max_step = 0.5 * x;
-    if (step > max_step) step = max_step;
-    if (step < -max_step) step = -max_step;
-    x -= step;
+  // Above the median solve Q(a, x) = 1 - p, which is exact there, so the
+  // upper tail keeps its relative precision. Either way the residual f
+  // rises with t, f' = x^a e^{-x} / Γ(a) and f''/f' = a - x.
+  const bool upper = p > 0.5;
+  const double target = upper ? 1.0 - p : p;
+  for (int i = 0; i < kMaxInverseSteps; ++i) {
+    const double x = std::exp(t);
+    const GammaTail tail = IncompleteGamma(a, x, log_gamma_a, upper);
+    const double f = upper ? target - tail.value : tail.value - target;
+    if (f < 0.0) {
+      lo = t;
+    } else {
+      hi = t;
+    }
+    // Halley step. Its error after a step s is about
+    // s^3 ((a - x)^2 / 12 + x / 6); stop once that is well below an ulp
+    // and apply the last step to x itself, so large |t| costs no precision.
+    const double u = f / tail.prefactor;
+    const double step = u / (1.0 - 0.5 * u * (a - x));
+    const double next_error =
+        step * step * step * ((a - x) * (a - x) / 12.0 + x / 6.0);
+    if (std::fabs(next_error) < kInverseTolerance) {
+      return x * std::exp(-step);
+    }
+    // Bisect only when the step leaves the bracket (or is not finite).
+    const double next = t - step;
+    t = (next > lo && next < hi) ? next : 0.5 * (lo + hi);
   }
-  return x;
+  return std::exp(t);
 }
 
 double NormalCdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }

@@ -22,7 +22,12 @@ double RegularizedGammaQ(double a, double x);
 
 // Inverse of P(a, .): returns x such that P(a, x) = p, for p in [0, 1).
 // Used for Gamma-distribution percentiles (e.g. the paper's 99-percentile
-// fragment size in the worst-case comparison, eq. 4.1).
+// fragment size in the worst-case comparison, eq. 4.1) and for every frame
+// of workload::VbrTraceGenerator. A bracketed Halley iteration in ln x from
+// a Wilson–Hilferty (a > 1) or leading-series-term start, usually two or
+// three P/Q evaluations; above the median it solves Q(a, x) = 1 - p so the
+// upper tail keeps full relative precision. Returns 0 where the root is
+// below the smallest double.
 double InverseRegularizedGammaP(double a, double p);
 
 // CDF of the standard normal distribution.

@@ -335,8 +335,9 @@ double MixtureSizeDistribution::Quantile(double p) const {
   double lo = std::numeric_limits<double>::infinity();
   double hi = 0.0;
   for (const auto& component : components_) {
-    lo = std::fmin(lo, component->Quantile(p));
-    hi = std::fmax(hi, component->Quantile(p));
+    const double q = component->Quantile(p);
+    lo = std::fmin(lo, q);
+    hi = std::fmax(hi, q);
   }
   if (hi - lo < 1e-12 * (1.0 + hi)) return hi;
   for (int i = 0; i < 200 && (hi - lo) > 1e-12 * (1.0 + hi); ++i) {
