@@ -35,6 +35,7 @@
 #include "service/rcu.h"
 #include "sim/importance_sampling.h"
 #include "sim/replication.h"
+#include "workload/size_distribution.h"
 #include "workload/vbr_trace.h"
 
 namespace zonestream {
@@ -337,6 +338,35 @@ void BM_DegradedRound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DegradedRound)->Arg(13);
+
+// One intact round of the end-to-end benchmark's serving array: a 4-disk
+// RAID-5 MediaServer at the per-disk limit planned for serve_array's
+// content (200 kB mean, 95 kB stddev fragments, P(late) <= 0.01), filled
+// to capacity. Each disk's sweep runs the SCAN kernel the simulators use
+// (sched/scan_kernel.h), so this is the serving-path counterpart of
+// BM_SimulatedRoundBatched.
+void BM_MediaServerRound(benchmark::State& state) {
+  constexpr double kMeanBytes = 200e3;
+  constexpr double kVarBytes2 = 95e3 * 95e3;
+  auto config = server::MediaServer::PlanConfig(
+      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), kMeanBytes,
+      kVarBytes2, /*num_disks=*/4, bench::kRoundLengthS,
+      /*late_tolerance=*/0.01, /*seed=*/1);
+  ZS_CHECK(config.ok());
+  config->parity = true;
+  auto server = server::MediaServer::Create(
+      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), *config);
+  ZS_CHECK(server.ok());
+  const auto sizes = std::make_shared<workload::GammaSizeDistribution>(
+      *workload::GammaSizeDistribution::Create(kMeanBytes, kVarBytes2));
+  while (server->OpenStream(sizes).ok()) {
+  }
+  for (auto _ : state) {
+    server->RunRound();
+    benchmark::DoNotOptimize(server->current_round());
+  }
+}
+BENCHMARK(BM_MediaServerRound);
 
 // The flattened lock-free table probe (core::AdmissionTableSnapshot) on
 // the same 4-row table as BM_AdmissionTableLookup. The pair bounds what

@@ -51,6 +51,12 @@ namespace zonestream::recovery {
 //       service::EncodeAdmissionServiceState encoding, so the daemon's
 //       live Digest() and the snapshot section digest agree by
 //       construction. Older versions are rejected per the v1 precedent.
+//       Still version 3 after MediaServer moved to batched per-round
+//       draws and the shared SCAN kernel: the server payload carries
+//       the request RNG position, never a pending draw, so its format is
+//       unchanged. A server restored from a snapshot taken before that
+//       change continues on the new sample path; it resumes bit-
+//       identically only against a server of the same build.
 inline constexpr std::string_view kSnapshotMagic{"ZSNAPv1\0", 8};
 inline constexpr uint32_t kSnapshotVersion = 3;
 

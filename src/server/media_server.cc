@@ -9,7 +9,7 @@
 #include "core/service_time_model.h"
 #include "obs/metrics.h"
 #include "obs/round_trace.h"
-#include "sched/scan.h"
+#include "sched/scan_kernel.h"
 
 namespace zonestream::server {
 
@@ -21,9 +21,9 @@ namespace {
 // fault process is independent.
 constexpr uint64_t kServerFaultSubstream = 0x66737276;
 
-// Repair stripe-rebuild job j rides in the round's batches as stream id
-// kRepairStreamIdBase - j; negative ids survive the SCAN sort and are
-// decoded back to the job on completion. Stream ids are always >= 0.
+// Repair stripe-rebuild job j rides in the round's requests with owner
+// kRepairStreamIdBase - j; negative owners are decoded back to the job
+// on completion. Stream ids are always >= 0.
 constexpr int kRepairStreamIdBase = -1;
 
 }  // namespace
@@ -99,9 +99,19 @@ MediaServer::MediaServer(
       fault_injectors_(std::move(injectors)),
       spare_active_(config.num_disks, 0),
       busy_fraction_(config.num_disks),
-      batch_scratch_(config.num_disks),
       round_failed_(config.num_disks, 0) {
   if (config_.parity) parity_striping_.emplace(config_.num_disks);
+  if (config_.metrics != nullptr) {
+    obs::Registry* registry = config_.metrics;
+    metrics_.rounds = registry->GetCounter("server.rounds");
+    metrics_.requests = registry->GetCounter("server.requests");
+    metrics_.glitches = registry->GetCounter("server.glitches");
+    metrics_.overruns = registry->GetCounter("server.overruns");
+    metrics_.service_time_s =
+        registry->GetHistogram("server.disk.service_time_s");
+    metrics_.utilization = registry->GetHistogram("server.disk.utilization");
+  }
+  scratch_.by_disk.resize(static_cast<size_t>(config_.num_disks));
   if (config_.repair.has_value()) {
     repair_ =
         std::make_unique<RepairController>(*config_.repair, config_.metrics);
@@ -216,7 +226,7 @@ common::StatusOr<int> MediaServer::OpenStream(
   StreamState state;
   state.phase = phase;
   state.priority_class = priority_class;
-  state.source = std::make_unique<workload::IidSizeSource>(std::move(sizes));
+  state.sizes = std::move(sizes);
   const int id = static_cast<int>(next_stream_id_++);
   streams_.emplace(id, std::move(state));
   ++phase_counts_[phase];
@@ -276,12 +286,12 @@ void MediaServer::RunRound() {
 
   // Failure census. Every injector opens its round here — BeginRound
   // draws only from the injector's own per-disk substreams, so hoisting
-  // it ahead of batch building leaves all request draws untouched — and
-  // declares the stream load the disk is scheduled to carry (degraded
-  // fan-out and repair reads appended below are served, and eligible for
-  // per-request fault delays, but are not part of the declared load). A
-  // disk whose spare took over reports healthy regardless of its dead
-  // predecessor's injector.
+  // it ahead of the request draws leaves them untouched — and declares
+  // the stream load the disk is scheduled to carry (degraded fan-out and
+  // repair reads appended below are served, and eligible for per-request
+  // fault delays, but are not part of the declared load). A disk whose
+  // spare took over reports healthy regardless of its dead predecessor's
+  // injector.
   std::fill(round_failed_.begin(), round_failed_.end(), 0);
   int failed_count = 0;
   int failed_disk = -1;
@@ -296,7 +306,7 @@ void MediaServer::RunRound() {
     }
   }
 
-  // Parity-mode failure transitions, before batches are built so this
+  // Parity-mode failure transitions, before requests are issued so this
   // round already runs with the degraded stream set and an armed rebuild.
   if (config_.parity) {
     degraded_now_ = failed_count > 0;
@@ -317,87 +327,78 @@ void MediaServer::RunRound() {
     NotifyLimitChangeIfNeeded();
   }
 
-  // Gather this round's request batch per disk into the reused scratch
-  // (clear keeps the capacity, so steady-state rounds allocate nothing).
-  std::vector<std::vector<sched::DiskRequest>>& batches = batch_scratch_;
-  for (auto& batch : batches) batch.clear();
-  recon_scratch_.clear();
-  const auto emit = [&](int disk, int stream_id, double bytes) {
-    const disk::DiskPosition position = geometry_.SampleUniformPosition(&rng_);
-    sched::DiskRequest request;
-    request.stream_id = stream_id;
-    request.cylinder = position.cylinder;
-    request.zone = position.zone;
-    request.transfer_rate_bps = position.transfer_rate_bps;
-    request.bytes = bytes;
-    request.rotational_latency_s = rng_.Uniform(0.0, geometry_.rotation_time());
-    batches[static_cast<size_t>(disk)].push_back(request);
+  // Issue the round's requests: one walk over the streams (home disk,
+  // degraded fan-out), then the repair reads. Each request names its
+  // owner and the fragment slot its bytes come from; nothing is drawn
+  // yet.
+  RoundScratch& s = scratch_;
+  s.owner.clear();
+  s.slot.clear();
+  for (std::vector<int>& requests : s.by_disk) requests.clear();
+  s.recon.clear();
+  s.size_runs.clear();
+  const size_t num_slots = streams_.size() + 1;
+  s.fragment_bytes.resize(num_slots);
+  s.reconstructed.assign(num_slots, 0);
+  s.late.assign(num_slots, 0);
+  const auto emit = [&s](int disk, int owner, int slot) {
+    s.by_disk[static_cast<size_t>(disk)].push_back(
+        static_cast<int>(s.owner.size()));
+    s.owner.push_back(owner);
+    s.slot.push_back(slot);
   };
+  // Home disk of each phase this round (the stripe row is the round).
+  s.phase_disk.resize(static_cast<size_t>(NumPhases()));
+  for (int p = 0; p < NumPhases(); ++p) {
+    s.phase_disk[static_cast<size_t>(p)] =
+        config_.parity ? parity_striping_->DataDiskForFragment(p, round_)
+                       : striping_.DiskForFragment(p, round_);
+  }
+  int next_slot = 0;
   for (auto& [id, stream] : streams_) {
-    if (!config_.parity) {
-      const int disk_index = striping_.DiskForFragment(
-          stream.phase, round_);
-      const disk::DiskPosition position =
-          geometry_.SampleUniformPosition(&rng_);
-      sched::DiskRequest request;
-      request.stream_id = id;
-      request.cylinder = position.cylinder;
-      request.zone = position.zone;
-      request.transfer_rate_bps = position.transfer_rate_bps;
-      if (stream.retry_bytes >= 0.0) {
-        // A deadline-cut fragment awaiting re-issue: same size, fresh
-        // position (no size draw, so the retry never shifts other streams'
-        // draws — they happen per stream in map order either way).
-        request.bytes = stream.retry_bytes;
-        stream.retry_bytes = -1.0;
-      } else {
-        request.bytes = stream.source->NextFragmentBytes(&rng_);
-        stream.next_fragment++;
-        // A fresh fragment closes out any retried predecessor that made
-        // its deadline: the retry budget is per fragment, not per stream.
-        stream.retry_attempts = 0;
-      }
-      request.rotational_latency_s =
-          rng_.Uniform(0.0, geometry_.rotation_time());
-      batches[disk_index].push_back(request);
-      stream.stats.rounds_served++;
-      continue;
-    }
-    // Parity layout: stripe row = round index; phase j's unit lives on
-    // the row's j-th data disk.
-    const int home_disk =
-        parity_striping_->DataDiskForFragment(stream.phase, round_);
-    double bytes;
+    const int slot = next_slot++;
     if (stream.retry_bytes >= 0.0) {
-      bytes = stream.retry_bytes;
+      // A deadline-cut fragment awaiting re-issue: same size, fresh
+      // position, and no size draw.
+      s.fragment_bytes[static_cast<size_t>(slot)] = stream.retry_bytes;
       stream.retry_bytes = -1.0;
     } else {
-      bytes = stream.source->NextFragmentBytes(&rng_);
+      // A fresh fragment, drawn below in one batch with its neighbours on
+      // the same distribution. It closes out any retried predecessor that
+      // made its deadline: the retry budget is per fragment, not per
+      // stream.
+      const workload::SizeDistribution* sizes = stream.sizes.get();
+      if (!s.size_runs.empty() && s.size_runs.back().sizes == sizes &&
+          s.size_runs.back().end == slot) {
+        ++s.size_runs.back().end;
+      } else {
+        s.size_runs.push_back(SizeRun{slot, slot + 1, sizes});
+      }
       stream.next_fragment++;
       stream.retry_attempts = 0;
     }
-    if (round_failed_[static_cast<size_t>(home_disk)] == 0) {
-      emit(home_disk, id, bytes);
-    } else if (failed_count == 1) {
-      // Degraded read: reconstruct the lost unit from the stripe row's
-      // D-1 survivors. The fragment's fate is resolved after all sweeps
-      // (on time only if every reconstruction read is).
-      for (int d = 0; d < config_.num_disks; ++d) {
-        if (d == home_disk) continue;
-        emit(d, id, bytes);
-      }
-      recon_scratch_.emplace(id, ReconOutcome{bytes, false});
-    } else {
-      // Two or more disks down: reconstruction is impossible, so the
-      // fragment rides the failed home disk's batch and glitches through
-      // the standard disk-failed retry/drop path.
-      emit(home_disk, id, bytes);
-    }
     stream.stats.rounds_served++;
+    const int home_disk = s.phase_disk[static_cast<size_t>(stream.phase)];
+    if (!config_.parity || round_failed_[static_cast<size_t>(home_disk)] == 0 ||
+        failed_count > 1) {
+      // The home disk serves the fragment: it is intact, or there is no
+      // parity to rebuild from, or two or more disks are down and the
+      // fragment glitches through the standard disk-failed path.
+      emit(home_disk, id, slot);
+      continue;
+    }
+    // Degraded read: reconstruct the lost unit from the stripe row's D-1
+    // survivors. The fragment's fate is resolved after all sweeps (on
+    // time only if every reconstruction read is).
+    for (int d = 0; d < config_.num_disks; ++d) {
+      if (d != home_disk) emit(d, id, slot);
+    }
+    s.reconstructed[static_cast<size_t>(slot)] = 1;
+    s.recon.emplace_back(id, slot);
   }
-  if (!recon_scratch_.empty() && config_.metrics != nullptr) {
+  if (!s.recon.empty() && config_.metrics != nullptr) {
     config_.metrics->GetCounter("server.repair.reconstruction_reads")
-        ->Increment(static_cast<int64_t>(recon_scratch_.size()) *
+        ->Increment(static_cast<int64_t>(s.recon.size()) *
                     (config_.num_disks - 1));
   }
 
@@ -410,10 +411,12 @@ void MediaServer::RunRound() {
       failed_count == 1 && failed_disk == repair_->target_disk()) {
     repair_jobs = repair_->ClaimRoundBudget();
     repair_job_late_.assign(static_cast<size_t>(repair_jobs), 0);
+    const int repair_slot = next_slot;
+    s.fragment_bytes[static_cast<size_t>(repair_slot)] =
+        repair_->policy().read_bytes;
     for (int j = 0; j < repair_jobs; ++j) {
       for (int d = 0; d < config_.num_disks; ++d) {
-        if (d == failed_disk) continue;
-        emit(d, kRepairStreamIdBase - j, repair_->policy().read_bytes);
+        if (d != failed_disk) emit(d, kRepairStreamIdBase - j, repair_slot);
       }
     }
     if (config_.metrics != nullptr) {
@@ -423,33 +426,72 @@ void MediaServer::RunRound() {
     }
   }
 
+  // The round's variates, in RoundSimulator::RunRoundBatched's order so a
+  // one-disk server draws exactly what the simulator does: 2R position
+  // uniforms, the fresh fragment sizes (one batch per run), R rotational
+  // latencies.
+  const size_t num_requests = s.owner.size();
+  s.u_pos.resize(2 * num_requests);
+  rng_.FillUniform01(s.u_pos.data(), 2 * num_requests);
+  for (const SizeRun& run : s.size_runs) {
+    run.sizes->FillSamples(&rng_, s.fragment_bytes.data() + run.begin,
+                           static_cast<size_t>(run.end - run.begin));
+  }
+  s.rotation.resize(num_requests);
+  rng_.FillUniform(0.0, geometry_.rotation_time(), s.rotation.data(),
+                   num_requests);
+
   // Serve every disk's batch with its own SCAN sweep.
+  const disk::AliasTable& alias = geometry_.zone_alias();
+  const disk::ZoneInfo* zones = &geometry_.zone(0);
+  const double* u_zone = s.u_pos.data();
+  const double* u_cylinder = s.u_pos.data() + num_requests;
+  const double round_length_s = config_.round_length_s;
   int round_glitches = 0;  // stream *fragments* judged late this round
   bool round_overran = false;
   int repair_reads_late = 0;
   for (int d = 0; d < config_.num_disks; ++d) {
-    std::vector<sched::DiskRequest>& batch = batches[d];
+    // Gather the disk's batch in issue order: position (alias-table zone,
+    // uniform cylinder within it), bytes and rotation per request.
+    const std::vector<int>& requests = s.by_disk[static_cast<size_t>(d)];
+    const size_t n = requests.size();
+    s.cylinder.resize(n);
+    s.zone.resize(n);
+    s.bytes.resize(n);
+    s.rate_bps.resize(n);
+    s.rotation_s.resize(n);
+    for (size_t j = 0; j < n; ++j) {
+      const size_t k = static_cast<size_t>(requests[j]);
+      const int z = alias.Sample(u_zone[k]);
+      const disk::ZoneInfo& zi = zones[z];
+      int offset = static_cast<int>(u_cylinder[k] * zi.num_cylinders);
+      if (offset >= zi.num_cylinders) offset = zi.num_cylinders - 1;
+      s.zone[j] = z;
+      s.cylinder[j] = zi.first_cylinder + offset;
+      s.rate_bps[j] = zi.transfer_rate_bps;
+      s.bytes[j] = s.fragment_bytes[static_cast<size_t>(s.slot[k])];
+      s.rotation_s[j] = s.rotation[k];
+    }
+
     fault::FaultInjector* injector = InjectorFor(d);
     double fault_delay_s = 0.0;
     int faulted_requests = 0;
     const bool disk_failed = round_failed_[static_cast<size_t>(d)] != 0;
-    if (injector != nullptr && spare_active_[static_cast<size_t>(d)] == 0) {
-      if (!disk_failed) {
-        // Fault delays ride in the rotational-latency slot, consulted in
-        // issue order (pre-SCAN-sort) as the simulators do.
-        for (size_t i = 0; i < batch.size(); ++i) {
-          const fault::RequestFaultContext context{
-              static_cast<int>(i), batch[i].stream_id, batch[i].zone,
-              batch[i].cylinder};
-          const double delay = injector->DelayFor(context);
-          if (delay > 0.0) {
-            batch[i].rotational_latency_s += delay;
-            ++faulted_requests;
-            fault_delay_s += delay;
-          }
-          batch[i].transfer_rate_bps *=
-              injector->RateMultiplier(batch[i].zone);
+    if (injector != nullptr && spare_active_[static_cast<size_t>(d)] == 0 &&
+        !disk_failed) {
+      // Fault delays ride in the rotational-latency slot, consulted in
+      // issue order (before the SCAN sort) as the simulators do.
+      for (size_t j = 0; j < n; ++j) {
+        const fault::RequestFaultContext context{
+            static_cast<int>(j), s.owner[static_cast<size_t>(requests[j])],
+            s.zone[j], s.cylinder[j]};
+        const double delay = injector->DelayFor(context);
+        if (delay > 0.0) {
+          s.rotation_s[j] += delay;
+          ++faulted_requests;
+          fault_delay_s += delay;
         }
+        s.rate_bps[j] *= injector->RateMultiplier(s.zone[j]);
       }
     }
 
@@ -457,34 +499,29 @@ void MediaServer::RunRound() {
       // Nothing is served: every stream scheduled on this disk glitches
       // and the retry policy decides each fragment's fate. The arm stays
       // put and the disk idles for the round.
-      for (const sched::DiskRequest& request : batch) {
+      for (size_t j = 0; j < n; ++j) {
         ++round_glitches;
-        RecordGlitch(request.stream_id, request.bytes);
+        RecordGlitch(s.owner[static_cast<size_t>(requests[j])], s.bytes[j]);
       }
       busy_fraction_[d].Add(0.0);
       ascending_[d] = !ascending_[d];
       if (config_.metrics != nullptr) {
-        obs::Registry* registry = config_.metrics;
-        registry->GetCounter("server.requests")
-            ->Increment(static_cast<int64_t>(batch.size()));
-        registry->GetCounter("server.glitches")
-            ->Increment(static_cast<int64_t>(batch.size()));
-        registry->GetHistogram("server.disk.service_time_s")->Record(0.0);
-        registry->GetHistogram("server.disk.utilization")->Record(0.0);
+        metrics_.requests->Increment(static_cast<int64_t>(n));
+        metrics_.glitches->Increment(static_cast<int64_t>(n));
+        metrics_.service_time_s->Record(0.0);
+        metrics_.utilization->Record(0.0);
       }
       if (config_.trace != nullptr) {
         obs::RoundTraceEvent event;
         event.round = round_;
         event.source_id = d;
-        event.num_requests = static_cast<int>(batch.size());
-        event.glitches = static_cast<int>(batch.size());
+        event.num_requests = static_cast<int>(n);
+        event.glitches = static_cast<int>(n);
         event.disk_failed = true;
-        event.truncated_requests = static_cast<int>(batch.size());
-        event.leftover_s = config_.round_length_s;
+        event.truncated_requests = static_cast<int>(n);
+        event.leftover_s = round_length_s;
         event.zone_hits.assign(geometry_.num_zones(), 0);
-        for (const sched::DiskRequest& request : batch) {
-          ++event.zone_hits[request.zone];
-        }
+        for (size_t j = 0; j < n; ++j) ++event.zone_hits[s.zone[j]];
         config_.trace->Record(std::move(event));
       }
       continue;
@@ -493,60 +530,68 @@ void MediaServer::RunRound() {
     const sched::SweepDirection direction =
         ascending_[d] ? sched::SweepDirection::kAscending
                       : sched::SweepDirection::kDescending;
-    sched::SortForScan(&batch, direction);
-    const sched::RoundTiming timing =
-        sched::ExecuteScanRound(seek_, batch, arm_cylinder_[d]);
-    busy_fraction_[d].Add(
-        std::fmin(timing.total_service_time_s, config_.round_length_s) /
-        config_.round_length_s);
+    sched::ScanKernel& sweep = s.sweep;
+    sweep.Run(seek_,
+              sched::ScanBatch{n, s.cylinder.data(), s.rotation_s.data(),
+                               s.bytes.data(), s.rate_bps.data()},
+              arm_cylinder_[d], direction);
+    const double total_s = sweep.total_service_time_s();
+    const double utilization = std::fmin(total_s, round_length_s) /
+                               round_length_s;
+    busy_fraction_[d].Add(utilization);
 
+    // The ledger, in service order.
+    const int* order = sweep.order();
+    const double* seek_s = sweep.seek_s();
+    const double* transfer_s = sweep.transfer_s();
+    const double* completion_s = sweep.completion_s();
     int last_on_time_cylinder = arm_cylinder_[d];
     int disk_glitches = 0;       // late stream requests (trace/metrics)
     int disk_repair_reads = 0;
     int disk_repair_late = 0;
     double repair_busy_s = 0.0;  // repair share of this disk's sweep
-    for (size_t i = 0; i < timing.per_request.size(); ++i) {
-      const sched::RequestTiming& rt = timing.per_request[i];
-      const bool late = rt.completion_s > config_.round_length_s;
-      if (rt.stream_id < 0) {
-        // Repair read for stripe-rebuild job (kRepairStreamIdBase - id).
-        const int job = kRepairStreamIdBase - rt.stream_id;
+    for (size_t pos = 0; pos < n; ++pos) {
+      const size_t j = static_cast<size_t>(order[pos]);
+      const size_t k = static_cast<size_t>(requests[j]);
+      const int owner = s.owner[k];
+      const bool late = completion_s[pos] > round_length_s;
+      if (owner < 0) {
+        // Repair read for stripe-rebuild job (kRepairStreamIdBase - owner).
+        const int job = kRepairStreamIdBase - owner;
         ++disk_repair_reads;
-        repair_busy_s += rt.seek_s + rt.rotation_s + rt.transfer_s;
+        repair_busy_s += seek_s[pos] + s.rotation_s[j] + transfer_s[pos];
         if (late) {
           repair_job_late_[static_cast<size_t>(job)] = 1;
           ++disk_repair_late;
           ++repair_reads_late;
         } else {
-          last_on_time_cylinder = batch[i].cylinder;
+          last_on_time_cylinder = s.cylinder[j];
         }
         continue;
       }
+      const size_t slot = static_cast<size_t>(s.slot[k]);
       if (late) {
         ++disk_glitches;
-        const auto recon = recon_scratch_.find(rt.stream_id);
-        if (recon != recon_scratch_.end()) {
+        if (s.reconstructed[slot] != 0) {
           // One late reconstruction read spoils the whole fragment; the
           // ledger entry is charged once, after all sweeps.
-          recon->second.late = true;
+          s.late[slot] = 1;
         } else {
           ++round_glitches;
-          RecordGlitch(rt.stream_id, batch[i].bytes);
+          RecordGlitch(owner, s.bytes[j]);
         }
       } else {
-        last_on_time_cylinder = batch[i].cylinder;
-        if (recon_scratch_.empty() ||
-            recon_scratch_.find(rt.stream_id) == recon_scratch_.end()) {
-          fragments_served_++;
-        }
+        last_on_time_cylinder = s.cylinder[j];
+        if (s.reconstructed[slot] == 0) fragments_served_++;
       }
     }
-    if (timing.total_service_time_s > config_.round_length_s) {
-      round_overran = true;
+    const bool overran = total_s > round_length_s;
+    if (overran) round_overran = true;
+    if (disk_glitches + disk_repair_late > 0) {
+      arm_cylinder_[d] = last_on_time_cylinder;
+    } else if (n > 0) {
+      arm_cylinder_[d] = s.cylinder[static_cast<size_t>(order[n - 1])];
     }
-    arm_cylinder_[d] = disk_glitches + disk_repair_late > 0
-                           ? last_on_time_cylinder
-                           : timing.final_arm_cylinder;
     ascending_[d] = !ascending_[d];
     if (disk_repair_reads > 0 && config_.metrics != nullptr) {
       config_.metrics->GetHistogram("server.repair.disk_time_s")
@@ -556,69 +601,56 @@ void MediaServer::RunRound() {
     // Observability: per-(round, disk) metrics and one trace event with
     // source_id = disk index. Injected fault delays ride in the rotation
     // slot, so they are subtracted back out of the rotation component.
-    if (config_.metrics != nullptr || config_.trace != nullptr) {
+    if (config_.metrics != nullptr) {
+      metrics_.requests->Increment(static_cast<int64_t>(n));
+      metrics_.glitches->Increment(disk_glitches);
+      if (overran) metrics_.overruns->Increment();
+      metrics_.service_time_s->Record(total_s);
+      metrics_.utilization->Record(utilization);
+    }
+    if (config_.trace != nullptr) {
       double seek_sum = 0.0;
       double rotation_sum = 0.0;
       double transfer_sum = 0.0;
-      for (const sched::RequestTiming& rt : timing.per_request) {
-        seek_sum += rt.seek_s;
-        rotation_sum += rt.rotation_s;
-        transfer_sum += rt.transfer_s;
+      for (size_t pos = 0; pos < n; ++pos) {
+        seek_sum += seek_s[pos];
+        rotation_sum += s.rotation_s[static_cast<size_t>(order[pos])];
+        transfer_sum += transfer_s[pos];
       }
-      rotation_sum -= fault_delay_s;
-      if (config_.metrics != nullptr) {
-        obs::Registry* registry = config_.metrics;
-        registry->GetCounter("server.requests")
-            ->Increment(static_cast<int64_t>(batch.size()));
-        registry->GetCounter("server.glitches")->Increment(disk_glitches);
-        if (timing.total_service_time_s > config_.round_length_s) {
-          registry->GetCounter("server.overruns")->Increment();
-        }
-        registry->GetHistogram("server.disk.service_time_s")
-            ->Record(timing.total_service_time_s);
-        registry->GetHistogram("server.disk.utilization")
-            ->Record(
-                std::fmin(timing.total_service_time_s,
-                          config_.round_length_s) /
-                config_.round_length_s);
-      }
-      if (config_.trace != nullptr) {
-        obs::RoundTraceEvent event;
-        event.round = round_;
-        event.source_id = d;
-        event.num_requests = static_cast<int>(batch.size());
-        event.service_time_s = timing.total_service_time_s;
-        event.seek_s = seek_sum;
-        event.rotation_s = rotation_sum;
-        event.transfer_s = transfer_sum;
-        event.fault_delay_s = fault_delay_s;
-        event.faulted_requests = faulted_requests;
-        event.glitches = disk_glitches;
-        event.overran = timing.total_service_time_s > config_.round_length_s;
-        event.leftover_s = std::fmax(
-            0.0, config_.round_length_s - timing.total_service_time_s);
-        event.zone_hits.assign(geometry_.num_zones(), 0);
-        for (const sched::DiskRequest& request : batch) {
-          ++event.zone_hits[request.zone];
-        }
-        config_.trace->Record(std::move(event));
-      }
+      obs::RoundTraceEvent event;
+      event.round = round_;
+      event.source_id = d;
+      event.num_requests = static_cast<int>(n);
+      event.service_time_s = total_s;
+      event.seek_s = seek_sum;
+      event.rotation_s = rotation_sum - fault_delay_s;
+      event.transfer_s = transfer_sum;
+      event.fault_delay_s = fault_delay_s;
+      event.faulted_requests = faulted_requests;
+      event.glitches = disk_glitches;
+      event.overran = overran;
+      event.leftover_s = std::fmax(0.0, round_length_s - total_s);
+      event.zone_hits.assign(geometry_.num_zones(), 0);
+      for (size_t j = 0; j < n; ++j) ++event.zone_hits[s.zone[j]];
+      config_.trace->Record(std::move(event));
     }
   }
   // Resolve degraded fragments: on time only if every surviving disk's
   // reconstruction read met the deadline.
-  for (const auto& [id, outcome] : recon_scratch_) {
-    if (outcome.late) {
+  int64_t reconstructed = 0;
+  for (const auto& [id, slot] : s.recon) {
+    if (s.late[static_cast<size_t>(slot)] != 0) {
       ++round_glitches;
-      RecordGlitch(id, outcome.bytes);
+      RecordGlitch(id, s.fragment_bytes[static_cast<size_t>(slot)]);
     } else {
       fragments_served_++;
       reconstructed_fragments_++;
-      if (config_.metrics != nullptr) {
-        config_.metrics->GetCounter("server.repair.reconstructed_fragments")
-            ->Increment();
-      }
+      ++reconstructed;
     }
+  }
+  if (reconstructed > 0 && config_.metrics != nullptr) {
+    config_.metrics->GetCounter("server.repair.reconstructed_fragments")
+        ->Increment(reconstructed);
   }
 
   // Account this round's rebuild progress. A stripe counts only when all
@@ -658,9 +690,7 @@ void MediaServer::RunRound() {
     }
   }
 
-  if (config_.metrics != nullptr) {
-    config_.metrics->GetCounter("server.rounds")->Increment();
-  }
+  if (config_.metrics != nullptr) metrics_.rounds->Increment();
   ++round_;
 
   // Degradation: feed the round's measurements to the controller and
@@ -929,8 +959,7 @@ common::Status MediaServer::RestoreState(
     stream.phase = snapshot.phase;
     stream.priority_class = snapshot.priority_class;
     stream.next_fragment = snapshot.next_fragment;
-    stream.source =
-        std::make_unique<workload::IidSizeSource>(std::move(distribution));
+    stream.sizes = std::move(distribution);
     stream.retry_bytes = snapshot.retry_bytes;
     stream.retry_attempts = snapshot.retry_attempts;
     stream.stats = snapshot.stats;

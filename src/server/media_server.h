@@ -5,6 +5,16 @@
 // admission control from the analytic model. This is the component a
 // downstream system would embed; the single-disk RoundSimulator remains the
 // preferred tool for tight model-validation loops.
+//
+// A round issues every request first (home disk, degraded fan-out, repair
+// reads), then draws its variates in whole-round batches, in the order
+// RoundSimulator's batched kernel uses: 2R position uniforms (alias-table
+// zone, then cylinder offset), the fresh fragment sizes (one FillSamples
+// per run of consecutive streams on one distribution; a retried fragment
+// draws nothing), then R rotational latencies. Each disk's batch is served
+// by the shared SCAN kernel (sched/scan_kernel.h). A one-disk server with
+// N streams on one distribution is therefore the batched simulator with
+// the same seed, round for round.
 #ifndef ZONESTREAM_SERVER_MEDIA_SERVER_H_
 #define ZONESTREAM_SERVER_MEDIA_SERVER_H_
 
@@ -14,6 +24,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -24,14 +35,15 @@
 #include "fault/fault_model.h"
 #include "numeric/random.h"
 #include "numeric/statistics.h"
-#include "sched/request.h"
+#include "sched/scan_kernel.h"
 #include "server/parity_striping.h"
 #include "server/repair.h"
 #include "server/striping.h"
-#include "workload/fragment_source.h"
 #include "workload/size_distribution.h"
 
 namespace zonestream::obs {
+class Counter;
+class Histogram;
 class Registry;
 class RoundTraceRecorder;
 }  // namespace zonestream::obs
@@ -330,7 +342,7 @@ class MediaServer {
     int phase = 0;  // disk in round r is (phase + r) mod num_disks
     int priority_class = 0;
     int64_t next_fragment = 0;
-    std::unique_ptr<workload::IidSizeSource> source;
+    std::shared_ptr<const workload::SizeDistribution> sizes;  // i.i.d.
     // Deadline-cut fragment awaiting re-issue (< 0: none pending).
     double retry_bytes = -1.0;
     int retry_attempts = 0;
@@ -414,17 +426,57 @@ class MediaServer {
   int64_t fragments_dropped_ = 0;
   int64_t streams_shed_ = 0;
   std::vector<numeric::RunningStats> busy_fraction_;
-  // Per-disk request batches, cleared (capacity kept) and refilled each
-  // round instead of reallocated.
-  std::vector<std::vector<sched::DiskRequest>> batch_scratch_;
-  // Per-round scratch for the degraded/repair paths (empty otherwise).
-  struct ReconOutcome {
-    double bytes = 0.0;
-    bool late = false;
+  // Per-round metric handles, resolved once at construction (all null
+  // when config_.metrics is unset).
+  struct RoundMetrics {
+    obs::Counter* rounds = nullptr;
+    obs::Counter* requests = nullptr;
+    obs::Counter* glitches = nullptr;
+    obs::Counter* overruns = nullptr;
+    obs::Histogram* service_time_s = nullptr;  // per (round, disk)
+    obs::Histogram* utilization = nullptr;     // per (round, disk)
   };
-  std::map<int, ReconOutcome> recon_scratch_;  // fanned-out stream -> fate
-  std::vector<uint8_t> round_failed_;          // this round's failure census
-  std::vector<uint8_t> repair_job_late_;       // per claimed rebuild job
+  RoundMetrics metrics_;
+  // Fresh fragments of consecutive streams on one size distribution:
+  // fragment slots [begin, end), drawn with one FillSamples call.
+  struct SizeRun {
+    int begin = 0;
+    int end = 0;
+    const workload::SizeDistribution* sizes = nullptr;
+  };
+  // Per-round scratch, refilled each round with capacity kept, so
+  // steady-state rounds allocate nothing.
+  struct RoundScratch {
+    // The round's R requests in issue order (the walk over streams_):
+    // the stream id (repair reads: kRepairStreamIdBase - job) and the
+    // fragment slot holding the request's bytes.
+    std::vector<int> owner;
+    std::vector<int> slot;
+    std::vector<std::vector<int>> by_disk;  // request indices per disk
+    std::vector<int> phase_disk;            // this round's disk per phase
+    // Fragment slots: one per stream served this round, then the repair
+    // read size. A degraded read's D-1 requests share their slot, which
+    // turns late if any of them is.
+    std::vector<double> fragment_bytes;
+    std::vector<uint8_t> reconstructed;
+    std::vector<uint8_t> late;
+    std::vector<std::pair<int, int>> recon;  // (stream id, slot), walk order
+    std::vector<SizeRun> size_runs;
+    // Variates in draw order: 2R position uniforms (zones, then cylinder
+    // offsets) and R rotational latencies.
+    std::vector<double> u_pos;
+    std::vector<double> rotation;
+    // One disk's batch as structure-of-arrays, in issue order.
+    std::vector<int> cylinder;
+    std::vector<int> zone;
+    std::vector<double> bytes;
+    std::vector<double> rate_bps;
+    std::vector<double> rotation_s;  // rotational latency + fault delay
+    sched::ScanKernel sweep;
+  };
+  RoundScratch scratch_;
+  std::vector<uint8_t> round_failed_;     // this round's failure census
+  std::vector<uint8_t> repair_job_late_;  // per claimed rebuild job
 };
 
 }  // namespace zonestream::server

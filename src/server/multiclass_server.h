@@ -23,6 +23,7 @@
 #include "numeric/statistics.h"
 #include "server/media_server.h"
 #include "server/striping.h"
+#include "workload/fragment_source.h"
 #include "workload/size_distribution.h"
 
 namespace zonestream::server {

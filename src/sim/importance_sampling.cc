@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <utility>
 
 #include "common/check.h"
 #include "core/glitch_model.h"
 #include "core/service_time_model.h"
-#include "numeric/sort_network.h"
 #include "numeric/special_functions.h"
 #include "obs/metrics.h"
-#include "sim/batch_kernels.h"
 
 namespace zonestream::sim {
 
@@ -189,10 +186,6 @@ ImportanceSampler::ImportanceSampler(const disk::DiskGeometry& geometry,
   scratch_.unit_gamma.resize(n);
   scratch_.rotation_s.resize(n);
   scratch_.transfer_time_s.resize(n);
-  scratch_.order.resize(n);
-  scratch_.sort_key.resize(n);
-  scratch_.seek_dist.resize(n);
-  scratch_.seek_time_s.resize(n);
 }
 
 common::StatusOr<ImportanceSampler> ImportanceSampler::Create(
@@ -383,92 +376,35 @@ void ImportanceSampler::RunOneRound(const double* u_pos, const double* u_rot,
     }
   }
 
-  // Arm policy and SCAN ordering, exactly as RunRoundBatched.
+  // Arm policy and SCAN sweep, exactly as RunRoundBatched. Seeks are
+  // untilted: their law is a deterministic function of the positions,
+  // already accounted by the zone tilt.
   double return_seek_s = 0.0;
-  bool ascending_sweep = true;
+  sched::SweepDirection direction = sched::SweepDirection::kAscending;
   if (config_.sweep_policy == SweepPolicy::kAlternate) {
-    ascending_sweep = ascending_;
+    if (!ascending_) direction = sched::SweepDirection::kDescending;
   } else {
     if (!config_.legacy_free_arm_reset && arm_cylinder_ != 0) {
       return_seek_s = seek_.SeekTime(arm_cylinder_);
     }
     arm_cylinder_ = 0;
   }
-  const bool network_ok = n <= static_cast<int>(numeric::kSortNetworkMaxN) &&
-                          geometry_.cylinders() < (1 << 26);
-  if (network_ok) {
-    uint32_t keys[numeric::kSortNetworkMaxN];
-    constexpr uint32_t kCylMask = (1u << 26) - 1u;
-    if (ascending_sweep) {
-      for (int i = 0; i < n; ++i) {
-        keys[i] = (static_cast<uint32_t>(s.cylinder[i]) << 6) |
-                  static_cast<uint32_t>(i);
-      }
-    } else {
-      for (int i = 0; i < n; ++i) {
-        keys[i] =
-            ((~static_cast<uint32_t>(s.cylinder[i]) & kCylMask) << 6) |
-            static_cast<uint32_t>(i);
-      }
-    }
-    numeric::SortU32Network(keys, static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      s.order[i] = static_cast<int>(keys[i] & 0x3fu);
-    }
-  } else {
-    if (ascending_sweep) {
-      for (int i = 0; i < n; ++i) {
-        s.sort_key[i] =
-            (static_cast<uint64_t>(static_cast<uint32_t>(s.cylinder[i]))
-             << 32) |
-            static_cast<uint32_t>(i);
-      }
-    } else {
-      for (int i = 0; i < n; ++i) {
-        s.sort_key[i] =
-            (static_cast<uint64_t>(~static_cast<uint32_t>(s.cylinder[i]))
-             << 32) |
-            static_cast<uint32_t>(i);
-      }
-    }
-    std::sort(s.sort_key.begin(), s.sort_key.end());
-    for (int i = 0; i < n; ++i) {
-      s.order[i] = static_cast<int>(s.sort_key[i] & 0xffffffffu);
-    }
-  }
+  sched::ScanBatch batch;
+  batch.n = static_cast<size_t>(n);
+  batch.cylinder = s.cylinder.data();
+  batch.rotation_s = s.rotation_s.data();
+  batch.transfer_s = s.transfer_time_s.data();
+  s.sweep.Run(seek_, batch, arm_cylinder_, direction);
 
-  // Seeks over the arm walk (untilted — their law is a deterministic
-  // function of the positions, already accounted by the zone tilt).
-  {
-    int walk_arm = arm_cylinder_;
-    for (int pos = 0; pos < n; ++pos) {
-      const int cylinder = s.cylinder[s.order[pos]];
-      s.seek_dist[pos] = std::abs(cylinder - walk_arm);
-      walk_arm = cylinder;
-    }
-  }
-  internal::SeekTimes(seek_, s.seek_dist.data(), s.seek_time_s.data(),
-                      static_cast<size_t>(n));
-
-  // The deadline sweep. Warm-up rounds overwrite these fields; only the
+  // The deadline split. Warm-up rounds overwrite these fields; only the
   // measured (final) round's values survive in the caller's outcome.
-  outcome->glitched_streams = 0;
-  double clock = 0.0;
-  int last_on_time_cylinder = arm_cylinder_;
-  for (int pos = 0; pos < n; ++pos) {
-    const int i = s.order[pos];
-    clock += s.seek_time_s[pos] + s.rotation_s[i] + s.transfer_time_s[i];
-    if (return_seek_s + clock > config_.round_length_s) {
-      ++outcome->glitched_streams;
-    } else {
-      last_on_time_cylinder = s.cylinder[i];
-    }
-  }
-  outcome->total_service_time_s = return_seek_s + clock;
+  const int on_time = static_cast<int>(
+      s.sweep.OnTimeCount(return_seek_s, config_.round_length_s));
+  outcome->glitched_streams = n - on_time;
+  outcome->total_service_time_s =
+      return_seek_s + s.sweep.total_service_time_s();
   outcome->overran = outcome->total_service_time_s > config_.round_length_s;
-  arm_cylinder_ = outcome->glitched_streams == 0
-                      ? s.cylinder[s.order[n - 1]]
-                      : last_on_time_cylinder;
+  if (on_time > 0) arm_cylinder_ = s.cylinder[s.sweep.order()[on_time - 1]];
   ascending_ = !ascending_;
 
   if (tilt_active) {

@@ -60,6 +60,7 @@
 #include "disk/disk_geometry.h"
 #include "disk/seek_model.h"
 #include "numeric/random.h"
+#include "sched/scan_kernel.h"
 #include "sim/replication.h"
 #include "sim/round_simulator.h"
 #include "workload/size_distribution.h"
@@ -258,10 +259,7 @@ class ImportanceSampler {
     std::vector<double> unit_gamma;  // n Gamma(k, 1) draws
     std::vector<double> rotation_s;  // tilted latency + disturbance delay
     std::vector<double> transfer_time_s;
-    std::vector<int> order;
-    std::vector<uint64_t> sort_key;
-    std::vector<double> seek_dist;
-    std::vector<double> seek_time_s;
+    sched::ScanKernel sweep;  // the shared SCAN sweep (sched/scan_kernel.h)
   };
   Scratch scratch_;
 };

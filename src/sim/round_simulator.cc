@@ -8,8 +8,6 @@
 
 #include "common/check.h"
 #include "numeric/random.h"
-#include "numeric/sort_network.h"
-#include "sim/batch_kernels.h"
 #include "obs/metrics.h"
 #include "obs/round_trace.h"
 
@@ -77,10 +75,6 @@ RoundSimulator::RoundSimulator(
   scratch_.bytes.resize(n);
   scratch_.rotation_s.resize(n);
   scratch_.order.resize(n);
-  scratch_.sort_key.resize(n);
-  scratch_.transfer_time_s.resize(n);
-  scratch_.seek_dist.resize(n);
-  scratch_.seek_time_s.resize(n);
   scratch_.zone_hits.resize(geometry_.num_zones());
 }
 
@@ -93,6 +87,14 @@ common::StatusOr<RoundSimulator> RoundSimulator::Create(
   }
   if (config.round_length_s <= 0.0) {
     return common::Status::InvalidArgument("round length must be positive");
+  }
+  // Delays ride in the rotation slot, which the SCAN kernel requires to be
+  // non-negative.
+  const DisturbanceConfig& disturbance = config.disturbance;
+  if (disturbance.probability < 0.0 || disturbance.probability > 1.0 ||
+      disturbance.delay_min_s < 0.0 ||
+      disturbance.delay_min_s > disturbance.delay_max_s) {
+    return common::Status::InvalidArgument("invalid disturbance config");
   }
   if (source_factory == nullptr) {
     return common::Status::InvalidArgument("source factory is null");
@@ -272,8 +274,9 @@ RoundOutcome RoundSimulator::RunRoundScalar() {
         rotation_by_pos[i] = timing.per_request[i].rotation_s;
         transfer_by_pos[i] = timing.per_request[i].transfer_s;
       }
-      TruncateBreakdown(&breakdown, order, seek_by_pos, rotation_by_pos,
-                        transfer_by_pos, return_seek_s);
+      TruncateBreakdown(&breakdown, order.data(), seek_by_pos.data(),
+                        rotation_by_pos.data(), transfer_by_pos.data(), n,
+                        return_seek_s);
     }
     std::fill(scratch_.zone_hits.begin(), scratch_.zone_hits.end(), 0);
     for (const sched::DiskRequest& request : requests) {
@@ -400,69 +403,21 @@ RoundOutcome RoundSimulator::RunRoundBatched() {
     arm_cylinder_ = 0;
   }
 
-  // Service order as an index permutation over the SoA (the requests
-  // themselves never move). For SCAN the permutation is one flat uint64
-  // sort of (cylinder, index) keys — bitwise-complemented cylinders give
-  // the descending sweep with the same ascending-index tie-break as the
-  // scalar kernel's stable sort.
+  // Service order and sweep through the shared kernel
+  // (sched/scan_kernel.h): SCAN orders inside it; the FCFS/SSTF ablations
+  // hand it their own permutation of the SoA indices.
+  const sched::ScanBatch batch{static_cast<size_t>(n), s.cylinder.data(),
+                               s.rotation_s.data(), s.bytes.data(),
+                               s.rate_bps.data()};
+  sched::ScanKernel& sweep = s.sweep;
   switch (config_.ordering) {
+    case sched::OrderingPolicy::kScan:
+      sweep.Run(seek_, batch, arm_cylinder_, direction);
+      break;
     case sched::OrderingPolicy::kFcfs:
       for (int i = 0; i < n; ++i) s.order[i] = i;
+      sweep.RunInOrder(seek_, batch, arm_cylinder_, s.order.data());
       break;
-    case sched::OrderingPolicy::kScan: {
-      // Keys are unique (the index lives in the low bits), so any sort
-      // yields the same ascending permutation; the algorithm cannot
-      // change results. The common case — at most 32 streams on a disk
-      // with fewer than 2^26 cylinders — packs (cylinder, index) into
-      // 32 bits and runs a branch-free sorting network, several times
-      // faster than std::sort on a fresh random permutation per round.
-      const bool network_ok =
-          n <= static_cast<int>(numeric::kSortNetworkMaxN) &&
-          geometry_.cylinders() < (1 << 26);
-      const bool ascending =
-          direction == sched::SweepDirection::kAscending;
-      if (network_ok) {
-        uint32_t keys[numeric::kSortNetworkMaxN];
-        constexpr uint32_t kCylMask = (1u << 26) - 1u;
-        if (ascending) {
-          for (int i = 0; i < n; ++i) {
-            keys[i] = (static_cast<uint32_t>(s.cylinder[i]) << 6) |
-                      static_cast<uint32_t>(i);
-          }
-        } else {
-          for (int i = 0; i < n; ++i) {
-            keys[i] = ((~static_cast<uint32_t>(s.cylinder[i]) & kCylMask)
-                       << 6) |
-                      static_cast<uint32_t>(i);
-          }
-        }
-        numeric::SortU32Network(keys, static_cast<size_t>(n));
-        for (int i = 0; i < n; ++i) {
-          s.order[i] = static_cast<int>(keys[i] & 0x3fu);
-        }
-        break;
-      }
-      if (ascending) {
-        for (int i = 0; i < n; ++i) {
-          s.sort_key[i] = (static_cast<uint64_t>(
-                               static_cast<uint32_t>(s.cylinder[i]))
-                           << 32) |
-                          static_cast<uint32_t>(i);
-        }
-      } else {
-        for (int i = 0; i < n; ++i) {
-          s.sort_key[i] = (static_cast<uint64_t>(
-                               ~static_cast<uint32_t>(s.cylinder[i]))
-                           << 32) |
-                          static_cast<uint32_t>(i);
-        }
-      }
-      std::sort(s.sort_key.begin(), s.sort_key.end());
-      for (int i = 0; i < n; ++i) {
-        s.order[i] = static_cast<int>(s.sort_key[i] & 0xffffffffu);
-      }
-      break;
-    }
     case sched::OrderingPolicy::kSstf: {
       for (int i = 0; i < n; ++i) s.order[i] = i;
       int arm = arm_cylinder_;
@@ -479,63 +434,36 @@ RoundOutcome RoundSimulator::RunRoundBatched() {
         std::swap(s.order[served], s.order[best]);
         arm = s.cylinder[s.order[served]];
       }
+      sweep.RunInOrder(seek_, batch, arm_cylinder_, s.order.data());
       break;
     }
   }
 
-  // Per-request terms of the sweep, evaluated wide before the strictly-
-  // ordered walk (sim/batch_kernels.h): transfers in SoA index order,
-  // seeks in service order over the arm walk's distances (an integer
-  // recurrence, cheap to peel off). Element-wise arithmetic is order-
-  // independent, so this is the scalar sweep's values exactly.
-  internal::TransferTimes(s.bytes.data(), s.rate_bps.data(),
-                          s.transfer_time_s.data(), static_cast<size_t>(n));
-  {
-    int walk_arm = arm_cylinder_;
-    for (int pos = 0; pos < n; ++pos) {
-      const int cylinder = s.cylinder[s.order[pos]];
-      s.seek_dist[pos] = std::abs(cylinder - walk_arm);
-      walk_arm = cylinder;
-    }
-  }
-  internal::SeekTimes(seek_, s.seek_dist.data(), s.seek_time_s.data(),
-                      static_cast<size_t>(n));
-
-  // The fused sweep proper: cumulative clock over seek + rotation +
-  // transfer (exactly as sched::ExecuteScanRound, without materializing
-  // request structs), with deadline checks folded into the same pass.
+  // The requests after the on-time prefix missed the deadline (stream id
+  // == SoA index). Unfinished transfers are dropped at the deadline: the
+  // arm ends at the last request served on time.
+  const int* order = sweep.order();
+  const int on_time = static_cast<int>(
+      sweep.OnTimeCount(return_seek_s, config_.round_length_s));
   RoundOutcome outcome;
-  double clock = 0.0;
-  int last_on_time_cylinder = arm_cylinder_;
-  for (int pos = 0; pos < n; ++pos) {
-    const int i = s.order[pos];
-    clock += s.seek_time_s[pos] + s.rotation_s[i] + s.transfer_time_s[i];
-    if (return_seek_s + clock > config_.round_length_s) {
-      outcome.glitched_streams.push_back(i);  // stream id == SoA index
-    } else {
-      last_on_time_cylinder = s.cylinder[i];
-    }
-  }
-
-  outcome.total_service_time_s = return_seek_s + clock;
+  outcome.glitched_streams.assign(order + on_time, order + n);
+  outcome.total_service_time_s = return_seek_s + sweep.total_service_time_s();
   outcome.overran = outcome.total_service_time_s > config_.round_length_s;
-  arm_cylinder_ = outcome.glitched_streams.empty()
-                      ? s.cylinder[s.order[n - 1]]
-                      : last_on_time_cylinder;
+  if (on_time > 0) arm_cylinder_ = s.cylinder[order[on_time - 1]];
   ascending_ = !ascending_;
 
   if (config_.trace != nullptr || metrics_.has_value()) {
     // Phase sums only feed the observability sink, so they accumulate
-    // here — in the same service order as before — rather than inside
-    // the hot sweep.
+    // here, in service order, rather than inside the hot sweep.
+    const double* seek_s = sweep.seek_s();
+    const double* transfer_s = sweep.transfer_s();
     double seek_sum = return_seek_s;
     double rotation_sum = 0.0;
     double transfer_sum = 0.0;
     for (int pos = 0; pos < n; ++pos) {
-      const int i = s.order[pos];
-      seek_sum += s.seek_time_s[pos];
-      rotation_sum += s.rotation_s[i];
-      transfer_sum += s.transfer_time_s[i];
+      seek_sum += seek_s[pos];
+      rotation_sum += s.rotation_s[order[pos]];
+      transfer_sum += transfer_s[pos];
     }
     RoundBreakdown breakdown;
     breakdown.seek_s = seek_sum;
@@ -548,19 +476,14 @@ RoundOutcome RoundSimulator::RunRoundBatched() {
     breakdown.faulted_requests = faulted_requests;
     breakdown.service_time_s = outcome.total_service_time_s;
     if (config_.truncate_at_deadline && outcome.overran) {
-      // Per-position phase lengths are already materialized; only the
+      // The kernel holds seek and transfer per position; only the
       // rotation column needs gathering into service order.
-      std::vector<double> seek_by_pos(static_cast<size_t>(n));
       std::vector<double> rotation_by_pos(static_cast<size_t>(n));
-      std::vector<double> transfer_by_pos(static_cast<size_t>(n));
       for (int pos = 0; pos < n; ++pos) {
-        const int i = s.order[pos];
-        seek_by_pos[pos] = s.seek_time_s[pos];
-        rotation_by_pos[pos] = s.rotation_s[i];
-        transfer_by_pos[pos] = s.transfer_time_s[i];
+        rotation_by_pos[pos] = s.rotation_s[order[pos]];
       }
-      TruncateBreakdown(&breakdown, s.order, seek_by_pos, rotation_by_pos,
-                        transfer_by_pos, return_seek_s);
+      TruncateBreakdown(&breakdown, order, seek_s, rotation_by_pos.data(),
+                        transfer_s, static_cast<size_t>(n), return_seek_s);
     }
     std::fill(s.zone_hits.begin(), s.zone_hits.end(), 0);
     for (int i = 0; i < n; ++i) ++s.zone_hits[s.zone[i]];
@@ -604,10 +527,9 @@ RoundOutcome RoundSimulator::FinishDiskFailedRound() {
 }
 
 void RoundSimulator::TruncateBreakdown(
-    RoundBreakdown* breakdown, const std::vector<int>& order,
-    const std::vector<double>& seek_by_pos,
-    const std::vector<double>& rotation_by_pos,
-    const std::vector<double>& transfer_by_pos, double return_seek_s) const {
+    RoundBreakdown* breakdown, const int* order, const double* seek_by_pos,
+    const double* rotation_by_pos, const double* transfer_by_pos, size_t n,
+    double return_seek_s) const {
   // Walk the sweep once more, clipping each phase against the time left
   // before the deadline. `rotation_by_pos` includes the injected delays
   // (that is the slot they ride in), so the base rotation is recovered by
@@ -628,7 +550,7 @@ void RoundSimulator::TruncateBreakdown(
   double fault_sum = 0.0;
   int truncated = 0;
   charge(return_seek_s, &seek_sum);
-  for (size_t pos = 0; pos < order.size(); ++pos) {
+  for (size_t pos = 0; pos < n; ++pos) {
     const int stream = order[pos];
     const double dist_delay = scratch_.dist_delay_s[stream];
     const double fault_delay = scratch_.fault_delay_s[stream];

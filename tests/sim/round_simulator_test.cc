@@ -53,6 +53,21 @@ TEST(RoundSimulatorTest, CreateValidation) {
                                       disk::QuantumViking2100Seek(), 5,
                                       nullptr, config)
                    .ok());
+  // Disturbance delays must be non-negative with min <= max.
+  config.disturbance.probability = 0.1;
+  config.disturbance.delay_min_s = -0.01;
+  config.disturbance.delay_max_s = 0.01;
+  EXPECT_FALSE(RoundSimulator::Create(disk::QuantumViking2100(),
+                                      disk::QuantumViking2100Seek(), 5,
+                                      RoundSimulator::IidFactory(Table1Sizes()),
+                                      config)
+                   .ok());
+  config.disturbance.delay_min_s = 0.02;
+  EXPECT_FALSE(RoundSimulator::Create(disk::QuantumViking2100(),
+                                      disk::QuantumViking2100Seek(), 5,
+                                      RoundSimulator::IidFactory(Table1Sizes()),
+                                      config)
+                   .ok());
 }
 
 TEST(RoundSimulatorTest, RoundOutcomeConsistency) {

@@ -18,7 +18,7 @@
 #include "numeric/random.h"
 #include "numeric/simd.h"
 #include "numeric/sort_network.h"
-#include "sim/batch_kernels.h"
+#include "sched/batch_kernels.h"
 #include "sim/importance_sampling.h"
 #include "sim/round_simulator.h"
 #include "workload/size_distribution.h"
@@ -103,7 +103,7 @@ TEST(SimdKernelTest, TransferTimesBitIdenticalToScalarDivision) {
     for (SimdTier tier : AllTiers()) {
       ScopedTier forced(tier);
       std::vector<double> got(n);
-      internal::TransferTimes(bytes.data(), rate.data(), got.data(), n);
+      sched::internal::TransferTimes(bytes.data(), rate.data(), got.data(), n);
       EXPECT_EQ(got, expected)
           << "n=" << n << " tier=" << numeric::SimdTierName(tier);
     }
@@ -123,7 +123,7 @@ TEST(SimdKernelTest, SeekTimesBitIdenticalToScalarModel) {
   for (SimdTier tier : AllTiers()) {
     ScopedTier forced(tier);
     std::vector<double> got(n);
-    internal::SeekTimes(seek, distance.data(), got.data(), n);
+    sched::internal::SeekTimes(seek, distance.data(), got.data(), n);
     EXPECT_EQ(got, expected) << numeric::SimdTierName(tier);
   }
 }
