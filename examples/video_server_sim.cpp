@@ -47,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "common/blob.h"
 #include "common/table_printer.h"
 #include "core/admission.h"
 #include "core/glitch_model.h"
@@ -58,7 +59,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/round_trace.h"
-#include "recovery/blob.h"
 #include "recovery/checkpoint.h"
 #include "recovery/replay.h"
 #include "recovery/snapshot.h"
@@ -89,7 +89,7 @@ struct ChurnState {
 };
 
 std::string EncodeChurnState(const ChurnState& churn) {
-  recovery::BlobWriter out;
+  common::BlobWriter out;
   out.PutU32(kChurnSectionVersion);
   out.PutString(churn.rng.SaveState());
   out.PutI64(churn.next_round);
@@ -103,7 +103,7 @@ std::string EncodeChurnState(const ChurnState& churn) {
 
 common::Status DecodeChurnState(const std::string& payload,
                                 ChurnState* out) {
-  recovery::BlobReader in(payload);
+  common::BlobReader in(payload);
   const uint32_t version = in.TakeU32();
   if (in.ok() && version != kChurnSectionVersion) {
     return common::Status::InvalidArgument(

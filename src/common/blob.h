@@ -3,7 +3,7 @@
 // reader that is safe on arbitrary (truncated, bit-flipped, adversarial)
 // input, and the CRC-64 used to detect corruption. The recovery snapshot
 // container and the admission-service wire protocol are both built on
-// these (recovery/blob.h aliases this header for source compatibility).
+// these.
 //
 // The reader's contract is the load-bearing part: snapshot files are read
 // back after crashes and protocol frames arrive from arbitrary clients,

@@ -229,6 +229,8 @@ __attribute__((target("avx2"))) void Sort32Avx2(uint32_t* a) {
 
 void SortU32Network(uint32_t* keys, size_t n) {
   ZS_CHECK_LE(n, kSortNetworkMaxN);
+  // An empty range may come with a null `keys`, which memcpy must not see.
+  if (n == 0) return;
   alignas(64) uint32_t block[kBlock];
   std::memcpy(block, keys, n * sizeof(uint32_t));
   std::fill(block + n, block + kBlock, ~uint32_t{0});

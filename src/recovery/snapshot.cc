@@ -3,7 +3,7 @@
 #include <utility>
 #include <vector>
 
-#include "recovery/blob.h"
+#include "common/blob.h"
 
 namespace zonestream::recovery {
 
@@ -19,13 +19,13 @@ constexpr std::string_view kSectionService = "service";
 
 // --- component codecs ------------------------------------------------------
 //
-// Each Encode* writes into a BlobWriter; each Decode* reads from a
-// BlobReader, latching the reader's sticky error on any structural
+// Each Encode* writes into a common::BlobWriter; each Decode* reads from a
+// common::BlobReader, latching the reader's sticky error on any structural
 // problem. Range/shape semantics beyond "safe to hold in memory" are the
 // component ImportState's job at restore time.
 
 void EncodeRunningStats(const numeric::RunningStatsState& state,
-                        BlobWriter* out) {
+                        common::BlobWriter* out) {
   out->PutI64(state.count);
   out->PutF64(state.mean);
   out->PutF64(state.m2);
@@ -33,7 +33,7 @@ void EncodeRunningStats(const numeric::RunningStatsState& state,
   out->PutF64(state.max);
 }
 
-numeric::RunningStatsState DecodeRunningStats(BlobReader* in) {
+numeric::RunningStatsState DecodeRunningStats(common::BlobReader* in) {
   numeric::RunningStatsState state;
   state.count = in->TakeI64();
   state.mean = in->TakeF64();
@@ -44,7 +44,7 @@ numeric::RunningStatsState DecodeRunningStats(BlobReader* in) {
 }
 
 void EncodeFaultInjector(const fault::FaultInjectorState& state,
-                         BlobWriter* out) {
+                         common::BlobWriter* out) {
   out->PutU64(state.model_names.size());
   for (const std::string& name : state.model_names) out->PutString(name);
   out->PutU64(state.model_states.size());
@@ -56,7 +56,7 @@ void EncodeFaultInjector(const fault::FaultInjectorState& state,
   out->PutI64(state.rounds_begun);
 }
 
-fault::FaultInjectorState DecodeFaultInjector(BlobReader* in) {
+fault::FaultInjectorState DecodeFaultInjector(common::BlobReader* in) {
   fault::FaultInjectorState state;
   // Counts are claims over remaining bytes; each element consumes at
   // least 8 bytes, so capping by remaining()/8 bounds allocation.
@@ -83,7 +83,7 @@ fault::FaultInjectorState DecodeFaultInjector(BlobReader* in) {
 }
 
 void EncodeDegradation(const fault::DegradationControllerState& state,
-                       BlobWriter* out) {
+                       common::BlobWriter* out) {
   out->PutU8(static_cast<uint8_t>(state.state));
   out->PutI64(state.rounds_observed);
   out->PutI64(state.window_rounds_seen);
@@ -103,13 +103,13 @@ void EncodeDegradation(const fault::DegradationControllerState& state,
   }
 }
 
-fault::DegradationState DecodeDegradationState(BlobReader* in) {
+fault::DegradationState DecodeDegradationState(common::BlobReader* in) {
   const uint8_t value = in->TakeU8();
   if (value > 2) in->Fail();
   return static_cast<fault::DegradationState>(value);
 }
 
-fault::DegradationControllerState DecodeDegradation(BlobReader* in) {
+fault::DegradationControllerState DecodeDegradation(common::BlobReader* in) {
   fault::DegradationControllerState state;
   state.state = DecodeDegradationState(in);
   state.rounds_observed = in->TakeI64();
@@ -137,7 +137,8 @@ fault::DegradationControllerState DecodeDegradation(BlobReader* in) {
   return state;
 }
 
-void EncodeServer(const server::MediaServerState& state, BlobWriter* out) {
+void EncodeServer(const server::MediaServerState& state,
+                  common::BlobWriter* out) {
   out->PutString(state.rng_state);
   out->PutI64(state.round);
   out->PutI64(state.next_stream_id);
@@ -146,6 +147,7 @@ void EncodeServer(const server::MediaServerState& state, BlobWriter* out) {
     out->PutI64(stream.stream_id);
     out->PutI64(stream.phase);
     out->PutI64(stream.priority_class);
+    out->PutI64(stream.stream_class);
     out->PutI64(stream.next_fragment);
     out->PutF64(stream.retry_bytes);
     out->PutI64(stream.retry_attempts);
@@ -189,13 +191,13 @@ void EncodeServer(const server::MediaServerState& state, BlobWriter* out) {
   out->PutI64(state.rounds_degraded);
 }
 
-server::MediaServerState DecodeServer(BlobReader* in) {
+server::MediaServerState DecodeServer(common::BlobReader* in) {
   server::MediaServerState state;
   state.rng_state = in->TakeString();
   state.round = in->TakeI64();
   state.next_stream_id = in->TakeI64();
   uint64_t streams = in->TakeU64();
-  if (streams > in->remaining() / 80) in->Fail();  // 10 words per stream
+  if (streams > in->remaining() / 88) in->Fail();  // 11 words per stream
   if (!in->ok()) return state;
   state.streams.reserve(static_cast<size_t>(streams));
   for (uint64_t i = 0; i < streams; ++i) {
@@ -203,6 +205,7 @@ server::MediaServerState DecodeServer(BlobReader* in) {
     stream.stream_id = static_cast<int>(in->TakeI64());
     stream.phase = static_cast<int>(in->TakeI64());
     stream.priority_class = static_cast<int>(in->TakeI64());
+    stream.stream_class = static_cast<int>(in->TakeI64());
     stream.next_fragment = in->TakeI64();
     stream.retry_bytes = in->TakeF64();
     stream.retry_attempts = static_cast<int>(in->TakeI64());
@@ -267,7 +270,8 @@ server::MediaServerState DecodeServer(BlobReader* in) {
   return state;
 }
 
-void EncodeSimulator(const sim::RoundSimulatorState& state, BlobWriter* out) {
+void EncodeSimulator(const sim::RoundSimulatorState& state,
+                     common::BlobWriter* out) {
   out->PutString(state.rng_state);
   out->PutString(state.disturbance_rng_state);
   out->PutBool(state.has_fault_injector);
@@ -281,7 +285,7 @@ void EncodeSimulator(const sim::RoundSimulatorState& state, BlobWriter* out) {
   }
 }
 
-sim::RoundSimulatorState DecodeSimulator(BlobReader* in) {
+sim::RoundSimulatorState DecodeSimulator(common::BlobReader* in) {
   sim::RoundSimulatorState state;
   state.rng_state = in->TakeString();
   state.disturbance_rng_state = in->TakeString();
@@ -300,7 +304,7 @@ sim::RoundSimulatorState DecodeSimulator(BlobReader* in) {
   return state;
 }
 
-void EncodeRegistry(const obs::RegistryState& state, BlobWriter* out) {
+void EncodeRegistry(const obs::RegistryState& state, common::BlobWriter* out) {
   out->PutU64(state.counters.size());
   for (const auto& [name, value] : state.counters) {
     out->PutString(name);
@@ -332,7 +336,7 @@ void EncodeRegistry(const obs::RegistryState& state, BlobWriter* out) {
   }
 }
 
-obs::RegistryState DecodeRegistry(BlobReader* in) {
+obs::RegistryState DecodeRegistry(common::BlobReader* in) {
   obs::RegistryState state;
   uint64_t counters = in->TakeU64();
   if (counters > in->remaining() / 16) in->Fail();
@@ -381,13 +385,13 @@ obs::RegistryState DecodeRegistry(BlobReader* in) {
   return state;
 }
 
-void EncodeMeta(const SnapshotMeta& meta, BlobWriter* out) {
+void EncodeMeta(const SnapshotMeta& meta, common::BlobWriter* out) {
   out->PutI64(meta.round);
   out->PutU64(meta.base_seed);
   out->PutString(meta.producer);
 }
 
-SnapshotMeta DecodeMeta(BlobReader* in) {
+SnapshotMeta DecodeMeta(common::BlobReader* in) {
   SnapshotMeta meta;
   meta.round = in->TakeI64();
   meta.base_seed = in->TakeU64();
@@ -400,7 +404,7 @@ SnapshotMeta DecodeMeta(BlobReader* in) {
 template <typename State, typename Decoder>
 common::Status DecodeSection(std::string_view name, std::string_view payload,
                              const Decoder& decoder, State* out) {
-  BlobReader reader(payload);
+  common::BlobReader reader(payload);
   State state = decoder(&reader);
   if (!reader.AtEnd()) {
     return common::Status::InvalidArgument(
@@ -417,22 +421,22 @@ std::string EncodeSnapshot(const Snapshot& snapshot) {
   // Gather (name, payload) pairs first, then wrap in the container.
   std::vector<std::pair<std::string, std::string>> sections;
   {
-    BlobWriter meta;
+    common::BlobWriter meta;
     EncodeMeta(snapshot.meta, &meta);
     sections.emplace_back(std::string(kSectionMeta), meta.Release());
   }
   if (snapshot.server.has_value()) {
-    BlobWriter writer;
+    common::BlobWriter writer;
     EncodeServer(*snapshot.server, &writer);
     sections.emplace_back(std::string(kSectionServer), writer.Release());
   }
   if (snapshot.simulator.has_value()) {
-    BlobWriter writer;
+    common::BlobWriter writer;
     EncodeSimulator(*snapshot.simulator, &writer);
     sections.emplace_back(std::string(kSectionSimulator), writer.Release());
   }
   if (snapshot.registry.has_value()) {
-    BlobWriter writer;
+    common::BlobWriter writer;
     EncodeRegistry(*snapshot.registry, &writer);
     sections.emplace_back(std::string(kSectionRegistry), writer.Release());
   }
@@ -447,7 +451,7 @@ std::string EncodeSnapshot(const Snapshot& snapshot) {
     sections.emplace_back(name, payload);
   }
 
-  BlobWriter out;
+  common::BlobWriter out;
   // The magic is raw bytes, not a length-prefixed string.
   for (const char c : kSnapshotMagic) out.PutU8(static_cast<uint8_t>(c));
   out.PutU32(kSnapshotVersion);
@@ -456,7 +460,7 @@ std::string EncodeSnapshot(const Snapshot& snapshot) {
     out.PutString(name);
     out.PutString(payload);
   }
-  const uint64_t checksum = Crc64(out.data());
+  const uint64_t checksum = common::Crc64(out.data());
   out.PutU64(checksum);
   return out.Release();
 }
@@ -474,14 +478,14 @@ common::StatusOr<Snapshot> DecodeSnapshot(std::string_view bytes) {
   // Checksum covers everything before the trailing CRC field; verify it
   // before trusting any length or payload inside.
   const std::string_view body = bytes.substr(0, bytes.size() - 8);
-  BlobReader crc_reader(bytes.substr(bytes.size() - 8));
+  common::BlobReader crc_reader(bytes.substr(bytes.size() - 8));
   const uint64_t stored_crc = crc_reader.TakeU64();
-  const uint64_t actual_crc = Crc64(body);
+  const uint64_t actual_crc = common::Crc64(body);
   if (stored_crc != actual_crc) {
     return common::Status::InvalidArgument(
         "snapshot checksum mismatch (file is corrupt or truncated)");
   }
-  BlobReader reader(body.substr(kSnapshotMagic.size()));
+  common::BlobReader reader(body.substr(kSnapshotMagic.size()));
   const uint32_t version = reader.TakeU32();
   if (version != kSnapshotVersion) {
     return common::Status::InvalidArgument(

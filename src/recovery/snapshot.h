@@ -57,8 +57,12 @@ namespace zonestream::recovery {
 //       unchanged. A server restored from a snapshot taken before that
 //       change continues on the new sample path; it resumes bit-
 //       identically only against a server of the same build.
+//   4 — each server stream carries its class index (-1 when opened by
+//       distribution), so a MediaServer in class mode
+//       (MediaServerConfig::class_model) resumes with its per-phase class
+//       mixes. Version-3 files are rejected per the v1 precedent.
 inline constexpr std::string_view kSnapshotMagic{"ZSNAPv1\0", 8};
-inline constexpr uint32_t kSnapshotVersion = 3;
+inline constexpr uint32_t kSnapshotVersion = 4;
 
 // Informational header — never consulted by restore logic, but lets
 // `zonestream_ctl snapshot inspect` describe a file without the config

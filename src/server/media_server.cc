@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <string>
 #include <utility>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "core/service_time_model.h"
 #include "obs/metrics.h"
 #include "obs/round_trace.h"
@@ -86,7 +88,9 @@ common::StatusOr<int> MediaServer::PlanDegradedLimit(
 MediaServer::MediaServer(
     const disk::DiskGeometry& geometry, const disk::SeekTimeModel& seek,
     const MediaServerConfig& config,
-    std::vector<std::unique_ptr<fault::FaultInjector>> injectors)
+    std::vector<std::unique_ptr<fault::FaultInjector>> injectors,
+    std::vector<std::shared_ptr<const workload::SizeDistribution>>
+        class_sizes)
     : geometry_(geometry),
       seek_(seek),
       config_(config),
@@ -94,6 +98,7 @@ MediaServer::MediaServer(
       rng_(config.seed),
       phase_counts_(config.parity ? config.num_disks - 1 : config.num_disks,
                     0),
+      class_sizes_(std::move(class_sizes)),
       arm_cylinder_(config.num_disks, 0),
       ascending_(config.num_disks, true),
       fault_injectors_(std::move(injectors)),
@@ -101,6 +106,10 @@ MediaServer::MediaServer(
       busy_fraction_(config.num_disks),
       round_failed_(config.num_disks, 0) {
   if (config_.parity) parity_striping_.emplace(config_.num_disks);
+  if (config_.class_model != nullptr) {
+    phase_mixes_.assign(phase_counts_.size(),
+                        core::ClassCounts(class_sizes_.size(), 0));
+  }
   if (config_.metrics != nullptr) {
     obs::Registry* registry = config_.metrics;
     metrics_.rounds = registry->GetCounter("server.rounds");
@@ -167,6 +176,22 @@ common::StatusOr<MediaServer> MediaServer::Create(
       return status;
     }
   }
+  std::vector<std::shared_ptr<const workload::SizeDistribution>> class_sizes;
+  if (config.class_model != nullptr) {
+    if (config.class_late_tolerance <= 0.0 ||
+        config.class_late_tolerance >= 1.0) {
+      return common::Status::InvalidArgument(
+          "class late tolerance must be in (0, 1)");
+    }
+    for (int c = 0; c < config.class_model->num_classes(); ++c) {
+      const core::StreamClass& spec = config.class_model->stream_class(c);
+      auto sizes = workload::GammaSizeDistribution::Create(
+          spec.mean_size_bytes, spec.variance_size_bytes2);
+      if (!sizes.ok()) return sizes.status();
+      class_sizes.push_back(std::make_shared<workload::GammaSizeDistribution>(
+          *std::move(sizes)));
+    }
+  }
   std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
   if (!config.faults.empty()) {
     injectors.resize(static_cast<size_t>(config.num_disks));
@@ -182,7 +207,8 @@ common::StatusOr<MediaServer> MediaServer::Create(
       injectors[static_cast<size_t>(d)] = *std::move(injector);
     }
   }
-  return MediaServer(geometry, seek, config, std::move(injectors));
+  return MediaServer(geometry, seek, config, std::move(injectors),
+                     std::move(class_sizes));
 }
 
 common::StatusOr<int> MediaServer::OpenStream(
@@ -200,6 +226,29 @@ common::StatusOr<int> MediaServer::OpenStream(
     return common::Status::InvalidArgument(
         "priority_class must be non-negative");
   }
+  if (config_.class_model != nullptr) {
+    return common::Status::InvalidArgument(
+        "a server with a class model opens streams by class");
+  }
+  return Admit(std::move(sizes), priority_class, /*stream_class=*/-1);
+}
+
+common::StatusOr<int> MediaServer::OpenStream(int stream_class) {
+  if (config_.class_model == nullptr) {
+    return common::Status::InvalidArgument(
+        "opening a stream by class needs a class model");
+  }
+  if (stream_class < 0 ||
+      stream_class >= static_cast<int>(class_sizes_.size())) {
+    return common::Status::InvalidArgument("unknown stream class");
+  }
+  return Admit(class_sizes_[static_cast<size_t>(stream_class)],
+               /*priority_class=*/0, stream_class);
+}
+
+common::StatusOr<int> MediaServer::Admit(
+    std::shared_ptr<const workload::SizeDistribution> sizes,
+    int priority_class, int stream_class) {
   if (!admissions_open_) {
     if (config_.metrics != nullptr) {
       config_.metrics->GetCounter("server.admission.rejected_degraded")
@@ -213,23 +262,36 @@ common::StatusOr<int> MediaServer::OpenStream(
   // While a parity array is degraded, the degraded-mode limit applies,
   // so new admissions never push a survivor past the rebuilding bound.
   int phase = 0;
-  for (int p = 1; p < NumPhases(); ++p) {
-    if (phase_counts_[p] < phase_counts_[phase]) phase = p;
+  if (stream_class >= 0) {
+    phase = ClassPhaseFor(stream_class);
+  } else {
+    for (int p = 1; p < NumPhases(); ++p) {
+      if (phase_counts_[p] < phase_counts_[phase]) phase = p;
+    }
+    if (phase_counts_[phase] >= EffectivePhaseLimit()) phase = -1;
   }
-  if (phase_counts_[phase] >= EffectivePhaseLimit()) {
+  if (phase < 0) {
     if (config_.metrics != nullptr) {
       config_.metrics->GetCounter("server.admission.rejected")->Increment();
     }
     return common::Status::ResourceExhausted(
-        "admission control: server is at its stream limit");
+        stream_class >= 0
+            ? "admission control: no phase can absorb another stream of "
+              "this class within the QoS tolerance"
+            : "admission control: server is at its stream limit");
   }
   StreamState state;
   state.phase = phase;
   state.priority_class = priority_class;
+  state.stream_class = stream_class;
   state.sizes = std::move(sizes);
   const int id = static_cast<int>(next_stream_id_++);
   streams_.emplace(id, std::move(state));
   ++phase_counts_[phase];
+  if (stream_class >= 0) {
+    ++phase_mixes_[static_cast<size_t>(phase)]
+                  [static_cast<size_t>(stream_class)];
+  }
   if (config_.metrics != nullptr) {
     config_.metrics->GetCounter("server.admission.accepted")->Increment();
     config_.metrics->GetGauge("server.active_streams")
@@ -238,12 +300,61 @@ common::StatusOr<int> MediaServer::OpenStream(
   return id;
 }
 
+int MediaServer::ClassPhaseFor(int stream_class) const {
+  // Phases from least to most loaded, ties to the lowest index; the
+  // stream goes to the first one under the count limit whose mix plus
+  // this stream stays within the tolerance.
+  std::vector<int> order(phase_counts_.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [this](int a, int b) {
+    return phase_counts_[static_cast<size_t>(a)] <
+           phase_counts_[static_cast<size_t>(b)];
+  });
+  const int limit = EffectivePhaseLimit();
+  const auto admits = [&](int phase) {
+    if (phase_counts_[static_cast<size_t>(phase)] >= limit) return false;
+    core::ClassCounts candidate = phase_mixes_[static_cast<size_t>(phase)];
+    ++candidate[static_cast<size_t>(stream_class)];
+    return config_.class_model->Admissible(candidate, config_.round_length_s,
+                                           config_.class_late_tolerance);
+  };
+  // Each phase's check is an independent evaluation of the multi-class
+  // transform (the expensive part of an open), so with real workers
+  // available all phases are probed in parallel and the admitted phase is
+  // the first admissible one in load order — the same phase the serial
+  // early-exit loop picks. With a single thread the serial loop is kept
+  // so the early exit still saves the remaining probes.
+  common::ThreadPool& pool = common::ThreadPool::Global();
+  if (pool.num_threads() > 1 && order.size() > 1) {
+    std::vector<char> admissible(order.size(), 0);
+    common::ParallelFor(
+        static_cast<int64_t>(order.size()),
+        [&](int64_t k) {
+          admissible[static_cast<size_t>(k)] =
+              admits(order[static_cast<size_t>(k)]) ? 1 : 0;
+        },
+        &pool);
+    for (size_t k = 0; k < order.size(); ++k) {
+      if (admissible[k] != 0) return order[k];
+    }
+    return -1;
+  }
+  for (const int phase : order) {
+    if (admits(phase)) return phase;
+  }
+  return -1;
+}
+
 common::Status MediaServer::CloseStream(int stream_id) {
   auto it = streams_.find(stream_id);
   if (it == streams_.end()) {
     return common::Status::NotFound("no such stream");
   }
   --phase_counts_[it->second.phase];
+  if (it->second.stream_class >= 0) {
+    --phase_mixes_[static_cast<size_t>(it->second.phase)]
+                  [static_cast<size_t>(it->second.stream_class)];
+  }
   streams_.erase(it);
   if (config_.metrics != nullptr) {
     config_.metrics->GetCounter("server.streams.closed")->Increment();
@@ -814,6 +925,7 @@ MediaServerState MediaServer::ExportState() const {
     snapshot.stream_id = id;
     snapshot.phase = stream.phase;
     snapshot.priority_class = stream.priority_class;
+    snapshot.stream_class = stream.stream_class;
     snapshot.next_fragment = stream.next_fragment;
     snapshot.retry_bytes = stream.retry_bytes;
     snapshot.retry_attempts = stream.retry_attempts;
@@ -948,8 +1060,18 @@ common::Status MediaServer::RestoreState(
           "server state carries more streams on one phase than the "
           "admission limit allows");
     }
-    std::shared_ptr<const workload::SizeDistribution> distribution =
-        resolver ? resolver(snapshot) : nullptr;
+    if (snapshot.stream_class < -1 ||
+        snapshot.stream_class >= static_cast<int>(class_sizes_.size()) ||
+        (snapshot.stream_class >= 0) != (config_.class_model != nullptr)) {
+      return common::Status::InvalidArgument(
+          "server state stream class does not match the class model");
+    }
+    std::shared_ptr<const workload::SizeDistribution> distribution;
+    if (snapshot.stream_class >= 0) {
+      distribution = class_sizes_[static_cast<size_t>(snapshot.stream_class)];
+    } else if (resolver) {
+      distribution = resolver(snapshot);
+    }
     if (distribution == nullptr) {
       return common::Status::InvalidArgument(
           "no size distribution resolved for stream " +
@@ -958,6 +1080,7 @@ common::Status MediaServer::RestoreState(
     StreamState stream;
     stream.phase = snapshot.phase;
     stream.priority_class = snapshot.priority_class;
+    stream.stream_class = snapshot.stream_class;
     stream.next_fragment = snapshot.next_fragment;
     stream.sizes = std::move(distribution);
     stream.retry_bytes = snapshot.retry_bytes;
@@ -967,6 +1090,23 @@ common::Status MediaServer::RestoreState(
       return common::Status::InvalidArgument(
           "server state carries duplicate stream id " +
           std::to_string(snapshot.stream_id));
+    }
+  }
+  std::vector<core::ClassCounts> phase_mixes;
+  if (config_.class_model != nullptr) {
+    phase_mixes.assign(phase_counts.size(),
+                       core::ClassCounts(class_sizes_.size(), 0));
+    for (const auto& [id, stream] : streams) {
+      ++phase_mixes[static_cast<size_t>(stream.phase)]
+                   [static_cast<size_t>(stream.stream_class)];
+    }
+    for (const core::ClassCounts& mix : phase_mixes) {
+      if (!config_.class_model->Admissible(mix, config_.round_length_s,
+                                           config_.class_late_tolerance)) {
+        return common::Status::InvalidArgument(
+            "server state carries a class mix on one phase that the class "
+            "model does not admit");
+      }
     }
   }
   numeric::Rng rng(config_.seed);
@@ -1001,6 +1141,7 @@ common::Status MediaServer::RestoreState(
   next_stream_id_ = state.next_stream_id;
   streams_ = std::move(streams);
   phase_counts_ = std::move(phase_counts);
+  phase_mixes_ = std::move(phase_mixes);
   arm_cylinder_.assign(state.arm_cylinder.begin(), state.arm_cylinder.end());
   ascending_.clear();
   for (const uint8_t ascending : state.ascending) {
@@ -1035,6 +1176,22 @@ common::Status MediaServer::RestoreState(
   degraded_prev_ = degraded_now_;
   NotifyLimitChangeIfNeeded();
   return common::Status::Ok();
+}
+
+int MediaServer::active_streams_of_class(int stream_class) const {
+  ZS_CHECK_GE(stream_class, 0);
+  ZS_CHECK_LT(stream_class, static_cast<int>(class_sizes_.size()));
+  int count = 0;
+  for (const core::ClassCounts& mix : phase_mixes_) {
+    count += mix[static_cast<size_t>(stream_class)];
+  }
+  return count;
+}
+
+const core::ClassCounts& MediaServer::phase_mix(int phase) const {
+  ZS_CHECK_GE(phase, 0);
+  ZS_CHECK_LT(phase, static_cast<int>(phase_mixes_.size()));
+  return phase_mixes_[static_cast<size_t>(phase)];
 }
 
 ServerStats MediaServer::GetServerStats() const {

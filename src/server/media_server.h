@@ -2,7 +2,9 @@
 //
 // Combines every substrate: D identical multi-zone disks, round-robin
 // striping, per-disk SCAN scheduling in global rounds, and table-driven
-// admission control from the analytic model. This is the component a
+// admission control from the analytic model (per phase against a stream
+// count, or, in class mode, against the multi-class transform of the
+// phase's class mix — extension X1). This is the component a
 // downstream system would embed; the single-disk RoundSimulator remains the
 // preferred tool for tight model-validation loops.
 //
@@ -29,6 +31,7 @@
 
 #include "common/status.h"
 #include "core/admission.h"
+#include "core/multiclass.h"
 #include "disk/disk_geometry.h"
 #include "disk/seek_model.h"
 #include "fault/degradation.h"
@@ -60,6 +63,17 @@ struct MediaServerConfig {
   // per round once start disks are balanced.
   int per_disk_stream_limit = 0;
   uint64_t seed = 42;
+
+  // Class-aware admission (extension X1). With a class model set, streams
+  // open by class index (OpenStream(int)) and draw Gamma fragment sizes
+  // with their class's moments; a phase admits a stream of class c only
+  // if its class mix plus that stream still satisfies
+  // b_late(mix, t) <= class_late_tolerance, on top of the per-phase count
+  // limit. Every disk then serves an admissible mix every round, for any
+  // interleaving of opens and closes. Null (default): streams open by
+  // size distribution against the count limit alone.
+  std::shared_ptr<const core::MultiClassServiceModel> class_model;
+  double class_late_tolerance = 0.01;  // delta, in (0, 1)
 
   // Structured fault injection (fault/fault_model.h). Each disk runs an
   // independent FaultInjector built from this spec, seeded from a
@@ -162,6 +176,7 @@ struct StreamSnapshotState {
   int stream_id = 0;
   int phase = 0;
   int priority_class = 0;
+  int stream_class = -1;  // class index; -1 when opened by distribution
   int64_t next_fragment = 0;
   double retry_bytes = -1.0;  // < 0: no fragment awaiting re-issue
   int retry_attempts = 0;
@@ -259,9 +274,17 @@ class MediaServer {
   // As above, with an explicit priority class. Classes only matter under
   // degradation: when the controller sheds load, lower-numbered classes
   // go first (class 0 is best-effort; the plain OpenStream overload).
+  // Both overloads need a server without a class model.
   common::StatusOr<int> OpenStream(
       std::shared_ptr<const workload::SizeDistribution> sizes,
       int priority_class);
+
+  // Class-aware open (needs MediaServerConfig::class_model): admits the
+  // stream onto the least-loaded phase (ties to the lowest index) that is
+  // under the count limit and whose class mix plus this stream passes the
+  // model's b_late test, with best-effort priority. Returns
+  // ResourceExhausted when no phase can absorb it.
+  common::StatusOr<int> OpenStream(int stream_class);
 
   // Closes an open stream.
   common::Status CloseStream(int stream_id);
@@ -284,6 +307,11 @@ class MediaServer {
     return NumPhases() * config_.per_disk_stream_limit;
   }
   int64_t current_round() const { return round_; }
+
+  // Class-mode surface (needs a class model): open streams of a class
+  // across the server, and the class mix a phase carries.
+  int active_streams_of_class(int stream_class) const;
+  const core::ClassCounts& phase_mix(int phase) const;
 
   // Parity/repair surface. Degraded means some disk is failed and not
   // yet rebuilt onto its spare (always false without parity striping).
@@ -316,9 +344,11 @@ class MediaServer {
   // Checkpoint support. ExportState captures everything RunRound /
   // OpenStream consult; RestoreState applies it to a server freshly
   // Created from the same (geometry, seek, config), re-binding each
-  // stream's size distribution through `resolver`. Validates shape
-  // (per-disk vector sizes, phases and arm cylinders in range, per-phase
-  // occupancy within the admission limit, fault/degradation presence
+  // stream's size distribution through `resolver` (class-mode streams
+  // re-bind to their class's distribution; the resolver is not consulted).
+  // Validates shape (per-disk vector sizes, phases and arm cylinders in
+  // range, per-phase occupancy within the admission limit and, in class
+  // mode, class mixes the model admits, fault/degradation presence
   // matching the config) and restores nothing on mismatch.
   MediaServerState ExportState() const;
   common::Status RestoreState(const MediaServerState& state,
@@ -341,6 +371,7 @@ class MediaServer {
   struct StreamState {
     int phase = 0;  // disk in round r is (phase + r) mod num_disks
     int priority_class = 0;
+    int stream_class = -1;  // class-mode class index, else -1
     int64_t next_fragment = 0;
     std::shared_ptr<const workload::SizeDistribution> sizes;  // i.i.d.
     // Deadline-cut fragment awaiting re-issue (< 0: none pending).
@@ -349,10 +380,22 @@ class MediaServer {
     StreamStats stats;
   };
 
-  MediaServer(const disk::DiskGeometry& geometry,
-              const disk::SeekTimeModel& seek,
-              const MediaServerConfig& config,
-              std::vector<std::unique_ptr<fault::FaultInjector>> injectors);
+  MediaServer(
+      const disk::DiskGeometry& geometry, const disk::SeekTimeModel& seek,
+      const MediaServerConfig& config,
+      std::vector<std::unique_ptr<fault::FaultInjector>> injectors,
+      std::vector<std::shared_ptr<const workload::SizeDistribution>>
+          class_sizes);
+
+  // Admission shared by both OpenStream forms (stream_class -1: by
+  // distribution, against the count limit alone).
+  common::StatusOr<int> Admit(
+      std::shared_ptr<const workload::SizeDistribution> sizes,
+      int priority_class, int stream_class);
+
+  // Class mode: the phase a stream of `stream_class` is admitted onto, or
+  // -1 when none can absorb it.
+  int ClassPhaseFor(int stream_class) const;
 
   // Applies retry/drop bookkeeping for one glitched fragment.
   void RecordGlitch(int stream_id, double fragment_bytes);
@@ -399,6 +442,10 @@ class MediaServer {
   int64_t round_ = 0;
   int64_t next_stream_id_ = 0;
   std::vector<int> phase_counts_;  // active streams per phase
+  // Class mode: Gamma sizes per class, and each phase's class mix (both
+  // empty without a class model).
+  std::vector<std::shared_ptr<const workload::SizeDistribution>> class_sizes_;
+  std::vector<core::ClassCounts> phase_mixes_;
   std::map<int, StreamState> streams_;
   // Per-disk arm state.
   std::vector<int> arm_cylinder_;

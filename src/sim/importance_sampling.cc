@@ -384,9 +384,7 @@ void ImportanceSampler::RunOneRound(const double* u_pos, const double* u_rot,
   if (config_.sweep_policy == SweepPolicy::kAlternate) {
     if (!ascending_) direction = sched::SweepDirection::kDescending;
   } else {
-    if (!config_.legacy_free_arm_reset && arm_cylinder_ != 0) {
-      return_seek_s = seek_.SeekTime(arm_cylinder_);
-    }
+    if (arm_cylinder_ != 0) return_seek_s = seek_.SeekTime(arm_cylinder_);
     arm_cylinder_ = 0;
   }
   sched::ScanBatch batch;

@@ -8,7 +8,7 @@
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/round_trace.h"
-#include "sched/scan.h"
+#include "sched/scan_kernel.h"
 
 namespace zonestream::sim {
 
@@ -26,15 +26,12 @@ MixedRoundSimulator::MixedRoundSimulator(
       config_(config),
       rng_(config.seed) {
   const size_t n = static_cast<size_t>(num_continuous_);
-  scratch_.u_zone.resize(n);
-  scratch_.u_cylinder.resize(n);
+  scratch_.u_pos.resize(2 * n);
   scratch_.cylinder.resize(n);
   scratch_.zone.resize(n);
   scratch_.rate_bps.resize(n);
   scratch_.bytes.resize(n);
   scratch_.rotation_s.resize(n);
-  scratch_.order.resize(n);
-  scratch_.sort_key.resize(n);
   scratch_.zone_hits.resize(geometry_.num_zones());
 }
 
@@ -98,7 +95,7 @@ MixedRunResult MixedRoundSimulator::Run(int rounds) {
     result.max_queue_depth = std::max<int64_t>(
         result.max_queue_depth, static_cast<int64_t>(queue_.size()));
 
-    // Continuous batch: one SCAN sweep (batched or scalar kernel).
+    // Continuous batch: one SCAN sweep.
     const ContinuousSweep sweep = RunContinuousSweep();
     result.continuous_requests += num_continuous_;
     result.continuous_glitches += sweep.glitches;
@@ -203,71 +200,19 @@ MixedRunResult MixedRoundSimulator::Run(int rounds) {
 }
 
 MixedRoundSimulator::ContinuousSweep MixedRoundSimulator::RunContinuousSweep() {
-  return config_.batched_kernel ? RunContinuousSweepBatched()
-                                : RunContinuousSweepScalar();
-}
-
-MixedRoundSimulator::ContinuousSweep
-MixedRoundSimulator::RunContinuousSweepScalar() {
-  std::vector<sched::DiskRequest> batch;
-  batch.reserve(num_continuous_);
-  for (int s = 0; s < num_continuous_; ++s) {
-    const disk::DiskPosition position = geometry_.SampleUniformPosition(&rng_);
-    sched::DiskRequest request;
-    request.stream_id = s;
-    request.cylinder = position.cylinder;
-    request.zone = position.zone;
-    request.transfer_rate_bps = position.transfer_rate_bps;
-    request.bytes = continuous_sizes_->Sample(&rng_);
-    request.rotational_latency_s = rng_.Uniform(0.0, geometry_.rotation_time());
-    batch.push_back(request);
-  }
-  sched::SortForScan(&batch, ascending_ ? sched::SweepDirection::kAscending
-                                        : sched::SweepDirection::kDescending);
-  const sched::RoundTiming timing =
-      sched::ExecuteScanRound(seek_, batch, arm_cylinder_);
-
-  ContinuousSweep sweep;
-  sweep.total_service_s = timing.total_service_time_s;
-  int arm = arm_cylinder_;
-  for (size_t i = 0; i < timing.per_request.size(); ++i) {
-    if (timing.per_request[i].completion_s > config_.round_length_s) {
-      ++sweep.glitches;
-    } else {
-      arm = batch[i].cylinder;
-    }
-    sweep.seek_sum += timing.per_request[i].seek_s;
-    sweep.rotation_sum += timing.per_request[i].rotation_s;
-    sweep.transfer_sum += timing.per_request[i].transfer_s;
-  }
-  if (!timing.per_request.empty() &&
-      timing.total_service_time_s <= config_.round_length_s) {
-    arm = timing.final_arm_cylinder;
-  }
-  sweep.arm_after = arm;
-  ascending_ = !ascending_;
-
-  std::fill(scratch_.zone_hits.begin(), scratch_.zone_hits.end(), 0);
-  for (const sched::DiskRequest& request : batch) {
-    ++scratch_.zone_hits[request.zone];
-  }
-  return sweep;
-}
-
-MixedRoundSimulator::ContinuousSweep
-MixedRoundSimulator::RunContinuousSweepBatched() {
-  const int n = num_continuous_;
+  const size_t n = static_cast<size_t>(num_continuous_);
   RoundScratch& s = scratch_;
 
-  // Whole-round batches: zone + cylinder uniforms (zones through the
-  // geometry's alias table), then sizes, then rotational latencies — same
-  // draw structure as RoundSimulator's batched kernel.
-  rng_.FillUniform01(s.u_zone.data(), n);
-  rng_.FillUniform01(s.u_cylinder.data(), n);
-  for (int i = 0; i < n; ++i) {
-    const int z = geometry_.SampleZoneAlias(s.u_zone[i]);
+  // Whole-round batches in RoundSimulator's batched order: 2n position
+  // uniforms (zones through the geometry's alias table, then cylinders
+  // within the zone), the sizes, then the rotational latencies.
+  rng_.FillUniform01(s.u_pos.data(), 2 * n);
+  const double* u_zone = s.u_pos.data();
+  const double* u_cylinder = s.u_pos.data() + n;
+  for (size_t i = 0; i < n; ++i) {
+    const int z = geometry_.SampleZoneAlias(u_zone[i]);
     const disk::ZoneInfo& zi = geometry_.zone(z);
-    int offset = static_cast<int>(s.u_cylinder[i] * zi.num_cylinders);
+    int offset = static_cast<int>(u_cylinder[i] * zi.num_cylinders);
     if (offset >= zi.num_cylinders) offset = zi.num_cylinders - 1;
     s.zone[i] = z;
     s.cylinder[i] = zi.first_cylinder + offset;
@@ -276,57 +221,37 @@ MixedRoundSimulator::RunContinuousSweepBatched() {
   continuous_sizes_->FillSamples(&rng_, s.bytes.data(), n);
   rng_.FillUniform(0.0, geometry_.rotation_time(), s.rotation_s.data(), n);
 
-  // SCAN order as one flat uint64 sort of (cylinder, index) keys (ties
-  // on the index keep issue order, matching the scalar kernel's stable
-  // sort; complemented cylinders give the descending sweep).
-  if (ascending_) {
-    for (int i = 0; i < n; ++i) {
-      s.sort_key[i] =
-          (static_cast<uint64_t>(static_cast<uint32_t>(s.cylinder[i]))
-           << 32) |
-          static_cast<uint32_t>(i);
-    }
-  } else {
-    for (int i = 0; i < n; ++i) {
-      s.sort_key[i] =
-          (static_cast<uint64_t>(~static_cast<uint32_t>(s.cylinder[i]))
-           << 32) |
-          static_cast<uint32_t>(i);
-    }
-  }
-  std::sort(s.sort_key.begin(), s.sort_key.end());
-  for (int i = 0; i < n; ++i) {
-    s.order[i] = static_cast<int>(s.sort_key[i] & 0xffffffffu);
-  }
-
-  // Fused sweep: clock accumulation, deadline checks and glitch-aware arm
-  // tracking in one pass.
-  ContinuousSweep sweep;
-  double clock = 0.0;
-  int arm = arm_cylinder_;
-  int glitch_arm = arm_cylinder_;
-  for (int pos = 0; pos < n; ++pos) {
-    const int i = s.order[pos];
-    const double seek = seek_.SeekTime(std::abs(s.cylinder[i] - arm));
-    const double transfer = s.bytes[i] / s.rate_bps[i];
-    clock += seek + s.rotation_s[i] + transfer;
-    arm = s.cylinder[i];
-    sweep.seek_sum += seek;
-    sweep.rotation_sum += s.rotation_s[i];
-    sweep.transfer_sum += transfer;
-    if (clock > config_.round_length_s) {
-      ++sweep.glitches;
-    } else {
-      glitch_arm = s.cylinder[i];
-    }
-  }
-  sweep.total_service_s = clock;
-  sweep.arm_after =
-      (n > 0 && clock <= config_.round_length_s) ? arm : glitch_arm;
+  sched::ScanKernel& kernel = s.sweep;
+  kernel.Run(seek_,
+             sched::ScanBatch{n, s.cylinder.data(), s.rotation_s.data(),
+                              s.bytes.data(), s.rate_bps.data()},
+             arm_cylinder_,
+             ascending_ ? sched::SweepDirection::kAscending
+                        : sched::SweepDirection::kDescending);
   ascending_ = !ascending_;
 
-  std::fill(s.zone_hits.begin(), s.zone_hits.end(), 0);
-  for (int i = 0; i < n; ++i) ++s.zone_hits[s.zone[i]];
+  // The requests after the on-time prefix missed the deadline; the arm
+  // ends at the last request served on time.
+  const int* order = kernel.order();
+  const size_t on_time = kernel.OnTimeCount(0.0, config_.round_length_s);
+  ContinuousSweep sweep;
+  sweep.total_service_s = kernel.total_service_time_s();
+  sweep.glitches = static_cast<int>(n - on_time);
+  sweep.arm_after =
+      on_time > 0 ? s.cylinder[static_cast<size_t>(order[on_time - 1])]
+                  : arm_cylinder_;
+  if (config_.trace != nullptr) {
+    // Phase sums and zone tallies only feed the trace event.
+    const double* seek_s = kernel.seek_s();
+    const double* transfer_s = kernel.transfer_s();
+    for (size_t pos = 0; pos < n; ++pos) {
+      sweep.seek_sum += seek_s[pos];
+      sweep.rotation_sum += s.rotation_s[static_cast<size_t>(order[pos])];
+      sweep.transfer_sum += transfer_s[pos];
+    }
+    std::fill(s.zone_hits.begin(), s.zone_hits.end(), 0);
+    for (size_t i = 0; i < n; ++i) ++s.zone_hits[s.zone[i]];
+  }
   return sweep;
 }
 

@@ -20,6 +20,7 @@
 #include "disk/seek_model.h"
 #include "numeric/random.h"
 #include "numeric/statistics.h"
+#include "sched/scan_kernel.h"
 #include "workload/size_distribution.h"
 
 namespace zonestream::obs {
@@ -34,13 +35,6 @@ struct MixedSimulatorConfig {
   double round_length_s = 1.0;
   double discrete_arrival_rate_hz = 0.0;  // Poisson arrivals per second
   uint64_t seed = 42;
-
-  // Use the batched structure-of-arrays kernel for the continuous sweep
-  // (alias-table zone draws, whole-round uniform/Gamma batches, reused
-  // scratch — see SimulatorConfig::batched_kernel). The discrete leftover
-  // queue is data-dependent and always runs scalar. false preserves the
-  // pre-batching bit-exact per-seed sample paths.
-  bool batched_kernel = true;
 
   // Optional observability hooks (not owned; null = disabled). Metrics
   // land under the "mixed." prefix; each round emits one trace event for
@@ -94,8 +88,8 @@ class MixedRoundSimulator {
     double bytes = 0.0;
   };
 
-  // Result of one continuous SCAN sweep; zone tallies for the trace are
-  // left in scratch_.zone_hits.
+  // Result of one continuous SCAN sweep. The phase sums and the zone
+  // tallies (left in scratch_.zone_hits) are filled only when tracing.
   struct ContinuousSweep {
     double total_service_s = 0.0;
     int glitches = 0;
@@ -105,26 +99,23 @@ class MixedRoundSimulator {
     double transfer_sum = 0.0;
   };
 
-  // Reused per-round buffers for the batched continuous sweep.
+  // Reused per-round buffers for the continuous sweep.
   struct RoundScratch {
-    std::vector<double> u_zone;
-    std::vector<double> u_cylinder;
+    // Position uniforms: zone draws in [0, n), cylinder draws in [n, 2n).
+    std::vector<double> u_pos;
     std::vector<int> cylinder;
     std::vector<int> zone;
     std::vector<double> rate_bps;
     std::vector<double> bytes;
     std::vector<double> rotation_s;
-    std::vector<int> order;
-    // (cylinder, index) SCAN sort keys; see RoundSimulator::RoundScratch.
-    std::vector<uint64_t> sort_key;
+    sched::ScanKernel sweep;
     std::vector<int32_t> zone_hits;
   };
 
-  // Runs the continuous sweep with the kernel selected by
-  // config_.batched_kernel; advances rng_ and flips ascending_.
+  // Draws the round's continuous requests the way RoundSimulator's batched
+  // kernel does and serves them through the shared SCAN kernel; advances
+  // rng_ and flips ascending_.
   ContinuousSweep RunContinuousSweep();
-  ContinuousSweep RunContinuousSweepScalar();
-  ContinuousSweep RunContinuousSweepBatched();
 
   disk::DiskGeometry geometry_;
   disk::SeekTimeModel seek_;

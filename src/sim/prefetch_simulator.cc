@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/check.h"
-#include "sched/scan.h"
 
 namespace zonestream::sim {
 
@@ -55,7 +54,10 @@ PrefetchRunResult PrefetchRoundSimulator::Run(int rounds, int warmup) {
 
     // 1. Consume: streams with buffered fragments display from the buffer;
     //    the rest must be served this round.
-    std::vector<sched::DiskRequest> mandatory;
+    cylinder_.clear();
+    rotation_s_.clear();
+    bytes_.clear();
+    rate_bps_.clear();
     for (int s = 0; s < num_streams_; ++s) {
       if (buffered_[s] > 0) {
         --buffered_[s];
@@ -63,45 +65,37 @@ PrefetchRunResult PrefetchRoundSimulator::Run(int rounds, int warmup) {
       }
       const disk::DiskPosition position =
           geometry_.SampleUniformPosition(&rng_);
-      sched::DiskRequest request;
-      request.stream_id = s;
-      request.cylinder = position.cylinder;
-      request.zone = position.zone;
-      request.transfer_rate_bps = position.transfer_rate_bps;
-      request.bytes = sizes_->Sample(&rng_);
-      request.rotational_latency_s =
-          rng_.Uniform(0.0, geometry_.rotation_time());
-      mandatory.push_back(request);
+      cylinder_.push_back(position.cylinder);
+      rate_bps_.push_back(position.transfer_rate_bps);
+      bytes_.push_back(sizes_->Sample(&rng_));
+      rotation_s_.push_back(rng_.Uniform(0.0, geometry_.rotation_time()));
     }
+    const size_t mandatory = cylinder_.size();
     if (counted) {
-      result.mandatory_requests += static_cast<int64_t>(mandatory.size());
+      result.mandatory_requests += static_cast<int64_t>(mandatory);
     }
 
-    // 2. Serve the mandatory batch in one SCAN sweep.
-    sched::SortForScan(&mandatory, ascending_
-                                       ? sched::SweepDirection::kAscending
-                                       : sched::SweepDirection::kDescending);
-    const sched::RoundTiming timing =
-        sched::ExecuteScanRound(seek_, mandatory, arm_cylinder_);
-    int arm = arm_cylinder_;
-    for (size_t i = 0; i < timing.per_request.size(); ++i) {
-      if (timing.per_request[i].completion_s > config_.round_length_s) {
-        if (counted) ++result.glitches;
-      } else {
-        arm = mandatory[i].cylinder;
-      }
-    }
-    if (!timing.per_request.empty() &&
-        timing.total_service_time_s <= config_.round_length_s) {
-      arm = timing.final_arm_cylinder;
-    }
+    // 2. Serve the mandatory batch in one SCAN sweep. The requests after
+    //    the on-time prefix glitch; the arm ends at the last one served.
+    sweep_.Run(seek_,
+               sched::ScanBatch{mandatory, cylinder_.data(),
+                                rotation_s_.data(), bytes_.data(),
+                                rate_bps_.data()},
+               arm_cylinder_,
+               ascending_ ? sched::SweepDirection::kAscending
+                          : sched::SweepDirection::kDescending);
     ascending_ = !ascending_;
+    const size_t on_time = sweep_.OnTimeCount(0.0, config_.round_length_s);
+    if (counted) result.glitches += static_cast<int64_t>(mandatory - on_time);
+    int arm = on_time > 0
+                  ? cylinder_[static_cast<size_t>(sweep_.order()[on_time - 1])]
+                  : arm_cylinder_;
 
     // 3. Prefetch into the leftover time: repeatedly serve the stream with
     //    the lowest buffer level (ties by id) until the round ends or all
     //    buffers are full.
     double clock =
-        std::fmin(timing.total_service_time_s, config_.round_length_s);
+        std::fmin(sweep_.total_service_time_s(), config_.round_length_s);
     while (clock < config_.round_length_s) {
       int target = -1;
       for (int s = 0; s < num_streams_; ++s) {

@@ -25,6 +25,7 @@
 #include "disk/disk_geometry.h"
 #include "disk/seek_model.h"
 #include "numeric/random.h"
+#include "sched/scan_kernel.h"
 #include "workload/size_distribution.h"
 
 namespace zonestream::sim {
@@ -76,6 +77,12 @@ class PrefetchRoundSimulator {
   int arm_cylinder_ = 0;
   bool ascending_ = true;
   std::vector<int> buffered_;  // fragments buffered ahead, per stream
+  // This round's mandatory batch in issue order, and its sweep.
+  std::vector<int> cylinder_;
+  std::vector<double> rotation_s_;
+  std::vector<double> bytes_;
+  std::vector<double> rate_bps_;
+  sched::ScanKernel sweep_;
 };
 
 }  // namespace zonestream::sim

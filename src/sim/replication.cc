@@ -148,18 +148,13 @@ common::StatusOr<ProbabilityEstimate> EstimateGlitchProbabilityReplicated(
   const int64_t rounds =
       static_cast<int64_t>(options.replications) * rounds_per_replication;
   const int64_t trials = rounds * num_streams;
-  numeric::ProportionInterval interval;
-  if (config.legacy_pooled_intervals) {
-    interval = numeric::WilsonInterval(total_events, trials);
-  } else {
-    interval = numeric::ClusteredProportionInterval(
-        merged.mean(), merged.count() > 1 ? merged.sample_variance() : 0.0,
-        rounds, num_streams);
-    // Restate the exact pooled point estimate; the clustering only widens
-    // the interval.
-    interval.point =
-        static_cast<double>(total_events) / static_cast<double>(trials);
-  }
+  numeric::ProportionInterval interval = numeric::ClusteredProportionInterval(
+      merged.mean(), merged.count() > 1 ? merged.sample_variance() : 0.0,
+      rounds, num_streams);
+  // Restate the exact pooled point estimate; the clustering only widens
+  // the interval.
+  interval.point =
+      static_cast<double>(total_events) / static_cast<double>(trials);
   return ProbabilityEstimate{interval.point, interval.lower, interval.upper,
                              trials};
 }

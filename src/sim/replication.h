@@ -54,8 +54,7 @@ common::StatusOr<ProbabilityEstimate> EstimateLateProbabilityReplicated(
 // Estimates p_glitch = P[a given stream glitches in a round] over the same
 // sharding; trials = replications * rounds * num_streams. Per-round glitch
 // events are correlated, so the CI clusters by round (see
-// RoundSimulator::EstimateGlitchProbability); the pre-fix pooled Wilson
-// interval is available via SimulatorConfig::legacy_pooled_intervals.
+// RoundSimulator::EstimateGlitchProbability).
 common::StatusOr<ProbabilityEstimate> EstimateGlitchProbabilityReplicated(
     const disk::DiskGeometry& geometry, const disk::SeekTimeModel& seek,
     int num_streams, const FragmentSourceFactory& source_factory,

@@ -205,17 +205,14 @@ RoundOutcome RoundSimulator::RunRoundScalar() {
   // Arm policy. One-directional SCAN must return the arm to cylinder 0
   // between rounds; that return sweep is disk time like any other seek, so
   // it is charged to this round's service time (Oyang's worst-case bound
-  // also accounts a full-stroke budget). legacy_free_arm_reset preserves
-  // the old teleporting behavior for comparison.
+  // also accounts a full-stroke budget).
   double return_seek_s = 0.0;
   sched::SweepDirection direction = sched::SweepDirection::kAscending;
   if (config_.sweep_policy == SweepPolicy::kAlternate) {
     direction = ascending_ ? sched::SweepDirection::kAscending
                            : sched::SweepDirection::kDescending;
   } else {
-    if (!config_.legacy_free_arm_reset && arm_cylinder_ != 0) {
-      return_seek_s = seek_.SeekTime(arm_cylinder_);
-    }
+    if (arm_cylinder_ != 0) return_seek_s = seek_.SeekTime(arm_cylinder_);
     arm_cylinder_ = 0;
   }
   sched::OrderRequests(&requests, config_.ordering, arm_cylinder_, direction);
@@ -397,9 +394,7 @@ RoundOutcome RoundSimulator::RunRoundBatched() {
     direction = ascending_ ? sched::SweepDirection::kAscending
                            : sched::SweepDirection::kDescending;
   } else {
-    if (!config_.legacy_free_arm_reset && arm_cylinder_ != 0) {
-      return_seek_s = seek_.SeekTime(arm_cylinder_);
-    }
+    if (arm_cylinder_ != 0) return_seek_s = seek_.SeekTime(arm_cylinder_);
     arm_cylinder_ = 0;
   }
 
@@ -711,11 +706,9 @@ ProbabilityEstimate RoundSimulator::EstimateGlitchProbability(int rounds) {
   const int64_t stream_rounds =
       static_cast<int64_t>(rounds) * num_streams_;
   const numeric::ProportionInterval interval =
-      config_.legacy_pooled_intervals
-          ? numeric::WilsonInterval(glitch_events, stream_rounds)
-          : numeric::ClusteredProportionInterval(
-                round_fractions.mean(), round_fractions.sample_variance(),
-                rounds, num_streams_);
+      numeric::ClusteredProportionInterval(round_fractions.mean(),
+                                           round_fractions.sample_variance(),
+                                           rounds, num_streams_);
   const double point = static_cast<double>(glitch_events) /
                        static_cast<double>(stream_rounds);
   return ProbabilityEstimate{point, interval.lower, interval.upper,
@@ -743,10 +736,8 @@ ProbabilityEstimate RoundSimulator::EstimateErrorProbability(int m, int g,
   }
   const int64_t samples = static_cast<int64_t>(lifetimes) * num_streams_;
   const numeric::ProportionInterval interval =
-      config_.legacy_pooled_intervals
-          ? numeric::WilsonInterval(exceeding_streams, samples)
-          : numeric::ClusteredProportionInterval(exceeding_per_lifetime,
-                                                 num_streams_);
+      numeric::ClusteredProportionInterval(exceeding_per_lifetime,
+                                           num_streams_);
   const double point = static_cast<double>(exceeding_streams) /
                        static_cast<double>(samples);
   return ProbabilityEstimate{point, interval.lower, interval.upper, samples};

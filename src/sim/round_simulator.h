@@ -125,20 +125,6 @@ struct SimulatorConfig {
   // substream consumed identically by both kernels.
   bool batched_kernel = true;
 
-  // Legacy-compatibility switches preserving pre-bugfix behavior for
-  // side-by-side comparison; both default to the corrected behavior.
-  //
-  // Before the fix, kResetAscending teleported the arm to cylinder 0
-  // between rounds without charging the return sweep, silently crediting
-  // each round the seek back from wherever the previous sweep ended.
-  bool legacy_free_arm_reset = false;
-  // Before the fix, EstimateGlitchProbability/EstimateErrorProbability
-  // fed correlated events (all streams of one round / one lifetime) into
-  // a pooled Wilson interval, yielding overconfident CIs; the corrected
-  // estimators cluster by round / lifetime (see
-  // numeric::ClusteredProportionInterval).
-  bool legacy_pooled_intervals = false;
-
   // Optional observability hooks (not owned; null = disabled). `metrics`
   // receives counters/histograms under the "sim." prefix and `trace` one
   // obs::RoundTraceEvent per round with source_id `trace_source_id`; both
@@ -209,17 +195,15 @@ class RoundSimulator {
   // (stream, round) glitch events over `rounds` rounds. The events of one
   // round are correlated (one slow sweep glitches many streams at once),
   // so the CI clusters by round: the per-round glitch fraction is the
-  // i.i.d. sample (numeric::ClusteredProportionInterval). Set
-  // SimulatorConfig::legacy_pooled_intervals for the old overconfident
-  // pooled Wilson interval.
+  // i.i.d. sample (numeric::ClusteredProportionInterval).
   ProbabilityEstimate EstimateGlitchProbability(int rounds);
 
   // Estimates p_error = P[a stream suffers >= g glitches in m rounds] over
   // `lifetimes` independent m-round stream lifetimes (each lifetime batch
   // yields num_streams samples — Table 2's simulated series). The
   // num_streams samples of one lifetime share the same m simulated
-  // rounds, so the CI clusters by lifetime (same estimator and legacy
-  // switch as EstimateGlitchProbability).
+  // rounds, so the CI clusters by lifetime (same estimator as
+  // EstimateGlitchProbability).
   ProbabilityEstimate EstimateErrorProbability(int m, int g, int lifetimes);
 
   // Collects `rounds` total-service-time samples (for distribution-level

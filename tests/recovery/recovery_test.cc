@@ -17,13 +17,14 @@
 
 #include <gtest/gtest.h>
 
+#include "common/blob.h"
 #include "common/check.h"
+#include "core/multiclass.h"
 #include "disk/presets.h"
 #include "fault/fault_spec.h"
 #include "numeric/random.h"
 #include "obs/metrics.h"
 #include "obs/round_trace.h"
-#include "recovery/blob.h"
 #include "recovery/checkpoint.h"
 #include "recovery/replay.h"
 #include "recovery/snapshot.h"
@@ -66,7 +67,7 @@ class TempDir {
 // --- Blob primitives ----------------------------------------------------
 
 TEST(BlobTest, WriterReaderRoundtrip) {
-  BlobWriter writer;
+  common::BlobWriter writer;
   writer.PutU8(7);
   writer.PutU32(0xDEADBEEF);
   writer.PutU64(0x0123456789ABCDEFull);
@@ -77,7 +78,7 @@ TEST(BlobTest, WriterReaderRoundtrip) {
   writer.PutWords({1, 2, 3});
   const std::string bytes = writer.Release();
 
-  BlobReader reader(bytes);
+  common::BlobReader reader(bytes);
   EXPECT_EQ(reader.TakeU8(), 7);
   EXPECT_EQ(reader.TakeU32(), 0xDEADBEEFu);
   EXPECT_EQ(reader.TakeU64(), 0x0123456789ABCDEFull);
@@ -91,10 +92,10 @@ TEST(BlobTest, WriterReaderRoundtrip) {
 }
 
 TEST(BlobTest, TruncationIsStickyAndZero) {
-  BlobWriter writer;
+  common::BlobWriter writer;
   writer.PutU64(99);
   const std::string bytes = writer.Release().substr(0, 3);
-  BlobReader reader(bytes);
+  common::BlobReader reader(bytes);
   EXPECT_EQ(reader.TakeU64(), 0u);
   EXPECT_FALSE(reader.ok());
   // Every further read stays zero and failed.
@@ -104,9 +105,9 @@ TEST(BlobTest, TruncationIsStickyAndZero) {
 }
 
 TEST(BlobTest, BoolRejectsNonCanonicalByte) {
-  BlobWriter writer;
+  common::BlobWriter writer;
   writer.PutU8(2);
-  BlobReader reader(writer.data());
+  common::BlobReader reader(writer.data());
   EXPECT_FALSE(reader.TakeBool());
   EXPECT_FALSE(reader.ok());
 }
@@ -114,21 +115,21 @@ TEST(BlobTest, BoolRejectsNonCanonicalByte) {
 TEST(BlobTest, LengthClaimsCappedByRemainingBytes) {
   // A corrupt length prefix claiming 2^60 bytes must fail cleanly, not
   // attempt the allocation.
-  BlobWriter writer;
+  common::BlobWriter writer;
   writer.PutU64(1ull << 60);
   writer.PutU8('x');
-  BlobReader strings(writer.data());
+  common::BlobReader strings(writer.data());
   EXPECT_EQ(strings.TakeString(), "");
   EXPECT_FALSE(strings.ok());
-  BlobReader words(writer.data());
+  common::BlobReader words(writer.data());
   EXPECT_TRUE(words.TakeWords().empty());
   EXPECT_FALSE(words.ok());
 }
 
 TEST(BlobTest, Crc64MatchesCheckValue) {
   // The CRC-64/XZ check value over the standard test vector.
-  EXPECT_EQ(Crc64("123456789"), 0x995DC9BBDF1939FAull);
-  EXPECT_EQ(Crc64(""), 0u);
+  EXPECT_EQ(common::Crc64("123456789"), 0x995DC9BBDF1939FAull);
+  EXPECT_EQ(common::Crc64(""), 0u);
 }
 
 // --- Snapshot container -------------------------------------------------
@@ -158,7 +159,7 @@ TEST(SnapshotTest, CheckpointRoundtripSmoke) {
                                static_cast<uint8_t>(bytes[11])) << 24;
   EXPECT_EQ(version, kSnapshotVersion);
   // The trailing u64 is the CRC of everything before it.
-  EXPECT_EQ(Crc64(std::string_view(bytes).substr(0, bytes.size() - 8)),
+  EXPECT_EQ(common::Crc64(std::string_view(bytes).substr(0, bytes.size() - 8)),
             [&] {
               uint64_t crc = 0;
               for (int i = 7; i >= 0; --i) {
@@ -199,7 +200,7 @@ service::AdmissionServiceState SampleServiceState() {
 // duplicate sections).
 std::string FrameSections(
     const std::vector<std::pair<std::string, std::string>>& sections) {
-  BlobWriter writer;
+  common::BlobWriter writer;
   for (char c : kSnapshotMagic) writer.PutU8(static_cast<uint8_t>(c));
   writer.PutU32(kSnapshotVersion);
   writer.PutU32(static_cast<uint32_t>(sections.size()));
@@ -208,8 +209,8 @@ std::string FrameSections(
     writer.PutString(payload);
   }
   std::string bytes = writer.Release();
-  BlobWriter crc;
-  crc.PutU64(Crc64(bytes));
+  common::BlobWriter crc;
+  crc.PutU64(common::Crc64(bytes));
   return bytes + crc.data();
 }
 
@@ -217,7 +218,7 @@ std::string FrameSections(
 // for splicing into hand-framed containers.
 std::string MetaSectionPayload() {
   const std::string bytes = EncodeSnapshot(MetaOnlySnapshot());
-  BlobReader reader(std::string_view(bytes).substr(
+  common::BlobReader reader(std::string_view(bytes).substr(
       kSnapshotMagic.size(), bytes.size() - kSnapshotMagic.size() - 8));
   (void)reader.TakeU32();  // version
   const uint32_t sections = reader.TakeU32();
@@ -290,19 +291,25 @@ TEST(SnapshotTest, RejectsBadMagic) {
 }
 
 TEST(SnapshotTest, RejectsWrongVersionWithSpecificError) {
-  // Craft a container with version 99 and a *valid* checksum, so the
-  // version check itself is what fires.
-  BlobWriter writer;
-  for (char c : kSnapshotMagic) writer.PutU8(static_cast<uint8_t>(c));
-  writer.PutU32(99);
-  writer.PutU32(0);  // no sections
-  std::string bytes = writer.Release();
-  BlobWriter crc;
-  crc.PutU64(Crc64(bytes));
-  bytes += crc.data();
-  const auto decoded = DecodeSnapshot(bytes);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_NE(decoded.status().message().find("version"), std::string::npos);
+  // Craft containers with an old or unknown version and a *valid*
+  // checksum, so the version check itself is what fires. Version 3 server
+  // streams lack the class index that version 4 appends.
+  for (const uint32_t version : {1u, 2u, 3u, 99u}) {
+    common::BlobWriter writer;
+    for (char c : kSnapshotMagic) writer.PutU8(static_cast<uint8_t>(c));
+    writer.PutU32(version);
+    writer.PutU32(0);  // no sections
+    std::string bytes = writer.Release();
+    common::BlobWriter crc;
+    crc.PutU64(common::Crc64(bytes));
+    bytes += crc.data();
+    const auto decoded = DecodeSnapshot(bytes);
+    ASSERT_FALSE(decoded.ok()) << version;
+    EXPECT_NE(decoded.status().message().find(
+                  "unsupported snapshot version " + std::to_string(version)),
+              std::string::npos)
+        << decoded.status().ToString();
+  }
 }
 
 TEST(SnapshotTest, RejectsEveryTruncation) {
@@ -633,6 +640,120 @@ TEST(ServerResumeTest, RestoreRejectsMismatchedConfiguration) {
   EXPECT_FALSE(server->RestoreState(state, resolver).ok());
   // A rejected restore must leave the server able to keep running.
   server->RunRound();
+}
+
+server::MediaServerConfig ClassServerConfig(obs::RoundTraceRecorder* trace) {
+  auto model = core::MultiClassServiceModel::Create(
+      disk::QuantumViking2100(), disk::QuantumViking2100Seek(),
+      {{"video", 200e3, 100e3 * 100e3}, {"audio", 16e3, 4e3 * 4e3}});
+  ZS_CHECK(model.ok());
+  server::MediaServerConfig config;
+  config.num_disks = 2;
+  config.round_length_s = 1.0;
+  config.per_disk_stream_limit = 1000;
+  config.seed = 31;
+  config.class_model =
+      std::make_shared<core::MultiClassServiceModel>(*std::move(model));
+  config.class_late_tolerance = 0.01;
+  config.trace = trace;
+  return config;
+}
+
+// Class-mode churn: one open of a random class, then random closes.
+void ClassChurn(server::MediaServer* server, numeric::Rng* rng,
+                std::vector<int>* active) {
+  auto id = server->OpenStream(rng->Uniform01() < 0.5 ? 0 : 1);
+  if (id.ok()) active->push_back(*id);
+  for (size_t i = 0; i < active->size();) {
+    if (rng->Uniform01() < 0.05) {
+      (void)server->CloseStream((*active)[i]);
+      (*active)[i] = active->back();
+      active->pop_back();
+    } else {
+      ++i;
+    }
+  }
+}
+
+TEST(ServerResumeTest, ClassModeBitIdentical) {
+  obs::RoundTraceRecorder reference_trace;
+  auto reference = server::MediaServer::Create(
+      disk::QuantumViking2100(), disk::QuantumViking2100Seek(),
+      ClassServerConfig(&reference_trace));
+  ASSERT_TRUE(reference.ok());
+  numeric::Rng reference_churn(5);
+  std::vector<int> reference_active;
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(reference->OpenStream(i % 2).ok());
+  }
+  for (int r = 0; r < 20; ++r) {
+    ClassChurn(&*reference, &reference_churn, &reference_active);
+    reference->RunRound();
+  }
+  const size_t tail_start = reference_trace.size();
+
+  Snapshot snapshot;
+  snapshot.server = reference->ExportState();
+  const auto decoded = DecodeSnapshot(EncodeSnapshot(snapshot));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_TRUE(decoded->server.has_value());
+  for (const server::StreamSnapshotState& stream : decoded->server->streams) {
+    EXPECT_GE(stream.stream_class, 0);
+  }
+
+  // A class-mode state fits only a class-mode server, and vice versa.
+  server::MediaServerConfig plain_config;
+  plain_config.num_disks = 2;
+  plain_config.per_disk_stream_limit = 1000;
+  auto plain = server::MediaServer::Create(disk::QuantumViking2100(),
+                                           disk::QuantumViking2100Seek(),
+                                           plain_config);
+  ASSERT_TRUE(plain.ok());
+  const auto resolver = [](const server::StreamSnapshotState&) {
+    return Table1Sizes();
+  };
+  EXPECT_FALSE(plain->RestoreState(*decoded->server, resolver).ok());
+  ASSERT_TRUE(plain->OpenStream(Table1Sizes()).ok());
+
+  obs::RoundTraceRecorder resumed_trace;
+  auto resumed = server::MediaServer::Create(
+      disk::QuantumViking2100(), disk::QuantumViking2100Seek(),
+      ClassServerConfig(&resumed_trace));
+  ASSERT_TRUE(resumed.ok());
+  EXPECT_FALSE(resumed->RestoreState(plain->ExportState(), resolver).ok());
+  server::MediaServerState bad_class = *decoded->server;
+  bad_class.streams.front().stream_class = 2;  // the model has 2 classes
+  EXPECT_FALSE(resumed->RestoreState(bad_class, nullptr).ok());
+  // Class streams re-bind to their class's sizes: no resolver needed.
+  const auto restored = resumed->RestoreState(*decoded->server, nullptr);
+  ASSERT_TRUE(restored.ok()) << restored.ToString();
+  for (int p = 0; p < 2; ++p) {
+    EXPECT_EQ(resumed->phase_mix(p), reference->phase_mix(p));
+  }
+  numeric::Rng resumed_churn(0);
+  ASSERT_TRUE(resumed_churn.LoadState(reference_churn.SaveState()).ok());
+  std::vector<int> resumed_active = reference_active;
+
+  for (int r = 0; r < 20; ++r) {
+    ClassChurn(&*reference, &reference_churn, &reference_active);
+    reference->RunRound();
+    ClassChurn(&*resumed, &resumed_churn, &resumed_active);
+    resumed->RunRound();
+  }
+  const auto all = reference_trace.Snapshot();
+  const std::vector<obs::RoundTraceEvent> expected(
+      all.begin() + static_cast<ptrdiff_t>(tail_start), all.end());
+  const auto status = CompareTraces(expected, resumed_trace.Snapshot());
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(reference->active_streams(), resumed->active_streams());
+  for (int c = 0; c < 2; ++c) {
+    EXPECT_EQ(reference->active_streams_of_class(c),
+              resumed->active_streams_of_class(c));
+  }
+  const server::ServerStats a = reference->GetServerStats();
+  const server::ServerStats b = resumed->GetServerStats();
+  EXPECT_EQ(a.fragments_served, b.fragments_served);
+  EXPECT_EQ(a.glitches, b.glitches);
 }
 
 // --- VerifyReplay harness ----------------------------------------------

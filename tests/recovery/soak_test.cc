@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/blob.h"
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "disk/presets.h"
@@ -30,7 +31,6 @@
 #include "numeric/random.h"
 #include "obs/metrics.h"
 #include "obs/round_trace.h"
-#include "recovery/blob.h"
 #include "recovery/checkpoint.h"
 #include "recovery/replay.h"
 #include "recovery/snapshot.h"
@@ -146,7 +146,7 @@ struct ChurnState {
 };
 
 std::string EncodeChurn(const ChurnState& churn) {
-  BlobWriter out;
+  common::BlobWriter out;
   out.PutString(churn.rng.SaveState());
   out.PutI64(churn.next_round);
   out.PutU64(churn.active.size());
@@ -155,7 +155,7 @@ std::string EncodeChurn(const ChurnState& churn) {
 }
 
 common::Status DecodeChurn(const std::string& payload, ChurnState* out) {
-  BlobReader in(payload);
+  common::BlobReader in(payload);
   const std::string rng_state = in.TakeString();
   ChurnState churn;
   churn.next_round = in.TakeI64();

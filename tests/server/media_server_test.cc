@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/multiclass.h"
 #include "disk/presets.h"
 #include "obs/metrics.h"
 #include "obs/round_trace.h"
@@ -627,6 +628,178 @@ TEST(MediaServerFaultTest, InertFaultConfigKeepsStatsBitIdentical) {
   for (size_t d = 0; d < a.disk_utilization.size(); ++d) {
     EXPECT_DOUBLE_EQ(a.disk_utilization[d], b.disk_utilization[d]);
   }
+}
+
+// --------------------------------------------------------------------------
+// Class mode (MediaServerConfig::class_model): per-phase admission against
+// the multi-class late-probability transform (extension X1).
+
+std::shared_ptr<const core::MultiClassServiceModel> VideoAudioModel() {
+  auto model = core::MultiClassServiceModel::Create(
+      disk::QuantumViking2100(), disk::QuantumViking2100Seek(),
+      {{"video", 200e3, 100e3 * 100e3}, {"audio", 16e3, 4e3 * 4e3}});
+  ZS_CHECK(model.ok());
+  return std::make_shared<core::MultiClassServiceModel>(*std::move(model));
+}
+
+MediaServerConfig ClassConfig(int disks, uint64_t seed = 42,
+                              double delta = 0.01) {
+  MediaServerConfig config;
+  config.num_disks = disks;
+  config.round_length_s = 1.0;
+  // Far above what the class test admits, so the mix is what binds.
+  config.per_disk_stream_limit = 1000;
+  config.seed = seed;
+  config.class_model = VideoAudioModel();
+  config.class_late_tolerance = delta;
+  return config;
+}
+
+MediaServer MakeClassServer(int disks, uint64_t seed = 42,
+                            double delta = 0.01) {
+  auto server = MediaServer::Create(disk::QuantumViking2100(),
+                                    disk::QuantumViking2100Seek(),
+                                    ClassConfig(disks, seed, delta));
+  ZS_CHECK(server.ok());
+  return *std::move(server);
+}
+
+TEST(MultiClassServerTest, CreateValidation) {
+  // Opening by class needs a class model; a class-mode server opens by
+  // class only.
+  MediaServer plain = MakeServer(1, 10);
+  EXPECT_FALSE(plain.OpenStream(/*stream_class=*/0).ok());
+  MediaServer classy = MakeClassServer(1);
+  EXPECT_FALSE(classy.OpenStream(Table1Sizes()).ok());
+  MediaServerConfig config = ClassConfig(1);
+  config.num_disks = 0;
+  EXPECT_FALSE(MediaServer::Create(disk::QuantumViking2100(),
+                                   disk::QuantumViking2100Seek(), config)
+                   .ok());
+  config.num_disks = 1;
+  config.class_late_tolerance = 0.0;
+  EXPECT_FALSE(MediaServer::Create(disk::QuantumViking2100(),
+                                   disk::QuantumViking2100Seek(), config)
+                   .ok());
+  config.class_late_tolerance = 1.0;
+  EXPECT_FALSE(MediaServer::Create(disk::QuantumViking2100(),
+                                   disk::QuantumViking2100Seek(), config)
+                   .ok());
+}
+
+TEST(MultiClassServerTest, RejectsUnknownClass) {
+  MediaServer server = MakeClassServer(1);
+  EXPECT_FALSE(server.OpenStream(-1).ok());
+  EXPECT_FALSE(server.OpenStream(2).ok());
+}
+
+TEST(MultiClassServerTest, SingleDiskVideoCapacityMatchesModel) {
+  // Pure video on one disk: admission must stop at the model's solo
+  // capacity (26 at 1%).
+  MediaServer server = MakeClassServer(1);
+  int admitted = 0;
+  while (server.OpenStream(/*stream_class=*/0).ok()) ++admitted;
+  EXPECT_EQ(admitted, 26);
+}
+
+TEST(MultiClassServerTest, AudioFitsAfterVideoRejection) {
+  // Once video is full, lighter audio streams still fit (the frontier is
+  // not a simple stream count).
+  MediaServer server = MakeClassServer(1);
+  while (server.OpenStream(0).ok()) {
+  }
+  EXPECT_TRUE(server.OpenStream(1).ok());
+  EXPECT_TRUE(server.OpenStream(1).ok());
+}
+
+TEST(MultiClassServerTest, MixedAdmissionBalancesPhases) {
+  MediaServer server = MakeClassServer(4, 7);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(server.OpenStream(i % 2).ok());
+  }
+  // 20 video + 20 audio over 4 phases: each phase holds ~5 of each.
+  for (int p = 0; p < 4; ++p) {
+    const core::ClassCounts& mix = server.phase_mix(p);
+    EXPECT_EQ(mix[0] + mix[1], 10);
+  }
+  EXPECT_EQ(server.active_streams_of_class(0), 20);
+  EXPECT_EQ(server.active_streams_of_class(1), 20);
+}
+
+TEST(MultiClassServerTest, CloseFreesCapacityForClass) {
+  MediaServer server = MakeClassServer(1);
+  std::vector<int> videos;
+  while (true) {
+    auto id = server.OpenStream(0);
+    if (!id.ok()) break;
+    videos.push_back(*id);
+  }
+  ASSERT_TRUE(server.CloseStream(videos.back()).ok());
+  EXPECT_TRUE(server.OpenStream(0).ok());
+}
+
+TEST(MultiClassServerTest, AdmittedMixDeliversQoS) {
+  // Fill a 2-disk server with an alternating mix and run 600 rounds: the
+  // per-phase admission keeps every disk within the 1% tolerance, so the
+  // overall glitch rate stays well under it.
+  MediaServer server = MakeClassServer(2, 11);
+  int cls = 0;
+  while (server.OpenStream(cls).ok()) cls = 1 - cls;
+  ASSERT_GT(server.active_streams(), 30);
+  server.RunRounds(600);
+  const ServerStats stats = server.GetServerStats();
+  const double glitch_rate =
+      static_cast<double>(stats.glitches) /
+      (stats.fragments_served + stats.glitches);
+  EXPECT_LT(glitch_rate, 0.01);
+  EXPECT_GT(stats.fragments_served, 0);
+}
+
+TEST(MultiClassServerTest, StrictToleranceAdmitsFewer) {
+  MediaServer loose = MakeClassServer(1, 3, 0.05);
+  MediaServer strict = MakeClassServer(1, 3, 0.0001);
+  int loose_count = 0;
+  while (loose.OpenStream(0).ok()) ++loose_count;
+  int strict_count = 0;
+  while (strict.OpenStream(0).ok()) ++strict_count;
+  EXPECT_GT(loose_count, strict_count);
+}
+
+TEST(MultiClassServerTest, StreamStatsTracked) {
+  MediaServer server = MakeClassServer(1, 5);
+  const auto id = server.OpenStream(1);
+  ASSERT_TRUE(id.ok());
+  server.RunRounds(20);
+  const auto stats = server.GetStreamStats(*id);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->rounds_served, 20);
+  EXPECT_FALSE(server.GetStreamStats(999).ok());
+}
+
+TEST(MultiClassServerTest, CountLimitStillBinds) {
+  // The class test rides on top of the per-phase count limit: with room
+  // for 26 solo videos by the model, a limit of 5 per disk admits 10 on
+  // two disks, and a close frees exactly one slot.
+  MediaServerConfig config = ClassConfig(2);
+  config.per_disk_stream_limit = 5;
+  auto server = MediaServer::Create(disk::QuantumViking2100(),
+                                    disk::QuantumViking2100Seek(), config);
+  ASSERT_TRUE(server.ok());
+  std::vector<int> ids;
+  while (true) {
+    auto id = server->OpenStream(0);
+    if (!id.ok()) {
+      EXPECT_EQ(id.status().code(), common::StatusCode::kResourceExhausted);
+      break;
+    }
+    ids.push_back(*id);
+  }
+  EXPECT_EQ(ids.size(), 10u);
+  EXPECT_EQ(server->phase_mix(0)[0], 5);
+  EXPECT_EQ(server->phase_mix(1)[0], 5);
+  ASSERT_TRUE(server->CloseStream(ids.front()).ok());
+  EXPECT_TRUE(server->OpenStream(1).ok());
+  EXPECT_FALSE(server->OpenStream(1).ok());
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 #include "disk/presets.h"
 #include "obs/metrics.h"
 #include "obs/round_trace.h"
-#include "sim/mixed_simulator.h"
 #include "sim/replication.h"
 #include "sim/round_simulator.h"
 #include "workload/size_distribution.h"
@@ -149,37 +148,6 @@ TEST(BatchKernelTest, KernelsAgreeOnLateProbability) {
   const double se = std::sqrt(2.0 * pooled * (1.0 - pooled) / rounds);
   EXPECT_NEAR(b.point, s.point, 5.0 * se + 1e-6)
       << "batched " << b.point << " scalar " << s.point;
-}
-
-TEST(BatchKernelTest, MixedSimulatorKernelsStatisticallyIndistinguishable) {
-  const int rounds = 4000;
-  MixedSimulatorConfig config;
-  config.round_length_s = 1.0;
-  config.discrete_arrival_rate_hz = 3.0;
-  config.seed = 515;
-  config.batched_kernel = true;
-  auto batched = MixedRoundSimulator::Create(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 26,
-      Table1Sizes(), Table1Sizes(), config);
-  ASSERT_TRUE(batched.ok());
-  config.seed = 616;
-  config.batched_kernel = false;
-  auto scalar = MixedRoundSimulator::Create(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 26,
-      Table1Sizes(), Table1Sizes(), config);
-  ASSERT_TRUE(scalar.ok());
-
-  const MixedRunResult b = batched->Run(rounds);
-  const MixedRunResult s = scalar->Run(rounds);
-  EXPECT_EQ(b.rounds, s.rounds);
-  EXPECT_EQ(b.continuous_requests, s.continuous_requests);
-  // Leftover time is round_length - continuous sweep - discrete service:
-  // the most sensitive aggregate of the continuous kernel's output.
-  EXPECT_NEAR(b.mean_leftover_s, s.mean_leftover_s,
-              0.05 * config.round_length_s);
-  EXPECT_NEAR(b.continuous_glitch_rate, s.continuous_glitch_rate, 0.02);
-  EXPECT_NEAR(b.mean_response_time_s, s.mean_response_time_s,
-              0.25 * s.mean_response_time_s + 0.01);
 }
 
 // --------------------------------------------------------------------------

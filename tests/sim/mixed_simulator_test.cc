@@ -1,11 +1,15 @@
 #include "sim/mixed_simulator.h"
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/mixed_workload.h"
 #include "disk/presets.h"
+#include "obs/round_trace.h"
+#include "sim/round_simulator.h"
 #include "workload/size_distribution.h"
 
 namespace zonestream::sim {
@@ -131,6 +135,95 @@ TEST(MixedSimulatorTest, ThroughputMatchesAnalyticEstimate) {
   // should complete essentially all of it.
   EXPECT_GT(model->ExpectedDiscreteThroughput(n, 1.0), lambda);
   EXPECT_NEAR(result.mean_discrete_per_round, lambda, 0.8);
+}
+
+TEST(MixedSimulatorTest, NoArrivalsIsTheBatchedRoundSimulator) {
+  // With no discrete traffic the continuous side draws RoundSimulator's
+  // batched variates in its order and serves them through the same SCAN
+  // kernel, so every round agrees bit for bit with the alternating-sweep
+  // simulator on the same seed. 8 and 26 sort on the network, 32 at its
+  // edge, 33 and 40 on 64-bit keys; above N_max = 26 the deadline ledger
+  // and the late-round arm rule are compared too.
+  constexpr int kRounds = 1200;
+  constexpr uint64_t kSeed = 4242;
+  for (const int n : {8, 26, 32, 33, 40}) {
+    SCOPED_TRACE(::testing::Message() << "N=" << n);
+    obs::RoundTraceRecorder mixed_trace(kRounds);
+    MixedSimulatorConfig mixed_config;
+    mixed_config.round_length_s = 1.0;
+    mixed_config.seed = kSeed;
+    mixed_config.trace = &mixed_trace;
+    auto mixed = MixedRoundSimulator::Create(
+        disk::QuantumViking2100(), disk::QuantumViking2100Seek(), n,
+        VideoSizes(), WebSizes(), mixed_config);
+    ASSERT_TRUE(mixed.ok());
+    mixed->Run(kRounds);
+
+    obs::RoundTraceRecorder sim_trace(kRounds);
+    SimulatorConfig sim_config;
+    sim_config.round_length_s = 1.0;
+    sim_config.seed = kSeed;
+    sim_config.sweep_policy = SweepPolicy::kAlternate;
+    sim_config.trace = &sim_trace;
+    auto simulator = RoundSimulator::Create(
+        disk::QuantumViking2100(), disk::QuantumViking2100Seek(), n,
+        RoundSimulator::IidFactory(VideoSizes()), sim_config);
+    ASSERT_TRUE(simulator.ok());
+    for (int r = 0; r < kRounds; ++r) simulator->RunRound();
+
+    const std::vector<obs::RoundTraceEvent> a = mixed_trace.Snapshot();
+    const std::vector<obs::RoundTraceEvent> b = sim_trace.Snapshot();
+    ASSERT_EQ(a.size(), static_cast<size_t>(kRounds));
+    ASSERT_EQ(b.size(), static_cast<size_t>(kRounds));
+    int64_t glitches = 0;
+    for (int r = 0; r < kRounds; ++r) {
+      EXPECT_EQ(a[r].service_time_s, b[r].service_time_s) << "round " << r;
+      EXPECT_EQ(a[r].glitches, b[r].glitches) << "round " << r;
+      glitches += a[r].glitches;
+    }
+    if (n > 26) {
+      EXPECT_GT(glitches, 0);
+    }
+  }
+}
+
+TEST(MixedSimulatorTest, DiscreteSamplePathIsPinned) {
+  // A loaded continuous side (N = 29 glitches now and then) with Poisson
+  // discrete traffic in its leftover windows. The values were captured
+  // before the continuous sweep moved onto sched::ScanKernel; the move
+  // keeps every draw, so EXPECT_EQ on doubles is deliberate.
+  obs::RoundTraceRecorder trace(400);
+  MixedSimulatorConfig config;
+  config.round_length_s = 1.0;
+  config.discrete_arrival_rate_hz = 2.0;
+  config.seed = 515;
+  config.trace = &trace;
+  auto simulator = MixedRoundSimulator::Create(
+      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 29,
+      VideoSizes(), WebSizes(), config);
+  ASSERT_TRUE(simulator.ok());
+  const MixedRunResult result = simulator->Run(400);
+  EXPECT_EQ(result.continuous_glitches, 6);
+  EXPECT_EQ(result.discrete_arrivals, 845);
+  EXPECT_EQ(result.discrete_completed, 845);
+  EXPECT_EQ(result.max_queue_depth, 7);
+  EXPECT_EQ(result.mean_leftover_s, 0.14538084444880325);
+  EXPECT_EQ(result.mean_response_time_s, 0.45694512495731637);
+  EXPECT_EQ(result.p95_response_time_s, 0.94921704799845918);
+  double service = 0.0;
+  double seek = 0.0;
+  double rotation = 0.0;
+  double transfer = 0.0;
+  for (const obs::RoundTraceEvent& event : trace.Snapshot()) {
+    service += event.service_time_s;
+    seek += event.seek_s;
+    rotation += event.rotation_s;
+    transfer += event.transfer_s;
+  }
+  EXPECT_EQ(service, 341.88310275163695);
+  EXPECT_EQ(seek, 44.264509119672624);
+  EXPECT_EQ(rotation, 48.373837991048326);
+  EXPECT_EQ(transfer, 249.24475564091622);
 }
 
 }  // namespace

@@ -116,5 +116,24 @@ TEST(PrefetchSimulatorTest, ConservationOfWork) {
   EXPECT_GE(fetched, result.stream_rounds - result.glitches - 28 * 2 - 28);
 }
 
+TEST(PrefetchSimulatorTest, SamplePathIsPinned) {
+  // Values captured before the mandatory batch moved onto
+  // sched::ScanKernel; the move keeps every draw, so the counts and the
+  // buffer level stay exact. N = 30 with no buffer glitches in the SCAN
+  // ledger; N = 32 with two fragments of buffer also prefetches.
+  PrefetchRoundSimulator bufferless = MakeSimulator(30, 0, 77);
+  const PrefetchRunResult a = bufferless.Run(400, /*warmup=*/50);
+  EXPECT_EQ(a.glitches, 23);
+  EXPECT_EQ(a.mandatory_requests, 12000);
+  EXPECT_EQ(a.prefetched_fragments, 0);
+
+  PrefetchRoundSimulator buffered = MakeSimulator(32, 2, 77);
+  const PrefetchRunResult b = buffered.Run(400, /*warmup=*/50);
+  EXPECT_EQ(b.glitches, 2);
+  EXPECT_EQ(b.mandatory_requests, 9842);
+  EXPECT_EQ(b.prefetched_fragments, 2971);
+  EXPECT_EQ(b.mean_buffer_level, 0.23210937500000001);
+}
+
 }  // namespace
 }  // namespace zonestream::sim

@@ -1,12 +1,15 @@
 #include "sim/replication.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "disk/presets.h"
+#include "numeric/statistics.h"
 #include "obs/metrics.h"
 #include "obs/round_trace.h"
 #include "workload/size_distribution.h"
@@ -246,25 +249,25 @@ TEST(ReplicationTest, DisabledDisturbanceBitIdenticalAtAnyThreadCount) {
 }
 
 TEST(ReplicationTest, GlitchIntervalClusteredWiderThanLegacyPooled) {
+  // The round-clustered interval is wider than the pooled Wilson interval
+  // over the same events and trials, which treats the correlated
+  // (stream, round) events as independent.
   const auto factory = RoundSimulator::IidFactory(TestSizes());
   ReplicationOptions options;
   options.replications = 8;
-  SimulatorConfig clustered_config = TestConfig();
-  SimulatorConfig pooled_config = TestConfig();
-  pooled_config.legacy_pooled_intervals = true;
   const int n = 30;  // loaded enough to glitch
   const auto clustered = EstimateGlitchProbabilityReplicated(
       disk::QuantumViking2100(), disk::QuantumViking2100Seek(), n, factory,
-      clustered_config, /*rounds_per_replication=*/500, options);
-  const auto pooled = EstimateGlitchProbabilityReplicated(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), n, factory,
-      pooled_config, /*rounds_per_replication=*/500, options);
+      TestConfig(), /*rounds_per_replication=*/500, options);
   ASSERT_TRUE(clustered.ok());
-  ASSERT_TRUE(pooled.ok());
-  EXPECT_DOUBLE_EQ(clustered->point, pooled->point);
+  const int64_t events = std::llround(
+      clustered->point * static_cast<double>(clustered->trials));
+  const numeric::ProportionInterval pooled =
+      numeric::WilsonInterval(events, clustered->trials);
+  EXPECT_DOUBLE_EQ(clustered->point, pooled.point);
   EXPECT_GT(clustered->point, 0.0);
   EXPECT_GT(clustered->ci_upper - clustered->ci_lower,
-            pooled->ci_upper - pooled->ci_lower);
+            pooled.upper - pooled.lower);
 }
 
 TEST(ReplicationTest, SharedObsHooksCollectAcrossReplications) {

@@ -1,6 +1,7 @@
 #include "sim/round_simulator.h"
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "core/service_time_model.h"
 #include "core/transfer_models.h"
 #include "disk/presets.h"
+#include "numeric/statistics.h"
 #include "obs/metrics.h"
 #include "obs/round_trace.h"
 #include "workload/size_distribution.h"
@@ -278,12 +280,11 @@ TEST(RoundSimulatorTest, WilsonIntervalsBracketThePoint) {
 // --------------------------------------------------------------------------
 // Regression: the one-directional sweep must charge the return seek
 
-RoundSimulator MakeResetSimulator(int n, uint64_t seed, bool legacy) {
+RoundSimulator MakeResetSimulator(int n, uint64_t seed) {
   SimulatorConfig config;
   config.round_length_s = 1.0;
   config.seed = seed;
   config.sweep_policy = SweepPolicy::kResetAscending;
-  config.legacy_free_arm_reset = legacy;
   auto simulator = RoundSimulator::Create(
       disk::QuantumViking2100(), disk::QuantumViking2100Seek(), n,
       RoundSimulator::IidFactory(Table1Sizes()), config);
@@ -291,21 +292,49 @@ RoundSimulator MakeResetSimulator(int n, uint64_t seed, bool legacy) {
   return *std::move(simulator);
 }
 
+// One kResetAscending round from `simulator`'s current state, and the same
+// round from a twin that imports that state with the arm already at
+// cylinder 0 — the round an uncharged (teleporting) reset would serve.
+// Every sweep starts at cylinder 0, so the two draw and serve identical
+// requests and differ only by the charged return seek.
+struct ResetRoundPair {
+  int arm_before = 0;
+  double with_return = 0.0;
+  double free_reset = 0.0;
+};
+
+ResetRoundPair RunResetRoundPair(RoundSimulator* simulator,
+                                 RoundSimulator* twin) {
+  RoundSimulatorState state = simulator->ExportState();
+  ResetRoundPair pair;
+  pair.arm_before = state.arm_cylinder;
+  state.arm_cylinder = 0;
+  ZS_CHECK(twin->ImportState(state).ok());
+  pair.with_return = simulator->RunRound().total_service_time_s;
+  pair.free_reset = twin->RunRound().total_service_time_s;
+  return pair;
+}
+
 TEST(ArmResetRegressionTest, ReturnSeekLengthensRoundsVsLegacy) {
-  // Same seed => identical request sample paths (both sweeps start at
-  // cylinder 0 every round), so the corrected policy's rounds must be
-  // strictly longer by exactly the charged return seek.
-  RoundSimulator fixed = MakeResetSimulator(26, 57, /*legacy=*/false);
-  RoundSimulator legacy = MakeResetSimulator(26, 57, /*legacy=*/true);
-  // Round 0 starts with the arm already at 0: no return seek yet.
-  EXPECT_DOUBLE_EQ(fixed.RunRound().total_service_time_s,
-                   legacy.RunRound().total_service_time_s);
+  // Each round is charged exactly the seek back from where the previous
+  // sweep ended, on top of the round a free reset would serve.
+  RoundSimulator fixed = MakeResetSimulator(26, 57);
+  RoundSimulator twin = MakeResetSimulator(26, 57);
+  const disk::SeekTimeModel seek = disk::QuantumViking2100Seek();
   double charged = 0.0;
-  for (int r = 1; r < 200; ++r) {
-    const double with_return = fixed.RunRound().total_service_time_s;
-    const double free_reset = legacy.RunRound().total_service_time_s;
-    EXPECT_GT(with_return, free_reset) << "round " << r;
-    charged += with_return - free_reset;
+  for (int r = 0; r < 200; ++r) {
+    const ResetRoundPair pair = RunResetRoundPair(&fixed, &twin);
+    EXPECT_EQ(pair.with_return,
+              (pair.arm_before != 0 ? seek.SeekTime(pair.arm_before) : 0.0) +
+                  pair.free_reset)
+        << "round " << r;
+    if (r == 0) {
+      // Round 0 starts with the arm already at 0: no return seek yet.
+      EXPECT_EQ(pair.arm_before, 0);
+      continue;
+    }
+    EXPECT_GT(pair.with_return, pair.free_reset) << "round " << r;
+    charged += pair.with_return - pair.free_reset;
   }
   // The per-round surcharge is a real seek: a full-stroke sweep back
   // takes ~10-20 ms on this disk, never hours and never zero.
@@ -316,36 +345,25 @@ TEST(ArmResetRegressionTest, ReturnSeekLengthensRoundsVsLegacy) {
 TEST(ArmResetRegressionTest, ReturnSeekRaisesLateProbabilityEstimate) {
   // At N = 30 the system sits near its deadline, so the uncharged seek
   // visibly underestimates p_late.
-  RoundSimulator fixed = MakeResetSimulator(30, 13, /*legacy=*/false);
-  RoundSimulator legacy = MakeResetSimulator(30, 13, /*legacy=*/true);
-  const double p_fixed = fixed.EstimateLateProbability(4000).point;
-  const double p_legacy = legacy.EstimateLateProbability(4000).point;
-  EXPECT_GT(p_fixed, p_legacy);
-}
-
-TEST(ArmResetRegressionTest, AlternatePolicyUnaffectedByLegacyFlag) {
-  SimulatorConfig config;
-  config.seed = 91;
-  config.legacy_free_arm_reset = true;
-  auto legacy = RoundSimulator::Create(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 26,
-      RoundSimulator::IidFactory(Table1Sizes()), config);
-  ASSERT_TRUE(legacy.ok());
-  RoundSimulator plain = MakeSimulator(26, 91);
-  for (int r = 0; r < 50; ++r) {
-    EXPECT_DOUBLE_EQ(legacy->RunRound().total_service_time_s,
-                     plain.RunRound().total_service_time_s);
+  RoundSimulator fixed = MakeResetSimulator(30, 13);
+  RoundSimulator twin = MakeResetSimulator(30, 13);
+  int late_fixed = 0;
+  int late_free = 0;
+  for (int r = 0; r < 4000; ++r) {
+    const ResetRoundPair pair = RunResetRoundPair(&fixed, &twin);
+    if (pair.with_return > 1.0) ++late_fixed;
+    if (pair.free_reset > 1.0) ++late_free;
   }
+  EXPECT_GT(late_fixed, late_free);
 }
 
 // --------------------------------------------------------------------------
 // Regression: correlated glitch/error events need cluster-robust intervals
 
-RoundSimulator MakeIntervalSimulator(int n, uint64_t seed, bool legacy) {
+RoundSimulator MakeIntervalSimulator(int n, uint64_t seed) {
   SimulatorConfig config;
   config.round_length_s = 1.0;
   config.seed = seed;
-  config.legacy_pooled_intervals = legacy;
   auto simulator = RoundSimulator::Create(
       disk::QuantumViking2100(), disk::QuantumViking2100Seek(), n,
       RoundSimulator::IidFactory(Table1Sizes()), config);
@@ -353,18 +371,25 @@ RoundSimulator MakeIntervalSimulator(int n, uint64_t seed, bool legacy) {
   return *std::move(simulator);
 }
 
+// The pooled Wilson interval over the estimate's own events and trials:
+// what an estimator that treats every (stream, round) or (stream,
+// lifetime) sample as independent would report.
+numeric::ProportionInterval PooledInterval(const ProbabilityEstimate& e) {
+  const auto events = static_cast<int64_t>(
+      std::llround(e.point * static_cast<double>(e.trials)));
+  return numeric::WilsonInterval(events, e.trials);
+}
+
 TEST(ClusteredIntervalRegressionTest, GlitchIntervalWiderThanPooled) {
-  // Same seed => same sample path => same point estimate; but one slow
-  // sweep glitches many streams at once, so the round-clustered interval
-  // must be wider than the pooled Wilson interval that pretends the
-  // (stream, round) events are independent.
-  RoundSimulator clustered = MakeIntervalSimulator(30, 5, /*legacy=*/false);
-  RoundSimulator pooled = MakeIntervalSimulator(30, 5, /*legacy=*/true);
-  const ProbabilityEstimate c = clustered.EstimateGlitchProbability(4000);
-  const ProbabilityEstimate p = pooled.EstimateGlitchProbability(4000);
+  // One slow sweep glitches many streams at once, so the round-clustered
+  // interval must be wider than the pooled Wilson interval that pretends
+  // the (stream, round) events are independent.
+  RoundSimulator simulator = MakeIntervalSimulator(30, 5);
+  const ProbabilityEstimate c = simulator.EstimateGlitchProbability(4000);
+  const numeric::ProportionInterval p = PooledInterval(c);
   EXPECT_DOUBLE_EQ(c.point, p.point);
   EXPECT_GT(c.point, 0.0) << "need glitches for the comparison to bite";
-  EXPECT_GT(c.ci_upper - c.ci_lower, p.ci_upper - p.ci_lower);
+  EXPECT_GT(c.ci_upper - c.ci_lower, p.upper - p.lower);
   EXPECT_LE(c.ci_lower, c.point);
   EXPECT_GE(c.ci_upper, c.point);
   EXPECT_EQ(c.trials, 4000 * 30);
@@ -373,16 +398,14 @@ TEST(ClusteredIntervalRegressionTest, GlitchIntervalWiderThanPooled) {
 TEST(ClusteredIntervalRegressionTest, ErrorIntervalWiderThanPooled) {
   // The num_streams samples of one lifetime share the same m rounds: the
   // lifetime-clustered interval dominates the pooled one.
-  RoundSimulator clustered = MakeIntervalSimulator(30, 17, /*legacy=*/false);
-  RoundSimulator pooled = MakeIntervalSimulator(30, 17, /*legacy=*/true);
+  RoundSimulator simulator = MakeIntervalSimulator(30, 17);
   const ProbabilityEstimate c =
-      clustered.EstimateErrorProbability(/*m=*/20, /*g=*/1, /*lifetimes=*/60);
-  const ProbabilityEstimate p =
-      pooled.EstimateErrorProbability(/*m=*/20, /*g=*/1, /*lifetimes=*/60);
+      simulator.EstimateErrorProbability(/*m=*/20, /*g=*/1, /*lifetimes=*/60);
+  const numeric::ProportionInterval p = PooledInterval(c);
   EXPECT_DOUBLE_EQ(c.point, p.point);
   EXPECT_GT(c.point, 0.0);
   EXPECT_LT(c.point, 1.0);
-  EXPECT_GE(c.ci_upper - c.ci_lower, p.ci_upper - p.ci_lower);
+  EXPECT_GE(c.ci_upper - c.ci_lower, p.upper - p.lower);
   EXPECT_LE(c.ci_lower, c.point);
   EXPECT_GE(c.ci_upper, c.point);
 }
@@ -395,12 +418,12 @@ TEST(ClusteredIntervalRegressionTest, ErrorProbabilityMatchesBinomialTail) {
   const int n = 30;
   const int m = 20;
   const int g = 1;
-  RoundSimulator for_glitch = MakeIntervalSimulator(n, 23, /*legacy=*/false);
+  RoundSimulator for_glitch = MakeIntervalSimulator(n, 23);
   const double p_glitch = for_glitch.EstimateGlitchProbability(6000).point;
   ASSERT_GT(p_glitch, 0.0);
   const double predicted = core::BinomialTailExact(m, p_glitch, g);
 
-  RoundSimulator for_error = MakeIntervalSimulator(n, 29, /*legacy=*/false);
+  RoundSimulator for_error = MakeIntervalSimulator(n, 29);
   const ProbabilityEstimate estimate =
       for_error.EstimateErrorProbability(m, g, /*lifetimes=*/100);
   EXPECT_GE(predicted, estimate.ci_lower);
