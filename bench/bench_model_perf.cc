@@ -129,23 +129,9 @@ void BM_SimulatedRound(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatedRound)->Arg(26);
 
-// The batched/scalar kernel A/B on the same Table 1 round: the explicit
-// flag pins each benchmark to one kernel regardless of the default.
-void BM_SimulatedRoundBatched(benchmark::State& state) {
-  sim::SimulatorConfig config;
-  config.round_length_s = bench::kRoundLengthS;
-  config.seed = 1;
-  config.batched_kernel = true;
-  auto simulator = sim::RoundSimulator::Create(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(),
-      static_cast<int>(state.range(0)),
-      sim::RoundSimulator::IidFactory(bench::Table1Sizes()), config);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simulator->RunRound().total_service_time_s);
-  }
-}
-BENCHMARK(BM_SimulatedRoundBatched)->Arg(26);
-
+// The scalar reference kernel on the same Table 1 round as
+// BM_SimulatedRound (which runs the default, batched kernel): the explicit
+// flag pins it regardless of the default.
 void BM_SimulatedRoundScalar(benchmark::State& state) {
   sim::SimulatorConfig config;
   config.round_length_s = bench::kRoundLengthS;
@@ -186,7 +172,9 @@ void BM_GammaBatch(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_GammaBatch)->Arg(26);
+// 26 is the paper's N_max round; 30, validate_mc's importance-sampling
+// size, ends in a partial 8-lane block.
+BENCHMARK(BM_GammaBatch)->Arg(26)->Arg(30);
 
 // One Gamma quantile at the shape of the end-to-end benchmark's serve_array
 // content, (200/95)^2, cycling through 32 evenly spaced p in (0, 1): the
@@ -344,7 +332,7 @@ BENCHMARK(BM_DegradedRound)->Arg(13);
 // content (200 kB mean, 95 kB stddev fragments, P(late) <= 0.01), filled
 // to capacity. Each disk's sweep runs the SCAN kernel the simulators use
 // (sched/scan_kernel.h), so this is the serving-path counterpart of
-// BM_SimulatedRoundBatched.
+// BM_SimulatedRound.
 void BM_MediaServerRound(benchmark::State& state) {
   constexpr double kMeanBytes = 200e3;
   constexpr double kVarBytes2 = 95e3 * 95e3;

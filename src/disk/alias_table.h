@@ -48,6 +48,11 @@ class AliasTable {
   size_t size() const { return threshold_.size(); }
   bool empty() const { return threshold_.empty(); }
 
+  // Bucket i's accept-own threshold and fallback index (the batched
+  // position sampler copies them into its columns).
+  double threshold(size_t i) const { return threshold_[i]; }
+  int alias(size_t i) const { return alias_[i]; }
+
   // Exact sampling probability of index i implied by the table
   // (reconstructed from thresholds and aliases; for tests/diagnostics).
   std::vector<double> Probabilities() const;

@@ -117,9 +117,10 @@ class DiskGeometry {
   DiskPosition SampleUniformPosition(numeric::Rng* rng) const;
 
   // O(1) zone draw over the same C_i/C hit probabilities via the
-  // precomputed alias table (the batched simulation kernel's sampler;
-  // replaces the per-sample CDF binary search). One uniform in, a 0-based
-  // zone index out.
+  // precomputed alias table (replaces the per-sample CDF binary search).
+  // One uniform in, a 0-based zone index out. The round executors draw
+  // whole batches of zones and cylinders through disk::ZonePositionSampler
+  // (disk/position_sampler.h), built from this table.
   int SampleZoneAlias(double u01) const { return zone_alias_.Sample(u01); }
 
   // The zone-hit alias table itself (built once at geometry creation).

@@ -1,0 +1,62 @@
+// Batched fragment positions for the round executors (§2.2, §4): a zone
+// from an alias table over the disk's zones, then a cylinder uniform
+// within that zone.
+//
+// Every round executor draws its positions this way — RoundSimulator's
+// batched kernel, the ImportanceSampler (on a tilted zone law for its
+// measured round), MixedRoundSimulator's continuous sweep and MediaServer —
+// so the draw lives here once. The alias table and the zone table are
+// copied into structure-of-arrays columns at construction, and the batch
+// runs on the active SIMD tier (numeric/simd.h): zone choice and cylinder
+// offset become per-lane gathers and blends instead of a data-dependent
+// branch per request. Every tier reproduces the scalar expressions of
+// AliasTable::Sample and the offset clamp bit for bit
+// (tests/disk/position_sampler_test.cc).
+#ifndef ZONESTREAM_DISK_POSITION_SAMPLER_H_
+#define ZONESTREAM_DISK_POSITION_SAMPLER_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "disk/alias_table.h"
+#include "disk/disk_geometry.h"
+
+namespace zonestream::disk {
+
+class ZonePositionSampler {
+ public:
+  ZonePositionSampler() = default;
+
+  // Over the geometry's own zone law (hit probability C_i/C).
+  explicit ZonePositionSampler(const DiskGeometry& geometry);
+
+  // Over `zone_law`, an alias table with one entry per zone of
+  // `geometry` (e.g. the importance sampler's tilted law).
+  ZonePositionSampler(const DiskGeometry& geometry,
+                      const AliasTable& zone_law);
+
+  // For each i < n, from the uniforms u_zone[i] and u_cylinder[i] in
+  // [0, 1):
+  //   zone[i]     = zone_law.Sample(u_zone[i]),
+  //   cylinder[i] = the zone's first cylinder
+  //                 + min(int(u_cylinder[i] * its cylinders),
+  //                       its cylinders - 1),
+  //   rate_bps[i] = the zone's transfer rate (skipped when null).
+  void Sample(const double* u_zone, const double* u_cylinder, size_t n,
+              int* zone, int* cylinder, double* rate_bps) const;
+
+ private:
+  // Alias buckets.
+  std::vector<double> threshold_;
+  std::vector<int32_t> alias_;
+  // Zones.
+  std::vector<int32_t> first_cylinder_;
+  std::vector<int32_t> last_offset_;  // cylinders - 1
+  std::vector<double> cylinders_;
+  std::vector<double> rate_bps_;
+};
+
+}  // namespace zonestream::disk
+
+#endif  // ZONESTREAM_DISK_POSITION_SAMPLER_H_

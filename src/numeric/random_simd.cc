@@ -14,6 +14,62 @@ namespace zonestream::numeric::internal {
 
 namespace {
 
+// Shortest batch the wide tiers take. Below it the block setup (a peek,
+// the table gathers, the verdict masks) costs more than the scalar draws
+// it replaces: the media server's per-stream size runs are often a single
+// draw, and `BM_DegradedRound/13` slowed ~40% when they went wide.
+constexpr size_t kMinWideBatch = 8;
+
+// Squeeze 2's per-call constants.
+//
+// Squeeze 1 is the scalar routine's own: u < 1 - 0.0331 x^4. It misses
+// ~8% of lanes at shape 4, and each miss used to leave the vector path for
+// the exact test's two logs. Squeeze 2 is shape-aware: with both, ~1.0%
+// of lanes at shape 4 reach the exact test, ~0.8% of them (about 1/(36d))
+// true rejections.
+//
+// Derivation. With y = c x and c^2 = 1/(9d), the exact test
+// ln u < x^2/2 + d (1 - v + ln v), v = (1 + y)^3, reads ln u < d phi(y),
+// phi(y) = 3 [ln(1 + y) - y + y^2/2 - y^3/3] <= 0. For y >= 0,
+// ln(1 + y) minus its 4-term series has derivative y^4/(1 + y) >= 0, so
+// phi(y) >= -3y^4/4. For -1/2 <= y < 0 and t = -y, the series remainder
+// sum_{k>=5} t^k/k is at most t^5/(5(1 - t)) <= 2t^5/5, so
+// phi(y) >= -3y^4/4 + 6y^5/5. Together
+//   phi(y) >= y^4 (-3/4 + (6/5) min(y, 0))          for y >= -1/2,
+// and since ln u <= u - 1, u < 1 + d y^4 (-3/4 + (6/5) min(y, 0)) implies
+// the exact test accepts — in real arithmetic.
+//
+// Margin. The scalar test runs in doubles, so squeeze 2 accepts only
+// below that bound minus `margin`, which must cover the rounding of the
+// scalar test and of the bound itself. Write eps = 2^-53 and r for the
+// ziggurat's base-strip edge: a lane reaching the squeezes has |x| < r
+// < 3.45, so x^2/2 < 6, and d|y| = |x| sqrt(d)/3 < 1.15 sqrt(d). Where
+// squeeze 2 can accept, d |phi| <= 1 and |y| < (4/(3d))^(1/4) <= 1.2
+// (d >= 2/3), so |y| < 1.19 and |1 - (1 + y)^3| < 8|y|. Then, to first
+// order in eps:
+//   - c^2 9d = 1 + O(6 eps) and x*x round: <= 7 eps x^2/2 < 42 eps;
+//   - v3 = (1 + y)^3 (1 + rho) with |rho| <= 8 eps, moving
+//     d (1 - v3 + ln v3) by <= 8 eps d |1 - v3| <= 8 eps d |y| 8 < 74
+//     eps sqrt(d); 1 - v3 rounds by at most a ninth of that;
+//   - ln v3 (1 ulp) times d: <= 2 eps d 6|y| < 14 eps sqrt(d);
+//   - the sum, the product by d and the final add: <= 8 eps;
+//   - log u (1 ulp) against u - 1: <= 2 eps; the bound's own roundings:
+//     <= 13 eps.
+// The total stays below eps (65 + 97 sqrt(d)); margin = 2^-38 (1 + d c)
+// = 2^15 eps (1 + sqrt(d)/3) covers it more than 28 times over, and
+// sends a needless ~4e-12 (1 + sqrt(d)/3) of lanes to the exact test.
+// tests/sim/simd_kernel_test.cc checks the combined verdict against the
+// scalar test on a dense (x, u) grid around its acceptance boundary.
+struct Squeeze2 {
+  explicit Squeeze2(double d, double c)
+      : one_minus_margin(1.0 - 0x1.0p-38 * (1.0 + d * c)),
+        d_quartic(-0.75 * d),
+        d_quintic(1.2 * d) {}
+  double one_minus_margin;
+  double d_quartic;  // d * -3/4
+  double d_quintic;  // d * 6/5, applied to min(y, 0)
+};
+
 // Finishes one block after the vector stage found a deviation (or a
 // squeeze miss needing the exact log test). Lane j's nominal words are
 // buf[2j] (ziggurat) and buf[2j+1] (squeeze uniform); an accepted lane
@@ -54,6 +110,33 @@ inline size_t CommitLanes(Rng* rng, const ZigguratTables& t, double d,
 // ------------------------------ AVX-512 ------------------------------
 // 8 lanes. AVX-512DQ has native unsigned 64-bit -> double conversion,
 // which is exact for the 53-bit values the sampler feeds it.
+
+// Lanes whose (x, u2) either squeeze accepts; y = c x.
+__attribute__((target("avx512f,avx512dq")))
+inline __mmask8 SqueezesAvx512(const Squeeze2& s2, __m512d x, __m512d y,
+                               __m512d u2) {
+  const __m512d x2 = _mm512_mul_pd(x, x);
+  const __m512d bound1 = _mm512_sub_pd(
+      _mm512_set1_pd(1.0),
+      _mm512_mul_pd(_mm512_mul_pd(_mm512_set1_pd(0.0331), x2), x2));
+  const __m512d y2 = _mm512_mul_pd(y, y);
+  const __m512d y4 = _mm512_mul_pd(y2, y2);
+  const __m512d q = _mm512_add_pd(
+      _mm512_set1_pd(s2.d_quartic),
+      _mm512_mul_pd(_mm512_set1_pd(s2.d_quintic),
+                    _mm512_min_pd(y, _mm512_setzero_pd())));
+  const __m512d bound2 =
+      _mm512_add_pd(_mm512_set1_pd(s2.one_minus_margin),
+                    _mm512_mul_pd(q, y4));
+  const __mmask8 in_range =
+      _mm512_cmp_pd_mask(y, _mm512_set1_pd(-0.5), _CMP_GE_OQ);
+  return _mm512_cmp_pd_mask(u2, bound1, _CMP_LT_OQ) |
+         (in_range & _mm512_cmp_pd_mask(u2, bound2, _CMP_LT_OQ));
+}
+
+// Every block is eight lanes wide; the batch's last, partial block runs
+// with its missing lanes masked off (peeking only the words its live
+// lanes own).
 __attribute__((target("avx512f,avx512dq")))
 size_t GammaFillAvx512(Rng* rng, const ZigguratTables& t, double d, double c,
                        double scale, double* out, size_t n) {
@@ -66,19 +149,24 @@ size_t GammaFillAvx512(Rng* rng, const ZigguratTables& t, double d, double c,
   const __m512d kScale53 = _mm512_set1_pd(0x1.0p-53);
   const __m512d kOne = _mm512_set1_pd(1.0);
   const __m512d kC = _mm512_set1_pd(c);
-  const __m512d kSqueeze = _mm512_set1_pd(0.0331);
   const __m512d kAbsMask =
       _mm512_castsi512_pd(_mm512_set1_epi64(0x7fffffffffffffffll));
   const __m512d kD = _mm512_set1_pd(d);
   const __m512d kOut = _mm512_set1_pd(scale);
+  const Squeeze2 s2(d, c);
 
   size_t produced = 0;
+  // Lanes past a partial block's live ones read whatever the previous
+  // block left here; their verdicts are masked off. The first block is
+  // always full (n >= kMinWideBatch), so nothing is read uninitialized.
   alignas(64) uint64_t buf[16];
   alignas(64) double v3a[8];
   alignas(64) double u2a[8];
   alignas(64) double x2a[8];
-  while (n - produced >= 8) {
-    rng->engine().PeekRaw(buf, 16);
+  while (produced < n) {
+    const size_t lanes = n - produced < 8 ? n - produced : 8;
+    const __mmask8 live = static_cast<__mmask8>((1u << lanes) - 1u);
+    rng->engine().PeekRaw(buf, 2 * lanes);
     const __m512i w0 = _mm512_load_si512(buf);
     const __m512i w1 = _mm512_load_si512(buf + 8);
     const __m512i bits = _mm512_permutex2var_epi64(w0, idx_even, w1);
@@ -96,34 +184,30 @@ size_t GammaFillAvx512(Rng* rng, const ZigguratTables& t, double d, double c,
     const __mmask8 zig = _mm512_cmp_pd_mask(_mm512_and_pd(x, kAbsMask), xi1,
                                             _CMP_LT_OQ);
 
-    // Marsaglia–Tsang candidate: v = (1 + c x)^3, squeeze against the
+    // Marsaglia–Tsang candidate: v = (1 + c x)^3, squeezed against the
     // second word's uniform.
-    const __m512d v = _mm512_add_pd(kOne, _mm512_mul_pd(kC, x));
+    const __m512d y = _mm512_mul_pd(kC, x);
+    const __m512d v = _mm512_add_pd(kOne, y);
     const __mmask8 vpos =
         _mm512_cmp_pd_mask(v, _mm512_setzero_pd(), _CMP_GT_OQ);
     const __m512d v3 = _mm512_mul_pd(_mm512_mul_pd(v, v), v);
     const __m512d u2 =
         _mm512_mul_pd(_mm512_cvtepu64_pd(_mm512_srli_epi64(uw, 11)),
                       kScale53);
-    const __m512d x2 = _mm512_mul_pd(x, x);
-    const __m512d squeeze_bound = _mm512_sub_pd(
-        kOne, _mm512_mul_pd(_mm512_mul_pd(kSqueeze, x2), x2));
-    const __mmask8 squeeze = _mm512_cmp_pd_mask(u2, squeeze_bound,
-                                                _CMP_LT_OQ);
+    const __mmask8 squeeze = SqueezesAvx512(s2, x, y, u2);
 
-    const __mmask8 fast = zig & vpos & squeeze;
-    if (fast == 0xffu) {
-      _mm512_storeu_pd(out + produced,
-                       _mm512_mul_pd(kOut, _mm512_mul_pd(kD, v3)));
-      rng->engine().AdvanceRaw(16);
-      produced += 8;
+    if ((zig & vpos & squeeze & live) == live) {
+      _mm512_mask_storeu_pd(out + produced, live,
+                            _mm512_mul_pd(kOut, _mm512_mul_pd(kD, v3)));
+      rng->engine().AdvanceRaw(2 * lanes);
+      produced += lanes;
       continue;
     }
     _mm512_store_pd(v3a, v3);
     _mm512_store_pd(u2a, u2);
-    _mm512_store_pd(x2a, x2);
+    _mm512_store_pd(x2a, _mm512_mul_pd(x, x));
     produced += CommitLanes(rng, t, d, c, scale, out + produced, zig, vpos,
-                            squeeze, v3a, u2a, x2a, 8);
+                            squeeze, v3a, u2a, x2a, lanes);
   }
   return produced;
 }
@@ -147,6 +231,31 @@ inline __m256d CvtU53ToPd(__m256i w) {
   return _mm256_add_pd(lod, _mm256_mul_pd(hid, two32));
 }
 
+// Lanes whose (x, u2) either squeeze accepts, as a 4-bit mask; y = c x.
+__attribute__((target("avx2")))
+inline unsigned SqueezesAvx2(const Squeeze2& s2, __m256d x, __m256d y,
+                             __m256d u2) {
+  const __m256d x2 = _mm256_mul_pd(x, x);
+  const __m256d bound1 = _mm256_sub_pd(
+      _mm256_set1_pd(1.0),
+      _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(0.0331), x2), x2));
+  const __m256d y2 = _mm256_mul_pd(y, y);
+  const __m256d y4 = _mm256_mul_pd(y2, y2);
+  const __m256d q = _mm256_add_pd(
+      _mm256_set1_pd(s2.d_quartic),
+      _mm256_mul_pd(_mm256_set1_pd(s2.d_quintic),
+                    _mm256_min_pd(y, _mm256_setzero_pd())));
+  const __m256d bound2 =
+      _mm256_add_pd(_mm256_set1_pd(s2.one_minus_margin),
+                    _mm256_mul_pd(q, y4));
+  const __m256d in_range =
+      _mm256_cmp_pd(y, _mm256_set1_pd(-0.5), _CMP_GE_OQ);
+  const __m256d accept = _mm256_or_pd(
+      _mm256_cmp_pd(u2, bound1, _CMP_LT_OQ),
+      _mm256_and_pd(in_range, _mm256_cmp_pd(u2, bound2, _CMP_LT_OQ)));
+  return static_cast<unsigned>(_mm256_movemask_pd(accept));
+}
+
 __attribute__((target("avx2")))
 size_t GammaFillAvx2(Rng* rng, const ZigguratTables& t, double d, double c,
                      double scale, double* out, size_t n) {
@@ -156,11 +265,11 @@ size_t GammaFillAvx2(Rng* rng, const ZigguratTables& t, double d, double c,
   const __m256d kScale53 = _mm256_set1_pd(0x1.0p-53);
   const __m256d kOne = _mm256_set1_pd(1.0);
   const __m256d kC = _mm256_set1_pd(c);
-  const __m256d kSqueeze = _mm256_set1_pd(0.0331);
   const __m256d kAbsMask =
       _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffll));
   const __m256d kD = _mm256_set1_pd(d);
   const __m256d kOut = _mm256_set1_pd(scale);
+  const Squeeze2 s2(d, c);
 
   size_t produced = 0;
   alignas(32) uint64_t buf[8];
@@ -192,22 +301,18 @@ size_t GammaFillAvx2(Rng* rng, const ZigguratTables& t, double d, double c,
     const __m256d zig_v =
         _mm256_cmp_pd(_mm256_and_pd(x, kAbsMask), xi1, _CMP_LT_OQ);
 
-    const __m256d v = _mm256_add_pd(kOne, _mm256_mul_pd(kC, x));
+    const __m256d y = _mm256_mul_pd(kC, x);
+    const __m256d v = _mm256_add_pd(kOne, y);
     const __m256d vpos_v =
         _mm256_cmp_pd(v, _mm256_setzero_pd(), _CMP_GT_OQ);
     const __m256d v3 = _mm256_mul_pd(_mm256_mul_pd(v, v), v);
     const __m256d u2 =
         _mm256_mul_pd(CvtU53ToPd(_mm256_srli_epi64(uw, 11)), kScale53);
-    const __m256d x2 = _mm256_mul_pd(x, x);
-    const __m256d squeeze_bound = _mm256_sub_pd(
-        kOne, _mm256_mul_pd(_mm256_mul_pd(kSqueeze, x2), x2));
-    const __m256d squeeze_v = _mm256_cmp_pd(u2, squeeze_bound, _CMP_LT_OQ);
 
     const unsigned zig = (unsigned)_mm256_movemask_pd(zig_v);
     const unsigned vpos = (unsigned)_mm256_movemask_pd(vpos_v);
-    const unsigned squeeze = (unsigned)_mm256_movemask_pd(squeeze_v);
-    const unsigned fast = zig & vpos & squeeze;
-    if (fast == 0xfu) {
+    const unsigned squeeze = SqueezesAvx2(s2, x, y, u2);
+    if ((zig & vpos & squeeze) == 0xfu) {
       _mm256_storeu_pd(out + produced,
                        _mm256_mul_pd(kOut, _mm256_mul_pd(kD, v3)));
       rng->engine().AdvanceRaw(8);
@@ -216,11 +321,44 @@ size_t GammaFillAvx2(Rng* rng, const ZigguratTables& t, double d, double c,
     }
     _mm256_store_pd(v3a, v3);
     _mm256_store_pd(u2a, u2);
-    _mm256_store_pd(x2a, x2);
+    _mm256_store_pd(x2a, _mm256_mul_pd(x, x));
     produced += CommitLanes(rng, t, d, c, scale, out + produced, zig, vpos,
                             squeeze, v3a, u2a, x2a, 4);
   }
   return produced;
+}
+
+// The squeeze verdicts alone, for GammaSqueezeWide.
+__attribute__((target("avx512f,avx512dq")))
+void SqueezeVerdictsAvx512(const Squeeze2& s2, double c, const double* x,
+                           const double* u, bool* accept, size_t n) {
+  for (size_t i = 0; i < n; i += 8) {
+    const size_t lanes = n - i < 8 ? n - i : 8;
+    const __mmask8 live = static_cast<__mmask8>((1u << lanes) - 1u);
+    const __m512d xv = _mm512_maskz_loadu_pd(live, x + i);
+    const __m512d uv = _mm512_maskz_loadu_pd(live, u + i);
+    const __mmask8 mask = SqueezesAvx512(
+        s2, xv, _mm512_mul_pd(_mm512_set1_pd(c), xv), uv);
+    for (size_t j = 0; j < lanes; ++j) accept[i + j] = (mask >> j) & 1u;
+  }
+}
+
+__attribute__((target("avx2")))
+void SqueezeVerdictsAvx2(const Squeeze2& s2, double c, const double* x,
+                         const double* u, bool* accept, size_t n) {
+  for (size_t i = 0; i < n; i += 4) {
+    const size_t lanes = n - i < 4 ? n - i : 4;
+    alignas(32) double xa[4] = {0.0, 0.0, 0.0, 0.0};
+    alignas(32) double ua[4] = {0.0, 0.0, 0.0, 0.0};
+    for (size_t j = 0; j < lanes; ++j) {
+      xa[j] = x[i + j];
+      ua[j] = u[i + j];
+    }
+    const __m256d xv = _mm256_load_pd(xa);
+    const unsigned mask = SqueezesAvx2(
+        s2, xv, _mm256_mul_pd(_mm256_set1_pd(c), xv), _mm256_load_pd(ua));
+    for (size_t j = 0; j < lanes; ++j) accept[i + j] = (mask >> j) & 1u;
+  }
 }
 
 // Uniform conversion kernels: identical arithmetic to the scalar loops
@@ -299,7 +437,7 @@ bool UniformAffineFromRawWide(const uint64_t* raw, double lo, double width,
 bool GammaFillWide(Rng* rng, const ZigguratTables& t, double d, double c,
                    double scale, double* out, size_t n) {
 #ifdef ZS_SIMD_X86
-  if (n < 8) return false;  // block setup would outweigh the win
+  if (n < kMinWideBatch) return false;
   size_t produced;
   switch (ActiveSimdTier()) {
     case SimdTier::kAvx512:
@@ -312,7 +450,8 @@ bool GammaFillWide(Rng* rng, const ZigguratTables& t, double d, double c,
     default:
       return false;
   }
-  // Tail shorter than a block: plain scalar draws (identical consumption).
+  // AVX2's tail shorter than a block: plain scalar draws (identical
+  // consumption). AVX-512 leaves none.
   for (; produced < n; ++produced) {
     out[produced] = scale * MarsagliaTsangDraw(rng, t, d, c);
   }
@@ -324,6 +463,32 @@ bool GammaFillWide(Rng* rng, const ZigguratTables& t, double d, double c,
   (void)c;
   (void)scale;
   (void)out;
+  (void)n;
+  return false;
+#endif
+}
+
+bool GammaSqueezeWide(double d, double c, const double* x, const double* u,
+                      bool* accept, size_t n) {
+#ifdef ZS_SIMD_X86
+  const Squeeze2 s2(d, c);
+  switch (ActiveSimdTier()) {
+    case SimdTier::kAvx512:
+      SqueezeVerdictsAvx512(s2, c, x, u, accept, n);
+      return true;
+    case SimdTier::kAvx2:
+      SqueezeVerdictsAvx2(s2, c, x, u, accept, n);
+      return true;
+    case SimdTier::kScalar:
+    default:
+      return false;
+  }
+#else
+  (void)d;
+  (void)c;
+  (void)x;
+  (void)u;
+  (void)accept;
   (void)n;
   return false;
 #endif

@@ -7,11 +7,14 @@
 // nothing is consumed), evaluates eight candidate draws at once assuming
 // each accepts on its first try with the nominal two words (ziggurat
 // normal + squeeze uniform), and validates the assumption with vector
-// compares. The all-accept case (~60% of blocks at the simulator's
-// shapes) commits all eight draws and 16 words in one step; otherwise
-// the accepted prefix commits and the first deviating draw re-runs
-// through the EXACT scalar routine from the exact engine position the
-// scalar code would see.
+// compares: the scalar routine's squeeze plus a shape-aware second one
+// proven to accept only what the exact log test accepts
+// (random_simd.cc). The all-accept case (~84% of blocks at shape 4, up
+// from ~46% on the first squeeze alone) commits all eight draws and 16
+// words in one step; otherwise the accepted prefix commits and the first
+// deviating draw re-runs through the EXACT scalar routine from the exact
+// engine position the scalar code would see. On AVX-512 a batch's last,
+// partial block runs the same way with its missing lanes masked off.
 //
 // The result is bit-identical to GammaBatchSampler::Fill's scalar loop —
 // same values, same engine consumption — at any SIMD tier, because every
@@ -34,9 +37,19 @@ namespace zonestream::numeric::internal {
 // (the shape >= 1 Marsaglia–Tsang case), bit-identical to the scalar
 // loop `out[i] = scale * MarsagliaTsangDraw(rng, t, d, c)`. Returns
 // false — leaving the Rng untouched — when no SIMD tier is active or n
-// is too small to profit; the caller then runs the scalar loop.
+// is too small to profit (n < 8); the caller then runs the scalar loop.
 bool GammaFillWide(Rng* rng, const ZigguratTables& t, double d, double c,
                    double scale, double* out, size_t n);
+
+// The wide tiers' first-try verdict on candidate pairs: accept[i] is set
+// when either squeeze accepts the normal deviate x[i] (|x[i]| below the
+// ziggurat's base-strip edge, as every lane reaching the squeezes is)
+// with squeeze uniform u[i] under the sampler constants (d, c). Every
+// pair it accepts must pass the scalar routine's test, or the tiers
+// would diverge; the tests check exactly that. Returns false, accept
+// untouched, when no SIMD tier is active.
+bool GammaSqueezeWide(double d, double c, const double* x, const double* u,
+                      bool* accept, size_t n);
 
 // Converts raw engine words to uniforms in [0, 1) — out[i] =
 // double(raw[i] >> 11) * 2^-53, exactly the scalar conversion in

@@ -5,13 +5,9 @@
 // each compare-exchange compiles to cmp + two cmovs, so the whole sort
 // retires with zero data-dependent branches.
 //
-// Vector tiers: the classic bitonic network. For 32 keys in two 16-lane
-// (or four 8-lane) registers, every layer is "compare lane g with lane
-// g ^ j, keep min at the ascending end": an in-register shuffle plus
-// min/max plus a per-lane blend whose mask is a compile-time constant
-// of the layer, or a bare cross-register min/max when j spans the
-// register width. Direction of lane g at stage (k, j) follows the
-// textbook recurrence: take-max(g) = ((g & j) != 0) XOR ((g & k) != 0).
+// Vector tiers: the classic bitonic network over two 16-lane (or four
+// 8-lane) registers; its layer schedule and AVX-512 form live in
+// sort_network_internal.h, shared with the fused SCAN sweep.
 #include "numeric/sort_network.h"
 
 #include <algorithm>
@@ -21,6 +17,7 @@
 
 #include "common/check.h"
 #include "numeric/simd.h"
+#include "numeric/sort_network_internal.h"
 
 #if defined(ZS_SIMD_ENABLED) && defined(__x86_64__)
 #include <immintrin.h>
@@ -82,81 +79,15 @@ void Sort32Scalar(uint32_t* a) {
   RunNetwork(a, std::make_index_sequence<kNet32.count>{});
 }
 
-// ---- Bitonic layer schedule, shared by the vector tiers ------------------
-
-struct Layer {
-  int k = 0;
-  int j = 0;
-};
-
-constexpr std::array<Layer, 15> kLayers = {{{2, 1},
-                                            {4, 2},
-                                            {4, 1},
-                                            {8, 4},
-                                            {8, 2},
-                                            {8, 1},
-                                            {16, 8},
-                                            {16, 4},
-                                            {16, 2},
-                                            {16, 1},
-                                            {32, 16},
-                                            {32, 8},
-                                            {32, 4},
-                                            {32, 2},
-                                            {32, 1}}};
-
-constexpr bool TakeMax(int g, int k, int j) {
-  return ((g & j) != 0) != ((g & k) != 0);
-}
-
 #if defined(ZS_SIMD_ENABLED) && defined(__x86_64__)
 
-// Per-layer 16-bit take-max masks for the two 16-lane registers.
-constexpr std::array<std::array<uint16_t, 2>, 15> MakeMasks16() {
-  std::array<std::array<uint16_t, 2>, 15> masks{};
-  for (size_t layer = 0; layer < kLayers.size(); ++layer) {
-    for (int reg = 0; reg < 2; ++reg) {
-      uint16_t m = 0;
-      for (int lane = 0; lane < 16; ++lane) {
-        const int g = reg * 16 + lane;
-        if (TakeMax(g, kLayers[layer].k, kLayers[layer].j)) {
-          m = static_cast<uint16_t>(m | (1u << lane));
-        }
-      }
-      masks[layer][reg] = m;
-    }
-  }
-  return masks;
-}
-
-constexpr std::array<std::array<uint16_t, 2>, 15> kMasks16 = MakeMasks16();
+using internal::BitonicTakeMax;
+using internal::kBitonicLayers;
 
 __attribute__((target("avx512f"))) void Sort32Avx512(uint32_t* a) {
   __m512i v0 = _mm512_loadu_si512(a);
   __m512i v1 = _mm512_loadu_si512(a + 16);
-  const __m512i iota =
-      _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
-  for (size_t layer = 0; layer < kLayers.size(); ++layer) {
-    const int j = kLayers[layer].j;
-    if (j == 16) {
-      // Lanes pair with the same position in the other register; at the
-      // only such stage (k = 32) the low register keeps the minima.
-      const __m512i mn = _mm512_min_epu32(v0, v1);
-      const __m512i mx = _mm512_max_epu32(v0, v1);
-      v0 = mn;
-      v1 = mx;
-    } else {
-      const __m512i idx = _mm512_xor_si512(iota, _mm512_set1_epi32(j));
-      const __m512i p0 = _mm512_permutexvar_epi32(idx, v0);
-      const __m512i p1 = _mm512_permutexvar_epi32(idx, v1);
-      v0 = _mm512_mask_blend_epi32(kMasks16[layer][0],
-                                   _mm512_min_epu32(v0, p0),
-                                   _mm512_max_epu32(v0, p0));
-      v1 = _mm512_mask_blend_epi32(kMasks16[layer][1],
-                                   _mm512_min_epu32(v1, p1),
-                                   _mm512_max_epu32(v1, p1));
-    }
-  }
+  internal::BitonicSort32Avx512(&v0, &v1);
   _mm512_storeu_si512(a, v0);
   _mm512_storeu_si512(a + 16, v1);
 }
@@ -167,13 +98,15 @@ constexpr std::array<std::array<std::array<int32_t, 8>, 4>, 12>
 MakeMasks8() {
   std::array<std::array<std::array<int32_t, 8>, 4>, 12> masks{};
   size_t out = 0;
-  for (size_t layer = 0; layer < kLayers.size(); ++layer) {
-    if (kLayers[layer].j >= 8) continue;
+  for (size_t layer = 0; layer < kBitonicLayers.size(); ++layer) {
+    if (kBitonicLayers[layer].j >= 8) continue;
     for (int reg = 0; reg < 4; ++reg) {
       for (int lane = 0; lane < 8; ++lane) {
         const int g = reg * 8 + lane;
-        masks[out][reg][lane] =
-            TakeMax(g, kLayers[layer].k, kLayers[layer].j) ? -1 : 0;
+        masks[out][reg][lane] = BitonicTakeMax(g, kBitonicLayers[layer].k,
+                                               kBitonicLayers[layer].j)
+                                    ? -1
+                                    : 0;
       }
     }
     ++out;
@@ -191,9 +124,9 @@ __attribute__((target("avx2"))) void Sort32Avx2(uint32_t* a) {
   }
   const __m256i iota = _mm256_set_epi32(7, 6, 5, 4, 3, 2, 1, 0);
   size_t in_reg_layer = 0;
-  for (size_t layer = 0; layer < kLayers.size(); ++layer) {
-    const int k = kLayers[layer].k;
-    const int j = kLayers[layer].j;
+  for (size_t layer = 0; layer < kBitonicLayers.size(); ++layer) {
+    const int k = kBitonicLayers[layer].k;
+    const int j = kBitonicLayers[layer].j;
     if (j >= 8) {
       // Whole registers pair up (partner reg = reg ^ j/8) and the
       // take-max direction is constant across a register's lanes.
@@ -203,8 +136,8 @@ __attribute__((target("avx2"))) void Sort32Avx2(uint32_t* a) {
         const int s = r | step;
         const __m256i mn = _mm256_min_epu32(v[r], v[s]);
         const __m256i mx = _mm256_max_epu32(v[r], v[s]);
-        v[r] = TakeMax(8 * r, k, j) ? mx : mn;
-        v[s] = TakeMax(8 * s, k, j) ? mx : mn;
+        v[r] = BitonicTakeMax(8 * r, k, j) ? mx : mn;
+        v[s] = BitonicTakeMax(8 * s, k, j) ? mx : mn;
       }
     } else {
       const __m256i idx = _mm256_xor_si256(iota, _mm256_set1_epi32(j));

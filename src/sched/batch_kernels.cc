@@ -86,23 +86,10 @@ __attribute__((target("avx2"))) void SeekTimesAvx2(
 __attribute__((target("avx512f"))) void SeekTimesAvx512(
     const disk::SeekParameters& p, const double* distance, double* out,
     size_t n) {
-  const __m512d zero = _mm512_setzero_pd();
-  const __m512d threshold = _mm512_set1_pd(p.threshold_cylinders);
-  const __m512d sqrt_b = _mm512_set1_pd(p.sqrt_intercept_s);
-  const __m512d sqrt_c = _mm512_set1_pd(p.sqrt_coefficient);
-  const __m512d lin_b = _mm512_set1_pd(p.linear_intercept_s);
-  const __m512d lin_c = _mm512_set1_pd(p.linear_coefficient);
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m512d d = _mm512_loadu_pd(distance + i);
-    const __m512d shrt =
-        _mm512_add_pd(sqrt_b, _mm512_mul_pd(sqrt_c, _mm512_sqrt_pd(d)));
-    const __m512d lng = _mm512_add_pd(lin_b, _mm512_mul_pd(lin_c, d));
-    const __mmask8 use_short = _mm512_cmp_pd_mask(d, threshold, _CMP_LT_OQ);
-    __m512d t = _mm512_mask_blend_pd(use_short, lng, shrt);
-    const __mmask8 positive = _mm512_cmp_pd_mask(d, zero, _CMP_GT_OQ);
-    t = _mm512_maskz_mov_pd(positive, t);
-    _mm512_storeu_pd(out + i, t);
+    _mm512_storeu_pd(out + i,
+                     SeekTimeAvx512(p, _mm512_loadu_pd(distance + i)));
   }
   for (; i < n; ++i) {
     const double d = distance[i];

@@ -18,6 +18,10 @@
 
 #include "disk/seek_model.h"
 
+#if defined(ZS_SIMD_ENABLED) && defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace zonestream::sched::internal {
 
 // out[i] = bytes[i] / rate_bps[i].
@@ -29,6 +33,30 @@ void TransferTimes(const double* bytes, const double* rate_bps, double* out,
 // model does).
 void SeekTimes(const disk::SeekTimeModel& seek, const double* distance,
                double* out, size_t n);
+
+#if defined(ZS_SIMD_ENABLED) && defined(__x86_64__)
+// SeekTimeModel::SeekTime on eight lanes of distances. Both regimes are
+// evaluated for every lane and blended by the regime masks; each follows
+// the scalar expression order (intercept + coefficient * f(distance)),
+// so a lane equals the branch it took. Shared by SeekTimes and the fused
+// sweep (scan_kernel.cc); a TU that calls it must compile with
+// -ffp-contract=off, or GCC may fuse the multiply-add into FMA.
+__attribute__((target("avx512f"))) inline __m512d SeekTimeAvx512(
+    const disk::SeekParameters& p, __m512d d) {
+  const __m512d shrt = _mm512_add_pd(
+      _mm512_set1_pd(p.sqrt_intercept_s),
+      _mm512_mul_pd(_mm512_set1_pd(p.sqrt_coefficient), _mm512_sqrt_pd(d)));
+  const __m512d lng = _mm512_add_pd(
+      _mm512_set1_pd(p.linear_intercept_s),
+      _mm512_mul_pd(_mm512_set1_pd(p.linear_coefficient), d));
+  const __mmask8 use_short = _mm512_cmp_pd_mask(
+      d, _mm512_set1_pd(p.threshold_cylinders), _CMP_LT_OQ);
+  const __mmask8 positive =
+      _mm512_cmp_pd_mask(d, _mm512_setzero_pd(), _CMP_GT_OQ);
+  return _mm512_maskz_mov_pd(positive,
+                             _mm512_mask_blend_pd(use_short, lng, shrt));
+}
+#endif
 
 }  // namespace zonestream::sched::internal
 

@@ -92,6 +92,7 @@ MediaServer::MediaServer(
     std::vector<std::shared_ptr<const workload::SizeDistribution>>
         class_sizes)
     : geometry_(geometry),
+      positions_(geometry_),
       seek_(seek),
       config_(config),
       striping_(config.num_disks),
@@ -551,19 +552,21 @@ void MediaServer::RunRound() {
   s.rotation.resize(num_requests);
   rng_.FillUniform(0.0, geometry_.rotation_time(), s.rotation.data(),
                    num_requests);
+  s.issue_zone.resize(num_requests);
+  s.issue_cylinder.resize(num_requests);
+  s.issue_rate_bps.resize(num_requests);
+  positions_.Sample(s.u_pos.data(), s.u_pos.data() + num_requests,
+                    num_requests, s.issue_zone.data(),
+                    s.issue_cylinder.data(), s.issue_rate_bps.data());
 
   // Serve every disk's batch with its own SCAN sweep.
-  const disk::AliasTable& alias = geometry_.zone_alias();
-  const disk::ZoneInfo* zones = &geometry_.zone(0);
-  const double* u_zone = s.u_pos.data();
-  const double* u_cylinder = s.u_pos.data() + num_requests;
   const double round_length_s = config_.round_length_s;
   int round_glitches = 0;  // stream *fragments* judged late this round
   bool round_overran = false;
   int repair_reads_late = 0;
   for (int d = 0; d < config_.num_disks; ++d) {
-    // Gather the disk's batch in issue order: position (alias-table zone,
-    // uniform cylinder within it), bytes and rotation per request.
+    // Gather the disk's batch in issue order: position, bytes and
+    // rotation per request.
     const std::vector<int>& requests = s.by_disk[static_cast<size_t>(d)];
     const size_t n = requests.size();
     s.cylinder.resize(n);
@@ -573,13 +576,9 @@ void MediaServer::RunRound() {
     s.rotation_s.resize(n);
     for (size_t j = 0; j < n; ++j) {
       const size_t k = static_cast<size_t>(requests[j]);
-      const int z = alias.Sample(u_zone[k]);
-      const disk::ZoneInfo& zi = zones[z];
-      int offset = static_cast<int>(u_cylinder[k] * zi.num_cylinders);
-      if (offset >= zi.num_cylinders) offset = zi.num_cylinders - 1;
-      s.zone[j] = z;
-      s.cylinder[j] = zi.first_cylinder + offset;
-      s.rate_bps[j] = zi.transfer_rate_bps;
+      s.zone[j] = s.issue_zone[k];
+      s.cylinder[j] = s.issue_cylinder[k];
+      s.rate_bps[j] = s.issue_rate_bps[k];
       s.bytes[j] = s.fragment_bytes[static_cast<size_t>(s.slot[k])];
       s.rotation_s[j] = s.rotation[k];
     }

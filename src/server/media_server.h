@@ -13,8 +13,9 @@
 // RoundSimulator's batched kernel uses: 2R position uniforms (alias-table
 // zone, then cylinder offset), the fresh fragment sizes (one FillSamples
 // per run of consecutive streams on one distribution; a retried fragment
-// draws nothing), then R rotational latencies. Each disk's batch is served
-// by the shared SCAN kernel (sched/scan_kernel.h). A one-disk server with
+// draws nothing), then R rotational latencies. The R positions are drawn
+// in issue order (disk/position_sampler.h) and gathered per disk; each
+// disk's batch is served by the shared SCAN kernel (sched/scan_kernel.h). A one-disk server with
 // N streams on one distribution is therefore the batched simulator with
 // the same seed, round for round.
 #ifndef ZONESTREAM_SERVER_MEDIA_SERVER_H_
@@ -33,6 +34,7 @@
 #include "core/admission.h"
 #include "core/multiclass.h"
 #include "disk/disk_geometry.h"
+#include "disk/position_sampler.h"
 #include "disk/seek_model.h"
 #include "fault/degradation.h"
 #include "fault/fault_model.h"
@@ -434,6 +436,7 @@ class MediaServer {
   int PlannedPrimaryLoad(int disk) const;
 
   disk::DiskGeometry geometry_;
+  disk::ZonePositionSampler positions_;  // over geometry_'s zone law
   disk::SeekTimeModel seek_;
   MediaServerConfig config_;
   RoundRobinStriping striping_;
@@ -513,6 +516,10 @@ class MediaServer {
     // offsets) and R rotational latencies.
     std::vector<double> u_pos;
     std::vector<double> rotation;
+    // The R positions those uniforms name, in issue order.
+    std::vector<int> issue_zone;
+    std::vector<int> issue_cylinder;
+    std::vector<double> issue_rate_bps;
     // One disk's batch as structure-of-arrays, in issue order.
     std::vector<int> cylinder;
     std::vector<int> zone;

@@ -141,7 +141,8 @@ ImportanceSampler::ImportanceSampler(const disk::DiskGeometry& geometry,
       tilted_time_scale_[z] = s_z / pole;
     }
     log_mgf_trans_ = std::log(mgf_trans);
-    tilted_zone_alias_ = disk::AliasTable::Build(tilted_weights);
+    tilted_positions_ = disk::ZonePositionSampler(
+        geometry_, disk::AliasTable::Build(tilted_weights));
     const DisturbanceConfig& disturbance = config_.disturbance;
     tilt_disturbance_ =
         options_.tilt_disturbance && disturbance.probability > 0.0;
@@ -163,8 +164,9 @@ ImportanceSampler::ImportanceSampler(const disk::DiskGeometry& geometry,
     for (int z = 0; z < zones; ++z) {
       tilted_time_scale_[z] = scale_ / geometry_.zone(z).transfer_rate_bps;
     }
-    tilted_zone_alias_ = geometry_.zone_alias();
+    tilted_positions_ = disk::ZonePositionSampler(geometry_);
   }
+  nominal_positions_ = disk::ZonePositionSampler(geometry_);
   nominal_time_scale_.resize(zones);
   for (int z = 0; z < zones; ++z) {
     nominal_time_scale_[z] = scale_ / geometry_.zone(z).transfer_rate_bps;
@@ -302,21 +304,9 @@ void ImportanceSampler::RunOneRound(const double* u_pos, const double* u_rot,
   // nominal one. Cylinder-within-zone is the nominal uniform either way
   // (its conditional law is untilted and cancels in the likelihood
   // ratio).
-  {
-    const double* u_zone = u_pos;
-    const double* u_cylinder = u_pos + n;
-    const disk::AliasTable& alias =
-        tilt_active ? tilted_zone_alias_ : geometry_.zone_alias();
-    const disk::ZoneInfo* zones = &geometry_.zone(0);
-    for (int i = 0; i < n; ++i) {
-      const int z = alias.Sample(u_zone[i]);
-      const disk::ZoneInfo& zi = zones[z];
-      int offset = static_cast<int>(u_cylinder[i] * zi.num_cylinders);
-      if (offset >= zi.num_cylinders) offset = zi.num_cylinders - 1;
-      s.zone[i] = z;
-      s.cylinder[i] = zi.first_cylinder + offset;
-    }
-  }
+  (tilt_active ? tilted_positions_ : nominal_positions_)
+      .Sample(u_pos, u_pos + n, static_cast<size_t>(n), s.zone.data(),
+              s.cylinder.data(), nullptr);
 
   // Transfers: one Gamma(k, 1) batch, scaled per request by the zone's
   // transfer-time scale (tilted s_z / (1 - theta s_z) on the measured

@@ -58,6 +58,7 @@
 #include "common/thread_pool.h"
 #include "disk/alias_table.h"
 #include "disk/disk_geometry.h"
+#include "disk/position_sampler.h"
 #include "disk/seek_model.h"
 #include "numeric/random.h"
 #include "sched/scan_kernel.h"
@@ -230,7 +231,10 @@ class ImportanceSampler {
   bool tilt_disturbance_ = false;
   double tilted_dist_probability_ = 0.0;
   double dist_expm1_ = 0.0;     // expm1(theta * (max - min)) for delays
-  disk::AliasTable tilted_zone_alias_;
+  // Position draws under the nominal zone law (warm-up rounds) and the
+  // tilted one (measured rounds).
+  disk::ZonePositionSampler nominal_positions_;
+  disk::ZonePositionSampler tilted_positions_;
   // Per-zone transfer-time Gamma scales multiplied onto unit Gamma(k, 1)
   // draws: nominal s_z = s/R_z (warm-up rounds) and tilted
   // s_z / (1 - theta s_z) (measured rounds).

@@ -19,6 +19,7 @@ MixedRoundSimulator::MixedRoundSimulator(
     std::shared_ptr<const workload::SizeDistribution> discrete_sizes,
     const MixedSimulatorConfig& config)
     : geometry_(geometry),
+      positions_(geometry_),
       seek_(seek),
       num_continuous_(num_continuous),
       continuous_sizes_(std::move(continuous_sizes)),
@@ -207,17 +208,8 @@ MixedRoundSimulator::ContinuousSweep MixedRoundSimulator::RunContinuousSweep() {
   // uniforms (zones through the geometry's alias table, then cylinders
   // within the zone), the sizes, then the rotational latencies.
   rng_.FillUniform01(s.u_pos.data(), 2 * n);
-  const double* u_zone = s.u_pos.data();
-  const double* u_cylinder = s.u_pos.data() + n;
-  for (size_t i = 0; i < n; ++i) {
-    const int z = geometry_.SampleZoneAlias(u_zone[i]);
-    const disk::ZoneInfo& zi = geometry_.zone(z);
-    int offset = static_cast<int>(u_cylinder[i] * zi.num_cylinders);
-    if (offset >= zi.num_cylinders) offset = zi.num_cylinders - 1;
-    s.zone[i] = z;
-    s.cylinder[i] = zi.first_cylinder + offset;
-    s.rate_bps[i] = zi.transfer_rate_bps;
-  }
+  positions_.Sample(s.u_pos.data(), s.u_pos.data() + n, n, s.zone.data(),
+                    s.cylinder.data(), s.rate_bps.data());
   continuous_sizes_->FillSamples(&rng_, s.bytes.data(), n);
   rng_.FillUniform(0.0, geometry_.rotation_time(), s.rotation_s.data(), n);
 

@@ -17,6 +17,7 @@
 
 #include "common/status.h"
 #include "disk/disk_geometry.h"
+#include "disk/position_sampler.h"
 #include "disk/seek_model.h"
 #include "numeric/random.h"
 #include "numeric/statistics.h"
@@ -118,6 +119,7 @@ class MixedRoundSimulator {
   ContinuousSweep RunContinuousSweep();
 
   disk::DiskGeometry geometry_;
+  disk::ZonePositionSampler positions_;  // over geometry_'s zone law
   disk::SeekTimeModel seek_;
   int num_continuous_;
   std::shared_ptr<const workload::SizeDistribution> continuous_sizes_;

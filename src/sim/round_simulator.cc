@@ -29,6 +29,7 @@ RoundSimulator::RoundSimulator(
     std::unique_ptr<fault::FaultInjector> fault_injector,
     const SimulatorConfig& config)
     : geometry_(geometry),
+      positions_(geometry_),
       seek_(seek),
       num_streams_(num_streams),
       sources_(std::move(sources)),
@@ -298,29 +299,13 @@ RoundOutcome RoundSimulator::RunRoundBatched() {
 
   // Positions. The default placement needs two uniforms per request —
   // zone through the geometry's alias table, cylinder within the zone —
-  // drawn as two whole-round batches. A custom sampler is an opaque
-  // callback and falls back to per-stream calls.
+  // drawn as two whole-round batches (disk/position_sampler.h). A custom
+  // sampler is an opaque callback and falls back to per-stream calls.
   if (!config_.position_sampler) {
     rng_.FillUniform01(s.u_pos.data(), 2 * static_cast<size_t>(n));
-    const double* u_zone = s.u_pos.data();
-    const double* u_cylinder = s.u_pos.data() + n;
-    // Hoisted table pointers: the zone array is contiguous, so indexing
-    // it directly avoids a cross-TU accessor call (and its bounds
-    // checks) per request on the hottest loop in the simulator.
-    const disk::AliasTable& alias = geometry_.zone_alias();
-    const disk::ZoneInfo* zones = &geometry_.zone(0);
-    int* zone = s.zone.data();
-    int* cylinder = s.cylinder.data();
-    double* rate_bps = s.rate_bps.data();
-    for (int i = 0; i < n; ++i) {
-      const int z = alias.Sample(u_zone[i]);
-      const disk::ZoneInfo& zi = zones[z];
-      int offset = static_cast<int>(u_cylinder[i] * zi.num_cylinders);
-      if (offset >= zi.num_cylinders) offset = zi.num_cylinders - 1;
-      zone[i] = z;
-      cylinder[i] = zi.first_cylinder + offset;
-      rate_bps[i] = zi.transfer_rate_bps;
-    }
+    positions_.Sample(s.u_pos.data(), s.u_pos.data() + n,
+                      static_cast<size_t>(n), s.zone.data(),
+                      s.cylinder.data(), s.rate_bps.data());
   } else {
     for (int i = 0; i < n; ++i) {
       const disk::DiskPosition position =

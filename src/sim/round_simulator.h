@@ -18,6 +18,7 @@
 
 #include "common/status.h"
 #include "disk/disk_geometry.h"
+#include "disk/position_sampler.h"
 #include "disk/seek_model.h"
 #include "fault/fault_model.h"
 #include "numeric/statistics.h"
@@ -329,6 +330,8 @@ class RoundSimulator {
                               const RoundBreakdown& breakdown);
 
   disk::DiskGeometry geometry_;
+  // The default placement's batched draw over geometry_'s zone law.
+  disk::ZonePositionSampler positions_;
   disk::SeekTimeModel seek_;
   int num_streams_;
   std::vector<std::unique_ptr<workload::FragmentSource>> sources_;

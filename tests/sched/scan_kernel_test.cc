@@ -124,7 +124,11 @@ TEST(ScanKernelTest, MatchesSortForScanAndExecuteScanRoundOnEveryTier) {
   // One kernel across every batch, as its callers use it: buffers left
   // over from a larger batch must not leak into a smaller one.
   ScanKernel kernel;
-  for (const size_t n : {0u, 1u, 2u, 31u, 32u, 33u, 64u, 100u}) {
+  // Sizes straddle the fused AVX-512 sweep's edges: its minimum, each of
+  // its 8-lane blocks and 16-lane key registers filling, and the network's
+  // 32-request limit.
+  for (const size_t n : {0u, 1u, 2u, 3u, 7u, 8u, 9u, 15u, 16u, 17u, 24u, 26u,
+                         31u, 32u, 33u, 64u, 100u}) {
     for (const bool few_cylinders : {false, true}) {
       const Batch batch = RandomBatch(n, few_cylinders, &rng);
       const int start_cylinder = static_cast<int>(rng.UniformIndex(6720));

@@ -6,6 +6,7 @@
 // the detected tier, so on a scalar-only host the comparisons degenerate
 // to scalar-vs-scalar and pass vacuously).
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -14,8 +15,10 @@
 
 #include "common/check.h"
 #include "disk/presets.h"
+#include "numeric/gamma_internal.h"
 #include "numeric/mt19937_64.h"
 #include "numeric/random.h"
+#include "numeric/random_simd.h"
 #include "numeric/simd.h"
 #include "numeric/sort_network.h"
 #include "sched/batch_kernels.h"
@@ -164,24 +167,115 @@ TEST(SimdKernelTest, FillUniform01MatchesPerCallDraws) {
   }
 }
 
+// Every batch length around the 8-lane blocks (the last one partial, or
+// below the wide tiers' minimum batch), at shapes from the exponential
+// edge to nearly deterministic sizes.
 TEST(SimdKernelTest, GammaFillBitIdenticalAcrossTiers) {
-  const numeric::GammaBatchSampler sampler(4.0, 50e3);
-  std::vector<double> reference(512);
-  double reference_next = 0.0;
-  {
-    ScopedTier forced(SimdTier::kScalar);
-    numeric::Rng rng(2026);
-    sampler.Fill(&rng, reference.data(), reference.size());
-    reference_next = rng.Uniform01();
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 40; ++n) lengths.push_back(n);
+  lengths.push_back(81);
+  lengths.push_back(512);
+  for (const double shape : {1.0, 1.5, 4.0, 4.43, 50.0, 1e4}) {
+    const numeric::GammaBatchSampler sampler(shape, 50e3);
+    for (const size_t n : lengths) {
+      const uint64_t seed = 2026 + n;
+      std::vector<double> reference(n);
+      double reference_next = 0.0;
+      {
+        ScopedTier forced(SimdTier::kScalar);
+        numeric::Rng rng(seed);
+        sampler.Fill(&rng, reference.data(), n);
+        reference_next = rng.Uniform01();
+      }
+      for (SimdTier tier : AllTiers()) {
+        ScopedTier forced(tier);
+        numeric::Rng rng(seed);
+        std::vector<double> got(n);
+        sampler.Fill(&rng, got.data(), n);
+        EXPECT_EQ(got, reference) << numeric::SimdTierName(tier)
+                                  << " shape=" << shape << " n=" << n;
+        EXPECT_EQ(rng.Uniform01(), reference_next)
+            << numeric::SimdTierName(tier) << " shape=" << shape
+            << " n=" << n;
+      }
+    }
   }
-  for (SimdTier tier : AllTiers()) {
-    ScopedTier forced(tier);
-    numeric::Rng rng(2026);
-    std::vector<double> got(reference.size());
-    sampler.Fill(&rng, got.data(), got.size());
-    EXPECT_EQ(got, reference) << numeric::SimdTierName(tier);
-    EXPECT_EQ(rng.Uniform01(), reference_next)
-        << numeric::SimdTierName(tier);
+}
+
+// The wide tiers accept a lane on first try when either squeeze does;
+// the second, shape-aware squeeze must never accept a pair the scalar
+// routine rejects (numeric/gamma_internal.h), or the tiers' draws and
+// engine consumption would diverge. The grid straddles the exact test's
+// boundary u = exp(d phi(c x)) for x across the ziggurat's fast range,
+// densely near x = 0 where the squeeze bound and the boundary meet and
+// only the rounding margin separates them.
+TEST(SimdKernelTest, GammaSqueezeNeverAcceptsWhatTheExactTestRejects) {
+  const double edge = numeric::internal::NormalZiggurat().x[1];
+  std::vector<double> xs;
+  for (int k = -2000; k <= 2000; ++k) xs.push_back(edge * k / 2000.5);
+  for (int k = 0; k <= 48; ++k) {
+    const double tiny = std::pow(10.0, -k / 4.0);
+    xs.push_back(tiny);
+    xs.push_back(-tiny);
+  }
+  for (const double shape : {1.0, 1.5, 4.0, 4.43, 50.0, 1e4}) {
+    // GammaBatchSampler's constants.
+    const double d = shape - 1.0 / 3.0;
+    const double c = 1.0 / std::sqrt(9.0 * d);
+    std::vector<double> x;
+    std::vector<double> u;
+    for (const double xv : xs) {
+      double v = 1.0 + c * xv;
+      if (v <= 0.0) continue;
+      v = v * v * v;
+      const double boundary =
+          std::exp(0.5 * (xv * xv) + d * (1.0 - v + std::log(v)));
+      auto add = [&](double uv) {
+        if (uv >= 0.0 && uv < 1.0) {
+          x.push_back(xv);
+          u.push_back(uv);
+        }
+      };
+      for (int k = -32; k <= 32; ++k) add(boundary * (1.0 + k * 0x1.0p-24));
+      double below = boundary;
+      double above = boundary;
+      for (int k = 0; k < 16; ++k) {
+        below = std::nextafter(below, 0.0);
+        above = std::nextafter(above, 1.0);
+        add(below);
+        add(above);
+      }
+      for (int k = 0; k < 64; ++k) add((k + 0.5) / 64.0);
+    }
+    for (SimdTier tier : {SimdTier::kAvx2, SimdTier::kAvx512}) {
+      ScopedTier forced(tier);
+      if (numeric::ActiveSimdTier() != tier) continue;
+      std::unique_ptr<bool[]> accept(new bool[x.size()]);
+      ASSERT_TRUE(numeric::internal::GammaSqueezeWide(d, c, x.data(), u.data(),
+                                                      accept.get(), x.size()));
+      size_t unsound = 0;
+      size_t second_squeeze_only = 0;
+      for (size_t i = 0; i < x.size(); ++i) {
+        // The scalar routine's acceptance, verbatim.
+        double v = 1.0 + c * x[i];
+        v = v * v * v;
+        const double x2 = x[i] * x[i];
+        const bool squeeze = u[i] < 1.0 - 0.0331 * x2 * x2;
+        const bool exact =
+            std::log(u[i]) < 0.5 * x2 + d * (1.0 - v + std::log(v));
+        if (accept[i] && !squeeze && !exact) {
+          ++unsound;
+          ADD_FAILURE() << numeric::SimdTierName(tier) << " shape=" << shape
+                        << " x=" << x[i] << " u=" << u[i];
+          if (unsound > 5) break;
+        }
+        if (accept[i] && !squeeze) ++second_squeeze_only;
+      }
+      EXPECT_EQ(unsound, 0u);
+      // The second squeeze does accept lanes the first one misses.
+      EXPECT_GT(second_squeeze_only, x.size() / 50)
+          << numeric::SimdTierName(tier) << " shape=" << shape;
+    }
   }
 }
 
@@ -210,27 +304,32 @@ TEST(SimdKernelTest, RoundSimulatorSamplePathTierIndependent) {
   }
 }
 
+// N = 30 is validate_mc's importance-sampling size: not a multiple of 8,
+// so its Gamma batch ends in a partial block.
 TEST(SimdKernelTest, ImportanceSamplerSamplePathTierIndependent) {
-  auto run = [](SimdTier tier) {
-    ScopedTier forced(tier);
-    SimulatorConfig config;
-    config.round_length_s = 1.0;
-    auto sampler = ImportanceSampler::Create(
-        disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 24,
-        Table1Sizes(), config, ImportanceSamplingOptions{});
-    ZS_CHECK(sampler.ok());
-    sampler->ResetForReplication(55);
-    std::vector<double> values;
-    for (int i = 0; i < 200; ++i) {
-      const TiltedRoundOutcome outcome = sampler->RunRound();
-      values.push_back(outcome.total_service_time_s);
-      values.push_back(outcome.log_weight);
+  for (const int streams : {24, 30}) {
+    auto run = [streams](SimdTier tier) {
+      ScopedTier forced(tier);
+      SimulatorConfig config;
+      config.round_length_s = 1.0;
+      auto sampler = ImportanceSampler::Create(
+          disk::QuantumViking2100(), disk::QuantumViking2100Seek(), streams,
+          Table1Sizes(), config, ImportanceSamplingOptions{});
+      ZS_CHECK(sampler.ok());
+      sampler->ResetForReplication(55);
+      std::vector<double> values;
+      for (int i = 0; i < 200; ++i) {
+        const TiltedRoundOutcome outcome = sampler->RunRound();
+        values.push_back(outcome.total_service_time_s);
+        values.push_back(outcome.log_weight);
+      }
+      return values;
+    };
+    const std::vector<double> reference = run(SimdTier::kScalar);
+    for (SimdTier tier : AllTiers()) {
+      EXPECT_EQ(run(tier), reference)
+          << numeric::SimdTierName(tier) << " N=" << streams;
     }
-    return values;
-  };
-  const std::vector<double> reference = run(SimdTier::kScalar);
-  for (SimdTier tier : AllTiers()) {
-    EXPECT_EQ(run(tier), reference) << numeric::SimdTierName(tier);
   }
 }
 
