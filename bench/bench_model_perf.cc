@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -227,6 +228,25 @@ void BM_SimulatedRoundWithObs(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatedRoundWithObs)->Arg(26);
 
+// One obs::Histogram::Record: the per-sample cost inside the hooks above
+// and on the admission service's timed admit. Single-threaded; the values
+// cycle through 256 latencies over three decades, so most records move
+// neither extreme.
+void BM_HistogramRecord(benchmark::State& state) {
+  obs::Histogram histogram;
+  std::vector<double> values(256);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = 1e-6 * std::exp2(static_cast<double>(i % 97) / 10.0);
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    histogram.Record(values[next]);
+    next = (next + 1) % values.size();
+  }
+  benchmark::DoNotOptimize(histogram.count());
+}
+BENCHMARK(BM_HistogramRecord);
+
 // A replicated Monte Carlo batch (arg = replication count, 25 rounds
 // each) through the deterministic sharding path on the global pool. The
 // estimate is bit-identical at any thread count, so this curve tracks
@@ -389,11 +409,11 @@ BENCHMARK(BM_RcuReadGuard);
 // Experiment P2 — the million-session control plane's headline: full
 // admit + teardown cycles against a shared AdmissionService from 1/2/4
 // threads (lock-free registry insert/erase, occupancy CAS, RCU-guarded
-// limit probe, latency accumulator — the daemon's entire fast path
-// except socket I/O). items_per_second counts operations (2 per cycle);
-// p50_ns/p99_ns are admit latency percentiles from the service's own
-// lock-free accumulator. On a single-core host the >1-thread entries
-// measure contention overhead, not scaling.
+// limit probe, one admit-latency histogram record — the daemon's entire
+// fast path except socket I/O). items_per_second counts operations (2
+// per cycle); p50_ns/p99_ns are the interpolated admit latency
+// percentiles of the service.admit.latency_s histogram. On a single-core
+// host the >1-thread entries measure contention overhead, not scaling.
 void BM_AdmissionServiceThroughput(benchmark::State& state) {
   static std::unique_ptr<service::AdmissionService> svc;
   static obs::Registry* registry = nullptr;

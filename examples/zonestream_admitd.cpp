@@ -42,13 +42,13 @@
 #include "core/service_time_model.h"
 #include "disk/disk_geometry.h"
 #include "disk/seek_model.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "recovery/checkpoint.h"
 #include "recovery/snapshot.h"
 #include "server/server_config.h"
 #include "service/admission_service.h"
 #include "service/daemon.h"
-#include "service/stats_format.h"
 
 using namespace zonestream;  // example code; libraries never do this
 
@@ -324,8 +324,7 @@ int Run(const Args& args) {
 
   // Exit report: the service.* metrics tables (docs/OBSERVABILITY.md).
   (*service)->FlushObservability();
-  std::fputs(service::FormatServiceMetrics(registry.Snapshot()).c_str(),
-             stderr);
+  obs::PrintRegistry(registry.Snapshot(), stderr);
 
   // Final durable checkpoint on clean shutdown.
   if (writer != nullptr) {

@@ -2,18 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 
 namespace zonestream::obs {
 
+static_assert(std::atomic<int64_t>::is_always_lock_free);
+static_assert(std::atomic<double>::is_always_lock_free);
+
 int Histogram::BucketIndexFor(double value) {
   if (!(value > 0.0)) return 0;  // <= 0 and NaN land in the underflow bucket
   const double octaves = std::log2(value / kMinValue);
   if (octaves < 0.0) return 1;
-  const int index =
-      1 + static_cast<int>(octaves * static_cast<double>(kBucketsPerOctave));
-  return std::min(index, kNumBuckets - 1);
+  // +inf, and values whose ratio to kMinValue overflows to +inf, must
+  // clamp before the cast: an out-of-range double-to-int is undefined.
+  if (!(octaves < kOctaves)) return kNumBuckets - 1;
+  return 1 + static_cast<int>(octaves * static_cast<double>(kBucketsPerOctave));
 }
 
 double Histogram::BucketLowerBound(int i) {
@@ -25,74 +30,99 @@ double Histogram::BucketLowerBound(int i) {
 }
 
 void Histogram::Record(double value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++buckets_[BucketIndexFor(value)];
-  if (count_ == 0) {
-    min_ = value;
-    max_ = value;
-  } else {
-    min_ = std::fmin(min_, value);
-    max_ = std::fmax(max_, value);
+  // Extremes and sum first, the bucket last with release: a reader that
+  // counts this record (ExportState acquires the buckets) also sees it in
+  // min, max and sum. An extreme moves only on a strict improvement, so of
+  // -0.0 and +0.0 the first recorded stays and NaN never becomes one.
+  double current = min_.load(std::memory_order_relaxed);
+  while (value < current &&
+         !min_.compare_exchange_weak(current, value,
+                                     std::memory_order_relaxed)) {
   }
-  ++count_;
-  sum_ += value;
+  current = max_.load(std::memory_order_relaxed);
+  while (value > current &&
+         !max_.compare_exchange_weak(current, value,
+                                     std::memory_order_relaxed)) {
+  }
+  current = sum_.load(std::memory_order_relaxed);
+  while (!sum_.compare_exchange_weak(current, current + value,
+                                     std::memory_order_relaxed)) {
+  }
+  buckets_[BucketIndexFor(value)].fetch_add(1, std::memory_order_release);
 }
 
 int64_t Histogram::count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return count_;
+  int64_t total = 0;
+  for (const auto& bucket : buckets_) {
+    total += bucket.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
-double Histogram::QuantileLocked(double q) const {
-  if (count_ == 0) return 0.0;
+double HistogramState::Quantile(double q) const {
+  if (count == 0) return 0.0;
   const int64_t rank = std::max<int64_t>(
-      1, static_cast<int64_t>(std::ceil(q * static_cast<double>(count_))));
+      1, static_cast<int64_t>(std::ceil(q * static_cast<double>(count))));
+  const int num_buckets = static_cast<int>(buckets.size());
   int64_t cumulative = 0;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    if (buckets_[i] == 0) continue;
-    cumulative += buckets_[i];
+  for (int i = 0; i < num_buckets; ++i) {
+    if (buckets[i] == 0) continue;
+    cumulative += buckets[i];
     if (cumulative < rank) continue;
     // Interpolate linearly inside the bucket, then clamp to the observed
     // extrema so quantiles never leave [min, max].
     double lo;
     double hi;
     if (i == 0) {
-      lo = min_;
-      hi = std::fmin(max_, 0.0);
+      lo = min;
+      hi = std::fmin(max, 0.0);
     } else {
-      lo = BucketLowerBound(i);
-      hi = i + 1 < kNumBuckets ? BucketLowerBound(i + 1) : max_;
+      lo = Histogram::BucketLowerBound(i);
+      hi = i + 1 < num_buckets ? Histogram::BucketLowerBound(i + 1) : max;
     }
     const double within =
-        static_cast<double>(buckets_[i] - (cumulative - rank)) /
-        static_cast<double>(buckets_[i]);
+        static_cast<double>(buckets[i] - (cumulative - rank)) /
+        static_cast<double>(buckets[i]);
     const double value = lo + (hi - lo) * within;
-    return std::clamp(value, min_, max_);
+    return std::clamp(value, min, max);
   }
-  return max_;
+  return max;
 }
 
-HistogramSnapshot Histogram::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+HistogramSnapshot HistogramState::Summary() const {
   HistogramSnapshot snapshot;
-  snapshot.count = count_;
-  snapshot.sum = sum_;
-  snapshot.min = min_;
-  snapshot.max = max_;
-  snapshot.p50 = QuantileLocked(0.50);
-  snapshot.p95 = QuantileLocked(0.95);
-  snapshot.p99 = QuantileLocked(0.99);
+  snapshot.count = count;
+  snapshot.sum = sum;
+  snapshot.min = min;
+  snapshot.max = max;
+  snapshot.p50 = Quantile(0.50);
+  snapshot.p95 = Quantile(0.95);
+  snapshot.p99 = Quantile(0.99);
   return snapshot;
 }
 
+HistogramSnapshot Histogram::Snapshot() const {
+  return ExportState().Summary();
+}
+
 HistogramState Histogram::ExportState() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   HistogramState state;
-  state.buckets = buckets_;
-  state.count = count_;
-  state.sum = sum_;
-  state.min = min_;
-  state.max = max_;
+  state.buckets.resize(kNumBuckets);
+  for (int i = 0; i < kNumBuckets; ++i) {
+    state.buckets[i] = buckets_[i].load(std::memory_order_acquire);
+    state.count += state.buckets[i];
+  }
+  state.sum = sum_.load(std::memory_order_relaxed);
+  state.min = min_.load(std::memory_order_relaxed);
+  state.max = max_.load(std::memory_order_relaxed);
+  if (state.count == 0) {
+    state.min = 0.0;
+    state.max = 0.0;
+  } else if (!(state.min <= state.max)) {
+    // Still the sentinels: every counted record was NaN.
+    state.min = std::numeric_limits<double>::quiet_NaN();
+    state.max = state.min;
+  }
   return state;
 }
 
@@ -113,44 +143,15 @@ common::Status Histogram::ImportState(const HistogramState& state) {
     return common::Status::InvalidArgument(
         "histogram state count disagrees with bucket totals");
   }
-  std::lock_guard<std::mutex> lock(mutex_);
-  buckets_ = state.buckets;
-  count_ = state.count;
-  sum_ = state.sum;
-  min_ = state.min;
-  max_ = state.max;
-  return common::Status::Ok();
-}
-
-common::Status Histogram::MergeState(const HistogramState& delta) {
-  if (delta.buckets.size() != static_cast<size_t>(kNumBuckets)) {
-    return common::Status::InvalidArgument(
-        "histogram delta has wrong bucket count");
+  for (int i = 0; i < kNumBuckets; ++i) {
+    buckets_[i].store(state.buckets[i], std::memory_order_relaxed);
   }
-  int64_t total = 0;
-  for (int64_t bucket : delta.buckets) {
-    if (bucket < 0) {
-      return common::Status::InvalidArgument(
-          "histogram delta has a negative bucket count");
-    }
-    total += bucket;
-  }
-  if (total != delta.count || delta.count < 0) {
-    return common::Status::InvalidArgument(
-        "histogram delta count disagrees with bucket totals");
-  }
-  if (delta.count == 0) return common::Status::Ok();
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (int i = 0; i < kNumBuckets; ++i) buckets_[i] += delta.buckets[i];
-  if (count_ == 0) {
-    min_ = delta.min;
-    max_ = delta.max;
-  } else {
-    min_ = std::fmin(min_, delta.min);
-    max_ = std::fmax(max_, delta.max);
-  }
-  count_ += delta.count;
-  sum_ += delta.sum;
+  sum_.store(state.sum, std::memory_order_relaxed);
+  // An empty state's zeros (and an all-NaN state's NaNs) are not extremes
+  // of any value: re-arm the sentinels so the next Record sets both.
+  const bool has_extremes = state.count > 0 && !std::isnan(state.min);
+  min_.store(has_extremes ? state.min : kInf, std::memory_order_relaxed);
+  max_.store(has_extremes ? state.max : -kInf, std::memory_order_relaxed);
   return common::Status::Ok();
 }
 
@@ -202,47 +203,21 @@ Histogram* Registry::GetHistogram(const std::string& name) {
 }
 
 RegistrySnapshot Registry::Snapshot() const {
-  // Collect the stable metric pointers under the registry lock, then read
-  // each metric with its own synchronization; std::map iteration already
-  // yields names in sorted order.
-  std::vector<std::pair<std::string, const Counter*>> counters;
-  std::vector<std::pair<std::string, const Gauge*>> gauges;
-  std::vector<std::pair<std::string, const Histogram*>> histograms;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    counters.reserve(counters_.size());
-    for (const auto& [name, counter] : counters_) {
-      counters.emplace_back(name, counter.get());
-    }
-    gauges.reserve(gauges_.size());
-    for (const auto& [name, gauge] : gauges_) {
-      gauges.emplace_back(name, gauge.get());
-    }
-    histograms.reserve(histograms_.size());
-    for (const auto& [name, histogram] : histograms_) {
-      histograms.emplace_back(name, histogram.get());
-    }
-  }
+  RegistryState state = ExportState();
   RegistrySnapshot snapshot;
-  snapshot.counters.reserve(counters.size());
-  for (const auto& [name, counter] : counters) {
-    snapshot.counters.emplace_back(name, counter->value());
-  }
-  snapshot.gauges.reserve(gauges.size());
-  for (const auto& [name, gauge] : gauges) {
-    snapshot.gauges.emplace_back(name, gauge->value());
-  }
-  snapshot.histograms.reserve(histograms.size());
-  for (const auto& [name, histogram] : histograms) {
-    snapshot.histograms.emplace_back(name, histogram->Snapshot());
+  snapshot.counters = std::move(state.counters);
+  snapshot.gauges = std::move(state.gauges);
+  snapshot.histograms.reserve(state.histograms.size());
+  for (const auto& [name, histogram] : state.histograms) {
+    snapshot.histograms.emplace_back(name, histogram.Summary());
   }
   return snapshot;
 }
 
 RegistryState Registry::ExportState() const {
-  // Same two-phase structure as Snapshot(): stable pointers under the
-  // registry lock, then per-metric reads under each metric's own
-  // synchronization.
+  // Collect the stable metric pointers under the registry lock, then read
+  // each metric with its own synchronization; std::map iteration already
+  // yields names in sorted order.
   std::vector<std::pair<std::string, const Counter*>> counters;
   std::vector<std::pair<std::string, const Gauge*>> gauges;
   std::vector<std::pair<std::string, const Histogram*>> histograms;

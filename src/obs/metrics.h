@@ -5,10 +5,13 @@
 // Design constraints, in order:
 //   1. Hot-path cost must be negligible next to a simulated round
 //      (~microseconds): Counter/Gauge are single relaxed atomics and
-//      Histogram::Record is one short critical section.
+//      Histogram::Record is a few lock-free atomics (no mutex), so hot
+//      paths record into the registry's histograms directly.
 //   2. Everything is observable while the workload is still running:
 //      Snapshot() is consistent per metric (not across metrics), which is
-//      all the exporters need.
+//      all the exporters need. A histogram read while it is being
+//      written counts a record only once that record's min, max and sum
+//      are visible (see Histogram::Record).
 //   3. Instrumented code takes non-owning `Registry*` pointers and treats
 //      null as "observability disabled", so the simulators and servers pay
 //      nothing when nobody is watching.
@@ -18,8 +21,10 @@
 #ifndef ZONESTREAM_OBS_METRICS_H_
 #define ZONESTREAM_OBS_METRICS_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -98,14 +103,22 @@ struct HistogramState {
   double sum = 0.0;
   double min = 0.0;
   double max = 0.0;
+
+  // The q-quantile, interpolated linearly inside its bucket and clamped
+  // into [min, max]; 0 when empty.
+  double Quantile(double q) const;
+  // count, sum, min, max and the p50/p95/p99 quantiles.
+  HistogramSnapshot Summary() const;
 };
 
 // Log-bucketed histogram for positive durations/sizes. Bucket boundaries
 // grow geometrically (kBucketsPerOctave buckets per power of two), giving
 // <= ~9% relative quantile error over [kMinValue, kMaxValue); values at or
-// below zero land in a dedicated underflow bucket and out-of-range values
-// clamp into the edge buckets. The exact sum/min/max are tracked alongside
-// the buckets, so mean() is exact even though quantiles are bucketed.
+// below zero (and NaN) land in a dedicated underflow bucket and
+// out-of-range values clamp into the edge buckets. The exact sum/min/max
+// are tracked alongside the buckets, so mean() is exact even though
+// quantiles are bucketed. Lock-free: Record and the readers are relaxed
+// atomics plus one release/acquire pair on the bucket counts.
 class Histogram {
  public:
   static constexpr int kBucketsPerOctave = 8;
@@ -118,46 +131,37 @@ class Histogram {
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
-  // Records one observation. Thread-safe.
+  // Records one observation. Thread-safe, lock-free.
   void Record(double value);
 
-  // Consistent snapshot with interpolated p50/p95/p99. Thread-safe.
+  // ExportState().Summary(): interpolated p50/p95/p99. Thread-safe.
   HistogramSnapshot Snapshot() const;
 
+  // Sum of the bucket counts.
   int64_t count() const;
 
-  // Exact bucket-level state capture/restore. ImportState rejects a
-  // wrong-size bucket vector, negative counts, or a total that does not
-  // match `count`. Thread-safe.
+  // Exact bucket-level state capture/restore. `count` is the sum of the
+  // exported buckets, and an empty histogram exports min = max = 0.
+  // ImportState rejects a wrong-size bucket vector, negative counts, or a
+  // total that does not match `count`; it is for restoring a histogram
+  // nobody is recording into. Thread-safe.
   HistogramState ExportState() const;
   common::Status ImportState(const HistogramState& state);
-
-  // Adds `delta` (a partial HistogramState with the same validity rules
-  // as ImportState) INTO the current state instead of replacing it.
-  // Lets lock-free mirrors (e.g. the admission service's relaxed-atomic
-  // latency accumulator, which shares this bucket geometry via
-  // BucketIndexFor) drain periodically into a registry histogram without
-  // ever taking this mutex on their hot path. `delta.min`/`delta.max`
-  // only tighten the extrema and are ignored when delta.count == 0.
-  // Thread-safe; fails without side effects on malformed input.
-  common::Status MergeState(const HistogramState& delta);
 
   // Lower edge of bucket `i` (i >= 1; bucket 0 is the underflow bucket).
   static double BucketLowerBound(int i);
 
-  // The bucket `value` lands in: pure function of the class constants,
-  // public so external accumulators can mirror the bucket geometry.
+  // The bucket `value` lands in: a pure function of the class constants.
   static int BucketIndexFor(double value);
 
  private:
-  double QuantileLocked(double q) const;  // requires mutex_ held
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  mutable std::mutex mutex_;
-  std::vector<int64_t> buckets_ = std::vector<int64_t>(kNumBuckets, 0);
-  int64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
+  std::array<std::atomic<int64_t>, kNumBuckets> buckets_{};
+  std::atomic<double> sum_{0.0};
+  // Sentinels, so the first Record sets both extremes.
+  std::atomic<double> min_{kInf};
+  std::atomic<double> max_{-kInf};
 };
 
 // Point-in-time view of every metric in a Registry, sorted by name.
@@ -193,6 +197,7 @@ class Registry {
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
 
+  // ExportState() with every histogram summarized.
   RegistrySnapshot Snapshot() const;
 
   // Checkpoint support. ExportState is a lossless Snapshot; ImportState

@@ -1,14 +1,12 @@
 #include "service/admission_service.h"
 
 #include <algorithm>
-#include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 
 #include "common/blob.h"
 #include "common/check.h"
+#include "obs/scoped_timer.h"
 
 namespace zonestream::service {
 
@@ -129,10 +127,7 @@ uint64_t AdmissionServiceStateDigest(const AdmissionServiceState& state) {
 }
 
 AdmissionService::AdmissionService(const AdmissionServiceConfig& config)
-    : limits_(&rcu_domain_, std::make_unique<ServingLimits>()),
-      latency_min_bits_(std::bit_cast<uint64_t>(
-          std::numeric_limits<double>::infinity())),
-      latency_max_bits_(std::bit_cast<uint64_t>(0.0)) {
+    : limits_(&rcu_domain_, std::make_unique<ServingLimits>()) {
   class_names_.reserve(config.classes.size());
   class_tolerances_.reserve(config.classes.size());
   for (const AdmissionClassConfig& cls : config.classes) {
@@ -140,12 +135,6 @@ AdmissionService::AdmissionService(const AdmissionServiceConfig& config)
     class_tolerances_.push_back(cls.tolerance);
   }
   occupancy_ = std::make_unique<PaddedCounter[]>(config.classes.size());
-  latency_buckets_ = std::make_unique<std::atomic<int64_t>[]>(
-      obs::Histogram::kNumBuckets);
-  for (int i = 0; i < obs::Histogram::kNumBuckets; ++i) {
-    latency_buckets_[i].store(0, std::memory_order_relaxed);
-  }
-  flushed_buckets_.assign(obs::Histogram::kNumBuckets, 0);
 }
 
 AdmissionService::~AdmissionService() = default;
@@ -303,27 +292,6 @@ common::Status AdmissionService::PublishLimits(
   return common::Status::Ok();
 }
 
-void AdmissionService::RecordLatency(double seconds) {
-  latency_buckets_[obs::Histogram::BucketIndexFor(seconds)].fetch_add(
-      1, std::memory_order_relaxed);
-  latency_count_.fetch_add(1, std::memory_order_relaxed);
-  latency_sum_ns_.fetch_add(static_cast<int64_t>(seconds * 1e9),
-                            std::memory_order_relaxed);
-  // Positive IEEE-754 doubles order the same as their bit patterns, so
-  // min/max maintenance is a CAS loop on uint64 bits.
-  const uint64_t bits = std::bit_cast<uint64_t>(seconds);
-  uint64_t observed = latency_min_bits_.load(std::memory_order_relaxed);
-  while (bits < observed &&
-         !latency_min_bits_.compare_exchange_weak(
-             observed, bits, std::memory_order_relaxed)) {
-  }
-  observed = latency_max_bits_.load(std::memory_order_relaxed);
-  while (bits > observed &&
-         !latency_max_bits_.compare_exchange_weak(
-             observed, bits, std::memory_order_relaxed)) {
-  }
-}
-
 void AdmissionService::CountResult(ServiceResult result,
                                    obs::Counter* const* table) {
   obs::Counter* counter = table[static_cast<int>(result)];
@@ -397,14 +365,10 @@ ServiceOutcome AdmissionService::DoAdmit(uint64_t session_id,
 ServiceOutcome AdmissionService::Admit(uint64_t session_id,
                                        uint32_t class_index) {
   if (admit_requests_ != nullptr) admit_requests_->Increment();
-  const bool timed = metrics_ != nullptr;
-  const auto start = timed ? std::chrono::steady_clock::now()
-                           : std::chrono::steady_clock::time_point{};
-  ServiceOutcome out = DoAdmit(session_id, class_index);
-  if (timed) {
-    RecordLatency(std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count());
+  ServiceOutcome out;
+  {
+    obs::ScopedTimer timer(latency_histogram_);
+    out = DoAdmit(session_id, class_index);
   }
   CountResult(out.result, admit_by_result_);
   return out;
@@ -575,33 +539,6 @@ ReconcileReport AdmissionService::ReconcileOccupancy() {
 
 void AdmissionService::FlushObservability() {
   if (metrics_ == nullptr) return;
-  {
-    std::lock_guard<std::mutex> lock(flush_mutex_);
-    obs::HistogramState delta;
-    delta.buckets.assign(obs::Histogram::kNumBuckets, 0);
-    int64_t total = 0;
-    for (int i = 0; i < obs::Histogram::kNumBuckets; ++i) {
-      const int64_t current =
-          latency_buckets_[i].load(std::memory_order_relaxed);
-      delta.buckets[i] = current - flushed_buckets_[i];
-      total += delta.buckets[i];
-      flushed_buckets_[i] = current;
-    }
-    delta.count = total;
-    const double sum_ns =
-        static_cast<double>(latency_sum_ns_.load(std::memory_order_relaxed));
-    // The sum and the buckets are read at slightly different instants,
-    // so the mean can be transiently off by in-flight records; the
-    // histogram is advisory and the skew self-corrects next flush.
-    delta.sum = (sum_ns - flushed_sum_ns_) * 1e-9;
-    flushed_sum_ns_ = sum_ns;
-    delta.min = std::bit_cast<double>(
-        latency_min_bits_.load(std::memory_order_relaxed));
-    delta.max = std::bit_cast<double>(
-        latency_max_bits_.load(std::memory_order_relaxed));
-    const auto status = latency_histogram_->MergeState(delta);
-    ZS_CHECK(status.ok());  // delta is internally consistent by construction
-  }
   live_gauge_->Set(static_cast<double>(registry_->live()));
   {
     RcuReadGuard guard(&rcu_domain_);
@@ -622,19 +559,9 @@ void AdmissionService::FlushObservability() {
 }
 
 double AdmissionService::LatencyQuantile(double q) const {
-  const int64_t count = latency_count_.load(std::memory_order_relaxed);
-  if (count <= 0) return 0.0;
-  const int64_t rank = std::max<int64_t>(
-      1, static_cast<int64_t>(std::ceil(q * static_cast<double>(count))));
-  int64_t cumulative = 0;
-  for (int i = 0; i < obs::Histogram::kNumBuckets; ++i) {
-    cumulative += latency_buckets_[i].load(std::memory_order_relaxed);
-    if (cumulative >= rank) {
-      return i == 0 ? 0.0 : obs::Histogram::BucketLowerBound(i);
-    }
-  }
-  return std::bit_cast<double>(
-      latency_max_bits_.load(std::memory_order_relaxed));
+  return latency_histogram_ != nullptr
+             ? latency_histogram_->ExportState().Quantile(q)
+             : 0.0;
 }
 
 AdmissionServiceState AdmissionService::ExportState() const {

@@ -20,8 +20,8 @@
 //     test).
 //
 // Cross-cutting wiring: obs::Registry metrics (service.* counters, a
-// log-bucketed admit-latency histogram fed from a relaxed-atomic
-// accumulator, per-shard occupancy gauges), checkpoint/restore through
+// log-bucketed admit-latency histogram that each admit records into
+// directly, per-shard occupancy gauges), checkpoint/restore through
 // an exact byte codec (the recovery snapshot's v3 service section calls
 // it), and the zonestream_admitd daemon front-end (service/daemon.h).
 // See docs/SERVICE.md for the operational picture.
@@ -207,9 +207,9 @@ class AdmissionService {
   // this is the operational safety net (run quiesced for exact zeros).
   ReconcileReport ReconcileOccupancy();
 
-  // Periodic observability flush: drains the latency accumulator into
-  // the registry histogram and refreshes the gauges. No-op without a
-  // metrics registry.
+  // Periodic observability flush: refreshes the gauges (the counters and
+  // the latency histogram are always live). No-op without a metrics
+  // registry.
   void FlushObservability();
 
   // --- Checkpoint/restore ---
@@ -233,12 +233,10 @@ class AdmissionService {
   }
   const SessionRegistry& registry() const { return *registry_; }
 
-  // Admit-latency quantile from the lock-free accumulator (seconds);
-  // 0 when nothing was recorded. For benchmarks and stats.
+  // Admit-latency quantile from the service.admit.latency_s histogram
+  // (seconds); 0 without a metrics registry or before the first admit.
+  // For benchmarks and stats.
   double LatencyQuantile(double q) const;
-  int64_t latency_count() const {
-    return latency_count_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct alignas(64) PaddedCounter {
@@ -249,7 +247,6 @@ class AdmissionService {
 
   ServiceOutcome DoAdmit(uint64_t session_id, uint32_t class_index);
   void PublishLocked(std::unique_ptr<ServingLimits> next);
-  void RecordLatency(double seconds);
   void CountResult(ServiceResult result, obs::Counter* const* table);
 
   // Class config (immutable after Create).
@@ -266,18 +263,6 @@ class AdmissionService {
   std::atomic<uint64_t> next_session_id_{SessionRegistry::kMinSessionId};
   std::atomic<int64_t> next_admit_seq_{0};
   std::atomic<uint64_t> version_counter_{0};
-
-  // Lock-free admit-latency accumulator mirroring the obs::Histogram
-  // bucket geometry; FlushObservability() drains the delta into the
-  // registry histogram via Histogram::MergeState.
-  std::unique_ptr<std::atomic<int64_t>[]> latency_buckets_;
-  std::atomic<int64_t> latency_count_{0};
-  std::atomic<int64_t> latency_sum_ns_{0};
-  std::atomic<uint64_t> latency_min_bits_;
-  std::atomic<uint64_t> latency_max_bits_;
-  std::mutex flush_mutex_;
-  std::vector<int64_t> flushed_buckets_;  // last-flushed bucket counts
-  double flushed_sum_ns_ = 0.0;
 
   // Metrics (null when disabled). Indexed by ServiceResult where noted.
   obs::Registry* metrics_ = nullptr;

@@ -6,14 +6,6 @@
 
 namespace zonestream::service {
 
-namespace {
-
-bool IsServiceMetric(const std::string& name) {
-  return name.rfind("service.", 0) == 0;
-}
-
-}  // namespace
-
 std::string FormatServiceStats(const ServiceStats& stats) {
   std::string out;
   {
@@ -63,44 +55,6 @@ std::string FormatServiceStats(const ServiceStats& stats) {
                                 static_cast<double>(stats.registry.shards)
                           : 0.0,
                       2)});
-    out += table.ToString();
-  }
-  return out;
-}
-
-std::string FormatServiceMetrics(const obs::RegistrySnapshot& snapshot) {
-  std::string out;
-  {
-    common::TablePrinter table("service counters");
-    table.SetHeader({"counter", "value"});
-    for (const auto& [name, value] : snapshot.counters) {
-      if (!IsServiceMetric(name)) continue;
-      table.AddRow({name, std::to_string(value)});
-    }
-    out += table.ToString();
-  }
-  out += "\n";
-  {
-    common::TablePrinter table("service gauges");
-    table.SetHeader({"gauge", "value"});
-    for (const auto& [name, value] : snapshot.gauges) {
-      if (!IsServiceMetric(name)) continue;
-      table.AddRow({name, common::FormatDouble(value)});
-    }
-    out += table.ToString();
-  }
-  out += "\n";
-  {
-    common::TablePrinter table("service histograms");
-    table.SetHeader({"histogram", "count", "mean", "p50", "p99", "max"});
-    for (const auto& [name, histogram] : snapshot.histograms) {
-      if (!IsServiceMetric(name)) continue;
-      table.AddRow({name, std::to_string(histogram.count),
-                    common::FormatDouble(histogram.mean()),
-                    common::FormatDouble(histogram.p50),
-                    common::FormatDouble(histogram.p99),
-                    common::FormatDouble(histogram.max)});
-    }
     out += table.ToString();
   }
   return out;

@@ -6,19 +6,12 @@
 
 #include <string>
 
-#include "obs/metrics.h"
 #include "service/admission_service.h"
 
 namespace zonestream::service {
 
 // Per-class occupancy/limits plus registry shard summary.
 std::string FormatServiceStats(const ServiceStats& stats);
-
-// Renders the `service.*` subtree of a registry snapshot (counters and
-// gauges sorted by name, histograms with count/mean/p50/p99) through the
-// shared table printer. Metrics outside the service.* namespace are
-// skipped.
-std::string FormatServiceMetrics(const obs::RegistrySnapshot& snapshot);
 
 }  // namespace zonestream::service
 

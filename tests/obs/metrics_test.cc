@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <thread>
@@ -113,15 +114,21 @@ TEST(HistogramTest, QuantileOfSingleValueIsThatValue) {
 }
 
 TEST(HistogramTest, HandlesOutOfRangeAndNonPositiveValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   Histogram histogram;
   histogram.Record(0.0);     // underflow bucket
   histogram.Record(-3.0);    // underflow bucket
   histogram.Record(1e-12);   // below kMinValue: clamps to first bucket
   histogram.Record(1e9);     // above kMaxValue: clamps to last bucket
+  histogram.Record(kInf);    // so does +inf
+  const HistogramState state = histogram.ExportState();
+  EXPECT_EQ(state.buckets[0], 2);
+  EXPECT_EQ(state.buckets[1], 1);
+  EXPECT_EQ(state.buckets[Histogram::kNumBuckets - 1], 2);
   const HistogramSnapshot snapshot = histogram.Snapshot();
-  EXPECT_EQ(snapshot.count, 4);
+  EXPECT_EQ(snapshot.count, 5);
   EXPECT_DOUBLE_EQ(snapshot.min, -3.0);
-  EXPECT_DOUBLE_EQ(snapshot.max, 1e9);
+  EXPECT_EQ(snapshot.max, kInf);
 }
 
 TEST(HistogramTest, BucketBoundsAreMonotone) {
@@ -151,9 +158,6 @@ TEST(HistogramTest, ConcurrentRecordsAreLossless) {
 }
 
 TEST(HistogramTest, BucketIndexForMirrorsRecordGeometry) {
-  // BucketIndexFor is public so lock-free external accumulators (the
-  // admission service's latency mirror) can share the bucket geometry;
-  // it must agree with Record's own placement everywhere.
   EXPECT_EQ(Histogram::BucketIndexFor(0.0), 0);
   EXPECT_EQ(Histogram::BucketIndexFor(-1.0), 0);
   EXPECT_EQ(Histogram::BucketIndexFor(
@@ -161,8 +165,13 @@ TEST(HistogramTest, BucketIndexForMirrorsRecordGeometry) {
             0);
   EXPECT_EQ(Histogram::BucketIndexFor(1e-12), 1);  // below kMinValue clamps
   EXPECT_EQ(Histogram::BucketIndexFor(Histogram::kMinValue), 1);
-  EXPECT_EQ(Histogram::BucketIndexFor(1e9),
-            Histogram::kNumBuckets - 1);  // above kMaxValue clamps
+  // Above kMaxValue clamps, including values whose ratio to kMinValue
+  // overflows and +inf itself.
+  for (double huge : {1e9, 1e300, std::numeric_limits<double>::max(),
+                      std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(Histogram::BucketIndexFor(huge), Histogram::kNumBuckets - 1)
+        << huge;
+  }
   // Every bucket's lower edge maps into that bucket, and one ulp short
   // of the next edge stays in it.
   for (int i = 1; i < Histogram::kNumBuckets; ++i) {
@@ -179,89 +188,120 @@ TEST(HistogramTest, BucketIndexForMirrorsRecordGeometry) {
       EXPECT_LE(Histogram::BucketIndexFor(below_next), i + 1) << i;
     }
   }
-  // The contract the admission service relies on: a recorded value and
-  // an externally bucketed value agree on the resulting distribution.
-  Histogram recorded;
-  Histogram merged;
-  HistogramState delta;
-  delta.buckets.assign(Histogram::kNumBuckets, 0);
-  for (double value : {1e-8, 3e-6, 1e-4, 0.02, 0.5, 7.0, 900.0}) {
-    recorded.Record(value);
-    ++delta.buckets[Histogram::BucketIndexFor(value)];
-    ++delta.count;
-    delta.sum += value;
-    delta.min = delta.count == 1 ? value : std::fmin(delta.min, value);
-    delta.max = delta.count == 1 ? value : std::fmax(delta.max, value);
+  // Record counts each value in the bucket BucketIndexFor names.
+  for (double value : {1e-8, 3e-6, 1e-4, 0.02, 0.5, 7.0, 900.0, 1e300}) {
+    Histogram histogram;
+    histogram.Record(value);
+    EXPECT_EQ(histogram.ExportState().buckets[Histogram::BucketIndexFor(value)],
+              1)
+        << value;
   }
-  ASSERT_TRUE(merged.MergeState(delta).ok());
-  const HistogramSnapshot a = recorded.Snapshot();
-  const HistogramSnapshot b = merged.Snapshot();
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_DOUBLE_EQ(a.sum, b.sum);
-  EXPECT_DOUBLE_EQ(a.p50, b.p50);
-  EXPECT_DOUBLE_EQ(a.p99, b.p99);
 }
 
-TEST(HistogramTest, MergeStateAccumulatesIntoExistingState) {
+TEST(HistogramTest, ExtremesIgnoreNaNAndKeepTheFirstOfEqualValues) {
+  // An extreme moves only on a strict improvement, so of -0.0 and +0.0
+  // the first one recorded stays, and NaN never becomes an extreme unless
+  // nothing else was recorded.
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    std::vector<double> values;
+    double min;
+    double max;
+  };
+  const std::vector<Case> cases = {
+      {{0.0, -0.0, 1.0}, 0.0, 1.0},
+      {{-0.0, 0.0, -1.0}, -1.0, -0.0},
+      {{kNaN, 2.0, kNaN, 0.5}, 0.5, 2.0},
+      {{3.0, kNaN, 3.0, -0.0}, -0.0, 3.0},
+  };
+  for (const Case& c : cases) {
+    Histogram histogram;
+    for (double value : c.values) histogram.Record(value);
+    const HistogramState state = histogram.ExportState();
+    EXPECT_EQ(state.min, c.min);
+    EXPECT_EQ(state.max, c.max);
+    EXPECT_EQ(std::signbit(state.min), std::signbit(c.min));
+    EXPECT_EQ(std::signbit(state.max), std::signbit(c.max));
+  }
+  Histogram only_nan;
+  only_nan.Record(kNaN);
+  only_nan.Record(kNaN);
+  const HistogramState state = only_nan.ExportState();
+  EXPECT_EQ(state.count, 2);
+  EXPECT_TRUE(std::isnan(state.min));
+  EXPECT_TRUE(std::isnan(state.max));
+}
+
+TEST(HistogramTest, RecordAfterRestoringAnEmptyStateStartsFresh) {
+  Histogram empty;
+  const HistogramState state = empty.ExportState();
+  EXPECT_EQ(state.count, 0);
+  EXPECT_EQ(state.sum, 0.0);
+  EXPECT_EQ(state.min, 0.0);
+  EXPECT_EQ(state.max, 0.0);
+
+  // The restored zeros are placeholders, not extremes: the next record
+  // sets both, even on a histogram that held other values before.
   Histogram histogram;
   histogram.Record(0.5);
+  histogram.Record(9.0);
+  ASSERT_TRUE(histogram.ImportState(state).ok());
   histogram.Record(2.0);
-
-  HistogramState delta;
-  delta.buckets.assign(Histogram::kNumBuckets, 0);
-  delta.buckets[Histogram::BucketIndexFor(8.0)] = 2;
-  delta.count = 2;
-  delta.sum = 16.0;
-  delta.min = 8.0;
-  delta.max = 8.0;
-  ASSERT_TRUE(histogram.MergeState(delta).ok());
-
   const HistogramSnapshot snapshot = histogram.Snapshot();
-  EXPECT_EQ(snapshot.count, 4);
-  EXPECT_DOUBLE_EQ(snapshot.sum, 18.5);
-  EXPECT_DOUBLE_EQ(snapshot.min, 0.5);  // delta only tightens extrema
-  EXPECT_DOUBLE_EQ(snapshot.max, 8.0);
-
-  // Merging into an empty histogram adopts the delta's extrema.
-  Histogram empty;
-  ASSERT_TRUE(empty.MergeState(delta).ok());
-  const HistogramSnapshot adopted = empty.Snapshot();
-  EXPECT_DOUBLE_EQ(adopted.min, 8.0);
-  EXPECT_DOUBLE_EQ(adopted.max, 8.0);
+  EXPECT_EQ(snapshot.count, 1);
+  EXPECT_EQ(snapshot.min, 2.0);
+  EXPECT_EQ(snapshot.max, 2.0);
 }
 
-TEST(HistogramTest, MergeStateRejectsMalformedDeltaWithoutSideEffects) {
+TEST(HistogramTest, SnapshotsDuringConcurrentRecordsAreSelfConsistent) {
+  // Writers record multiples of 2^-10, so every partial sum is exact in
+  // any order, while a reader exports. Each export must count exactly
+  // its buckets and keep min <= p50 <= p99 <= max.
+  constexpr int kWriters = 3;
+  constexpr int kPerWriter = 20000;
+  constexpr int kSteps = 4096;  // values 2^-10 .. 4
+  constexpr double kStep = 1.0 / 1024.0;
   Histogram histogram;
-  histogram.Record(1.0);
-  const HistogramSnapshot before = histogram.Snapshot();
+  std::atomic<int> writers_done{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&histogram, &writers_done, t] {
+      for (int i = 0; i < kPerWriter; ++i) {
+        histogram.Record(((i * kWriters + t) % kSteps + 1) * kStep);
+      }
+      writers_done.fetch_add(1);
+    });
+  }
+  int64_t exports = 0;
+  int64_t inconsistent = 0;
+  bool last = false;
+  while (!last) {
+    last = writers_done.load() == kWriters;
+    const HistogramState state = histogram.ExportState();
+    int64_t total = 0;
+    for (int64_t bucket : state.buckets) total += bucket;
+    const HistogramSnapshot snapshot = state.Summary();
+    const bool ok = state.count == total && snapshot.min <= snapshot.p50 &&
+                    snapshot.p50 <= snapshot.p99 &&
+                    snapshot.p99 <= snapshot.max;
+    if (!ok) ++inconsistent;
+    ++exports;
+  }
+  for (auto& writer : writers) writer.join();
+  EXPECT_EQ(inconsistent, 0) << "of " << exports << " exports";
 
-  HistogramState wrong_size;
-  wrong_size.buckets.assign(3, 0);
-  EXPECT_FALSE(histogram.MergeState(wrong_size).ok());
-
-  HistogramState negative;
-  negative.buckets.assign(Histogram::kNumBuckets, 0);
-  negative.buckets[5] = -1;
-  EXPECT_FALSE(histogram.MergeState(negative).ok());
-
-  HistogramState mismatch;
-  mismatch.buckets.assign(Histogram::kNumBuckets, 0);
-  mismatch.buckets[5] = 1;
-  mismatch.count = 2;  // disagrees with bucket total
-  EXPECT_FALSE(histogram.MergeState(mismatch).ok());
-
-  // A zero-count delta is a no-op (its min/max are ignored).
-  HistogramState zero;
-  zero.buckets.assign(Histogram::kNumBuckets, 0);
-  zero.min = -100.0;
-  zero.max = 100.0;
-  EXPECT_TRUE(histogram.MergeState(zero).ok());
-
-  const HistogramSnapshot after = histogram.Snapshot();
-  EXPECT_EQ(after.count, before.count);
-  EXPECT_DOUBLE_EQ(after.sum, before.sum);
-  EXPECT_DOUBLE_EQ(after.min, before.min);
-  EXPECT_DOUBLE_EQ(after.max, before.max);
+  // Once quiet, the histogram is exact.
+  double sum = 0.0;
+  for (int t = 0; t < kWriters; ++t) {
+    for (int i = 0; i < kPerWriter; ++i) {
+      sum += ((i * kWriters + t) % kSteps + 1) * kStep;
+    }
+  }
+  const HistogramState state = histogram.ExportState();
+  EXPECT_EQ(state.count, kWriters * kPerWriter);
+  EXPECT_EQ(state.sum, sum);
+  EXPECT_EQ(state.min, kStep);
+  EXPECT_EQ(state.max, kSteps * kStep);
 }
 
 TEST(RegistryTest, ValidatesNames) {

@@ -329,6 +329,8 @@ TEST(AdmissionServiceMetricsTest, CountersGaugesAndHistogramFlow) {
   ASSERT_EQ(service->Admit(0, 0).result, ServiceResult::kOk);
   EXPECT_EQ(service->Admit(0, 0).result,
             ServiceResult::kRejectedCapacity);
+  // The histogram is live; the flush only refreshes the gauges.
+  EXPECT_EQ(registry.GetHistogram("service.admit.latency_s")->count(), 3);
   service->FlushObservability();
 
   const obs::RegistrySnapshot snapshot = registry.Snapshot();
@@ -354,7 +356,7 @@ TEST(AdmissionServiceMetricsTest, CountersGaugesAndHistogramFlow) {
   EXPECT_EQ(gauge("service.class.gold.limit"), 2.0);
   EXPECT_EQ(gauge("service.limits.version"), 1.0);
 
-  // The admit-latency histogram drained from the lock-free accumulator.
+  // The admit-latency histogram, which every admit records into.
   const auto latency = [&]() -> const obs::HistogramSnapshot* {
     for (const auto& [key, value] : snapshot.histograms) {
       if (key == "service.admit.latency_s") return &value;
@@ -364,7 +366,6 @@ TEST(AdmissionServiceMetricsTest, CountersGaugesAndHistogramFlow) {
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->count, 3);
   EXPECT_GT(latency->max, 0.0);
-  EXPECT_EQ(service->latency_count(), 3);
   EXPECT_GT(service->LatencyQuantile(0.5), 0.0);
   EXPECT_GE(service->LatencyQuantile(0.99),
             service->LatencyQuantile(0.5));
@@ -421,8 +422,7 @@ TEST(AdmissionServiceTest, PublishIsSafeUnderConcurrentAdmits) {
 // teardown / transition fast path performs NO heap allocation. The
 // global operator-new hook (alloc_counter.cc) counts every allocation on
 // every thread while armed.
-TEST(AdmissionServiceAllocTest, SteadyStateFastPathIsAllocationFree) {
-  auto service = MakeService();
+void ExpectSteadyStateFastPathIsAllocationFree(AdmissionService* service) {
   ASSERT_TRUE(service->PublishLimits({1024, 1024, 1024}).ok());
 
   // Warm-up: fault in the RCU thread-local reader cache, the registry's
@@ -455,6 +455,22 @@ TEST(AdmissionServiceAllocTest, SteadyStateFastPathIsAllocationFree) {
   EXPECT_TRUE(clean);
   EXPECT_EQ(allocations, 0)
       << allocations << " heap allocations on the admit fast path";
+}
+
+TEST(AdmissionServiceAllocTest, SteadyStateFastPathIsAllocationFree) {
+  auto service = MakeService();
+  ExpectSteadyStateFastPathIsAllocationFree(service.get());
+}
+
+// The same with a registry attached: the path the daemon runs, where
+// each admit is timed into service.admit.latency_s.
+TEST(AdmissionServiceAllocTest,
+     SteadyStateFastPathWithMetricsIsAllocationFree) {
+  obs::Registry registry;
+  auto service = MakeService(&registry);
+  ExpectSteadyStateFastPathIsAllocationFree(service.get());
+  EXPECT_EQ(registry.GetHistogram("service.admit.latency_s")->count(),
+            1000 + 20000);
 }
 
 }  // namespace

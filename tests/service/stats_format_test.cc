@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/metrics.h"
 #include "service/admission_service.h"
 
 namespace zonestream::service {
@@ -89,43 +88,6 @@ TEST(FormatServiceStatsTest, GoldenLayoutIsStable) {
       "|--------|------|----------|----------|-----------|\n"
       "| 1      | 1    | 1        | 1        | 1.00      |\n";
   EXPECT_EQ(FormatServiceStats(stats), expected);
-}
-
-TEST(FormatServiceMetricsTest, FiltersToServiceNamespace) {
-  obs::RegistrySnapshot snapshot;
-  snapshot.counters = {{"other.counter", 99},
-                       {"service.admit.ok", 5},
-                       {"service.admit.requests", 7}};
-  snapshot.gauges = {{"disk.queue", 3.0}, {"service.sessions.live", 2.0}};
-  obs::HistogramSnapshot latency;
-  latency.count = 5;
-  latency.sum = 0.005;
-  latency.min = 0.0001;
-  latency.max = 0.002;
-  latency.p50 = 0.0008;
-  latency.p99 = 0.0019;
-  snapshot.histograms = {{"service.admit.latency_s", latency},
-                         {"sim.round_time", latency}};
-
-  const std::string out = FormatServiceMetrics(snapshot);
-  EXPECT_NE(out.find("service.admit.ok"), std::string::npos);
-  EXPECT_NE(out.find("service.admit.requests"), std::string::npos);
-  EXPECT_NE(out.find("service.sessions.live"), std::string::npos);
-  EXPECT_NE(out.find("service.admit.latency_s"), std::string::npos);
-  EXPECT_EQ(out.find("other.counter"), std::string::npos);
-  EXPECT_EQ(out.find("disk.queue"), std::string::npos);
-  EXPECT_EQ(out.find("sim.round_time"), std::string::npos);
-  // Histogram row carries count and the quantiles.
-  EXPECT_NE(out.find("| 5 "), std::string::npos);
-  EXPECT_NE(out.find("0.0008"), std::string::npos);
-  EXPECT_NE(out.find("0.0019"), std::string::npos);
-}
-
-TEST(FormatServiceMetricsTest, EmptySnapshotStillRendersHeaders) {
-  const std::string out = FormatServiceMetrics(obs::RegistrySnapshot{});
-  EXPECT_NE(out.find("service counters"), std::string::npos);
-  EXPECT_NE(out.find("service gauges"), std::string::npos);
-  EXPECT_NE(out.find("service histograms"), std::string::npos);
 }
 
 }  // namespace
