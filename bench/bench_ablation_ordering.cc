@@ -17,12 +17,12 @@
 namespace zonestream {
 namespace {
 
-double SimulatedPlate(int n, sched::OrderingPolicy policy, int rounds,
+double SimulatedPlate(int n, sched::ServicePolicy policy, int rounds,
                       uint64_t seed) {
   sim::SimulatorConfig config;
   config.round_length_s = bench::kRoundLengthS;
   config.seed = seed;
-  config.ordering = policy;
+  config.policy = policy;
   auto simulator = sim::RoundSimulator::Create(
       disk::QuantumViking2100(), disk::QuantumViking2100Seek(), n,
       sim::RoundSimulator::IidFactory(bench::Table1Sizes()), config);
@@ -40,21 +40,21 @@ void RunOrderingAblation() {
     table.AddRow(
         {std::to_string(n),
          common::FormatProbability(SimulatedPlate(
-             n, sched::OrderingPolicy::kScan, rounds, 7000 + n)),
+             n, sched::ServicePolicy::kScan, rounds, 7000 + n)),
          common::FormatProbability(SimulatedPlate(
-             n, sched::OrderingPolicy::kSstf, rounds, 7000 + n)),
+             n, sched::ServicePolicy::kSstf, rounds, 7000 + n)),
          common::FormatProbability(SimulatedPlate(
-             n, sched::OrderingPolicy::kFcfs, rounds, 7000 + n))});
+             n, sched::ServicePolicy::kFcfs, rounds, 7000 + n))});
   }
   table.Print();
 
   // Empirical capacity at 1% per policy.
   std::printf("\nSimulated capacity at p_late <= 1%%:");
   for (auto [name, policy] :
-       {std::pair<const char*, sched::OrderingPolicy>{"SCAN",
-                                                      sched::OrderingPolicy::kScan},
-        {"SSTF", sched::OrderingPolicy::kSstf},
-        {"FCFS", sched::OrderingPolicy::kFcfs}}) {
+       {std::pair<const char*, sched::ServicePolicy>{"SCAN",
+                                                      sched::ServicePolicy::kScan},
+        {"SSTF", sched::ServicePolicy::kSstf},
+        {"FCFS", sched::ServicePolicy::kFcfs}}) {
     int capacity = 0;
     for (int n = 10; n <= 36; ++n) {
       if (SimulatedPlate(n, policy, rounds / 2, 7500 + n) > 0.01) break;

@@ -321,23 +321,4 @@ common::StatusOr<AdmissionTable> AdmissionTable::Deserialize(
   return AdmissionTable(criterion, round_length, std::move(rows));
 }
 
-AdmissionController::AdmissionController(const AdmissionTable& table,
-                                         double tolerance)
-    : n_max_(table.MaxStreams(tolerance)) {}
-
-AdmissionController::AdmissionController(int n_max) : n_max_(n_max) {
-  ZS_CHECK_GE(n_max, 0);
-}
-
-bool AdmissionController::TryAdmit() {
-  if (active_ >= n_max_) return false;
-  ++active_;
-  return true;
-}
-
-void AdmissionController::Release() {
-  ZS_CHECK_GT(active_, 0);
-  --active_;
-}
-
 }  // namespace zonestream::core

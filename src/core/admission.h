@@ -6,8 +6,9 @@
 //   N_max^plate  = max{ N : b_late(N, t) <= delta }          (eq. 3.1.7)
 //   N_max^perror = max{ N : p_error(N, t, M, g) <= epsilon } (eq. 3.3.6)
 // §5 recommends precomputing these limits into a lookup table so run-time
-// admission costs O(1); AdmissionTable and AdmissionController implement
-// that scheme.
+// admission costs O(1); AdmissionTable and AdmissionTableSnapshot implement
+// that scheme, and the run-time controllers (service::AdmissionService,
+// MediaServer's phase admission) enforce its limits.
 #ifndef ZONESTREAM_CORE_ADMISSION_H_
 #define ZONESTREAM_CORE_ADMISSION_H_
 
@@ -153,9 +154,9 @@ class AdmissionTable {
   // both ends of the table (a request equal to the smallest row returns
   // that row's limit, not 0). Returns 0 only when the request is
   // strictly below every tabulated row (no row enforces a contract at
-  // least as strict as asked). AdmissionTableSnapshot::MaxStreams and
-  // AdmissionController honor the identical contract; boundary behavior
-  // is pinned by tests on every path.
+  // least as strict as asked). AdmissionTableSnapshot::MaxStreams honors
+  // the identical contract; boundary behavior is pinned by tests on both
+  // paths.
   int MaxStreams(double tolerance) const;
 
   const std::vector<AdmissionTableRow>& rows() const { return rows_; }
@@ -234,31 +235,6 @@ class AdmissionTableSnapshot {
   double round_length_s_ = 0.0;
   std::vector<double> tolerances_;  // ascending keys
   std::vector<int32_t> limits_;     // limits_[i] = N_max of tolerances_[i]
-};
-
-// Run-time admission controller: O(1) admit/release against a precomputed
-// limit. Streams beyond the limit are rejected (the server may also choose
-// to queue them; that policy lives in the server layer).
-class AdmissionController {
- public:
-  // `tolerance` selects the row of `table` to enforce.
-  AdmissionController(const AdmissionTable& table, double tolerance);
-
-  // Explicit limit (e.g. from one of the MaxStreams* functions).
-  explicit AdmissionController(int n_max);
-
-  // Tries to admit one stream; returns false when the server is full.
-  bool TryAdmit();
-
-  // Releases one admitted stream.
-  void Release();
-
-  int active_streams() const { return active_; }
-  int max_streams() const { return n_max_; }
-
- private:
-  int n_max_;
-  int active_ = 0;
 };
 
 }  // namespace zonestream::core

@@ -197,31 +197,4 @@ double KolmogorovSmirnovCriticalValue(int64_t n, double alpha) {
          std::sqrt(static_cast<double>(n));
 }
 
-Histogram::Histogram(double lo, double hi, int bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / bins), counts_(bins, 0) {
-  ZS_CHECK_LT(lo, hi);
-  ZS_CHECK_GT(bins, 0);
-}
-
-void Histogram::Add(double x) {
-  int idx = static_cast<int>((x - lo_) / width_);
-  idx = std::clamp(idx, 0, static_cast<int>(counts_.size()) - 1);
-  ++counts_[idx];
-  ++total_;
-}
-
-double Histogram::bin_center(int i) const {
-  ZS_CHECK_GE(i, 0);
-  ZS_CHECK_LT(i, bins());
-  return lo_ + (i + 0.5) * width_;
-}
-
-double Histogram::density(int i) const {
-  ZS_CHECK_GE(i, 0);
-  ZS_CHECK_LT(i, bins());
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_[i]) /
-         (static_cast<double>(total_) * width_);
-}
-
 }  // namespace zonestream::numeric

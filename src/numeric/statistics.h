@@ -1,6 +1,7 @@
 // Streaming and batch statistics for the simulator: Welford running moments,
-// percentiles, fixed-bin histograms, and binomial-proportion confidence
-// intervals (used when comparing simulated glitch rates to analytic bounds).
+// percentiles, Kolmogorov-Smirnov distances, and binomial-proportion
+// confidence intervals (used when comparing simulated glitch rates to
+// analytic bounds).
 #ifndef ZONESTREAM_NUMERIC_STATISTICS_H_
 #define ZONESTREAM_NUMERIC_STATISTICS_H_
 
@@ -111,30 +112,6 @@ double KolmogorovSmirnovStatistic(std::vector<double> samples,
 // `alpha` (e.g. 0.01) for n samples: c(alpha)/sqrt(n) with
 // c(alpha) = sqrt(-ln(alpha/2)/2). Valid for n >~ 35.
 double KolmogorovSmirnovCriticalValue(int64_t n, double alpha);
-
-// Equal-width histogram over [lo, hi); out-of-range samples are clamped
-// into the first/last bin and counted.
-class Histogram {
- public:
-  Histogram(double lo, double hi, int bins);
-
-  void Add(double x);
-
-  int bins() const { return static_cast<int>(counts_.size()); }
-  int64_t total() const { return total_; }
-  int64_t bin_count(int i) const { return counts_[i]; }
-  // Midpoint of bin i.
-  double bin_center(int i) const;
-  // Empirical density (count / (total * bin_width)) of bin i.
-  double density(int i) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<int64_t> counts_;
-  int64_t total_ = 0;
-};
 
 }  // namespace zonestream::numeric
 

@@ -11,6 +11,7 @@
 #include "core/service_time_model.h"
 #include "obs/metrics.h"
 #include "obs/round_trace.h"
+#include "sched/ordering.h"
 #include "sched/scan_kernel.h"
 
 namespace zonestream::server {
@@ -100,8 +101,7 @@ MediaServer::MediaServer(
       phase_counts_(config.parity ? config.num_disks - 1 : config.num_disks,
                     0),
       class_sizes_(std::move(class_sizes)),
-      arm_cylinder_(config.num_disks, 0),
-      ascending_(config.num_disks, true),
+      arms_(config.num_disks),
       fault_injectors_(std::move(injectors)),
       spare_active_(config.num_disks, 0),
       busy_fraction_(config.num_disks),
@@ -614,7 +614,7 @@ void MediaServer::RunRound() {
         RecordGlitch(s.owner[static_cast<size_t>(requests[j])], s.bytes[j]);
       }
       busy_fraction_[d].Add(0.0);
-      ascending_[d] = !ascending_[d];
+      arms_[d].Skip();
       if (config_.metrics != nullptr) {
         metrics_.requests->Increment(static_cast<int64_t>(n));
         metrics_.glitches->Increment(static_cast<int64_t>(n));
@@ -637,34 +637,29 @@ void MediaServer::RunRound() {
       continue;
     }
 
-    const sched::SweepDirection direction =
-        ascending_[d] ? sched::SweepDirection::kAscending
-                      : sched::SweepDirection::kDescending;
     sched::ScanKernel& sweep = s.sweep;
-    sweep.Run(seek_,
-              sched::ScanBatch{n, s.cylinder.data(), s.rotation_s.data(),
-                               s.bytes.data(), s.rate_bps.data()},
-              arm_cylinder_[d], direction);
+    const sched::ScanBatch batch{n, s.cylinder.data(), s.rotation_s.data(),
+                                 s.bytes.data(), s.rate_bps.data()};
+    const sched::Arm::Round served = arms_[d].Serve(
+        seek_, batch, sched::ServicePolicy::kScan, round_length_s, &sweep);
     const double total_s = sweep.total_service_time_s();
     const double utilization = std::fmin(total_s, round_length_s) /
                                round_length_s;
     busy_fraction_[d].Add(utilization);
 
-    // The ledger, in service order.
+    // The ledger, in service order. Completions never decrease, so the
+    // late requests are exactly those after the on-time prefix.
     const int* order = sweep.order();
     const double* seek_s = sweep.seek_s();
     const double* transfer_s = sweep.transfer_s();
-    const double* completion_s = sweep.completion_s();
-    int last_on_time_cylinder = arm_cylinder_[d];
     int disk_glitches = 0;       // late stream requests (trace/metrics)
     int disk_repair_reads = 0;
-    int disk_repair_late = 0;
     double repair_busy_s = 0.0;  // repair share of this disk's sweep
     for (size_t pos = 0; pos < n; ++pos) {
       const size_t j = static_cast<size_t>(order[pos]);
       const size_t k = static_cast<size_t>(requests[j]);
       const int owner = s.owner[k];
-      const bool late = completion_s[pos] > round_length_s;
+      const bool late = pos >= served.on_time;
       if (owner < 0) {
         // Repair read for stripe-rebuild job (kRepairStreamIdBase - owner).
         const int job = kRepairStreamIdBase - owner;
@@ -672,10 +667,7 @@ void MediaServer::RunRound() {
         repair_busy_s += seek_s[pos] + s.rotation_s[j] + transfer_s[pos];
         if (late) {
           repair_job_late_[static_cast<size_t>(job)] = 1;
-          ++disk_repair_late;
           ++repair_reads_late;
-        } else {
-          last_on_time_cylinder = s.cylinder[j];
         }
         continue;
       }
@@ -690,19 +682,12 @@ void MediaServer::RunRound() {
           ++round_glitches;
           RecordGlitch(owner, s.bytes[j]);
         }
-      } else {
-        last_on_time_cylinder = s.cylinder[j];
-        if (s.reconstructed[slot] == 0) fragments_served_++;
+      } else if (s.reconstructed[slot] == 0) {
+        fragments_served_++;
       }
     }
     const bool overran = total_s > round_length_s;
     if (overran) round_overran = true;
-    if (disk_glitches + disk_repair_late > 0) {
-      arm_cylinder_[d] = last_on_time_cylinder;
-    } else if (n > 0) {
-      arm_cylinder_[d] = s.cylinder[static_cast<size_t>(order[n - 1])];
-    }
-    ascending_[d] = !ascending_[d];
     if (disk_repair_reads > 0 && config_.metrics != nullptr) {
       config_.metrics->GetHistogram("server.repair.disk_time_s")
           ->Record(repair_busy_s);
@@ -931,10 +916,9 @@ MediaServerState MediaServer::ExportState() const {
     snapshot.stats = stream.stats;
     state.streams.push_back(snapshot);
   }
-  state.arm_cylinder.assign(arm_cylinder_.begin(), arm_cylinder_.end());
-  state.ascending.reserve(ascending_.size());
-  for (const bool ascending : ascending_) {
-    state.ascending.push_back(ascending ? 1 : 0);
+  for (const sched::Arm& arm : arms_) {
+    state.arm_cylinder.push_back(arm.cylinder());
+    state.ascending.push_back(arm.ascending() ? 1 : 0);
   }
   for (int d = 0; d < config_.num_disks; ++d) {
     const bool present = static_cast<size_t>(d) < fault_injectors_.size() &&
@@ -1141,10 +1125,8 @@ common::Status MediaServer::RestoreState(
   streams_ = std::move(streams);
   phase_counts_ = std::move(phase_counts);
   phase_mixes_ = std::move(phase_mixes);
-  arm_cylinder_.assign(state.arm_cylinder.begin(), state.arm_cylinder.end());
-  ascending_.clear();
-  for (const uint8_t ascending : state.ascending) {
-    ascending_.push_back(ascending != 0);
+  for (size_t d = 0; d < arms_.size(); ++d) {
+    arms_[d].Reset(state.arm_cylinder[d], state.ascending[d] != 0);
   }
   admissions_open_ = state.admissions_open;
   fragments_served_ = state.fragments_served;

@@ -15,9 +15,9 @@
 // per run of consecutive streams on one distribution; a retried fragment
 // draws nothing), then R rotational latencies. The R positions are drawn
 // in issue order (disk/position_sampler.h) and gathered per disk; each
-// disk's batch is served by the shared SCAN kernel (sched/scan_kernel.h). A one-disk server with
-// N streams on one distribution is therefore the batched simulator with
-// the same seed, round for round.
+// disk's sched::Arm serves its batch in one SCAN sweep. A one-disk server
+// with N streams on one distribution is therefore the batched simulator
+// with the same seed, round for round.
 #ifndef ZONESTREAM_SERVER_MEDIA_SERVER_H_
 #define ZONESTREAM_SERVER_MEDIA_SERVER_H_
 
@@ -40,6 +40,7 @@
 #include "fault/fault_model.h"
 #include "numeric/random.h"
 #include "numeric/statistics.h"
+#include "sched/ordering.h"
 #include "sched/scan_kernel.h"
 #include "server/parity_striping.h"
 #include "server/repair.h"
@@ -451,8 +452,7 @@ class MediaServer {
   std::vector<core::ClassCounts> phase_mixes_;
   std::map<int, StreamState> streams_;
   // Per-disk arm state.
-  std::vector<int> arm_cylinder_;
-  std::vector<bool> ascending_;
+  std::vector<sched::Arm> arms_;
   // Fault & degradation machinery (empty / null when not configured).
   std::vector<std::unique_ptr<fault::FaultInjector>> fault_injectors_;
   std::unique_ptr<fault::DegradationController> degradation_;

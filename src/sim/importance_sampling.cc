@@ -37,10 +37,6 @@ common::Status ValidateConfig(const SimulatorConfig& config,
   if (config.round_length_s <= 0.0) {
     return common::Status::InvalidArgument("round length must be positive");
   }
-  if (config.ordering != sched::OrderingPolicy::kScan) {
-    return common::Status::InvalidArgument(
-        "importance sampling supports SCAN ordering only");
-  }
   if (config.position_sampler != nullptr) {
     return common::Status::InvalidArgument(
         "importance sampling requires the default uniform-over-capacity "
@@ -224,8 +220,7 @@ void ImportanceSampler::ResetForReplication(uint64_t seed) {
   rng_ = numeric::Rng(seed);
   disturbance_rng_ =
       numeric::Rng(numeric::SubstreamSeed(seed, kDisturbanceSubstream));
-  arm_cylinder_ = 0;
-  ascending_ = true;
+  arm_.Reset(0, true);
   samples_run_ = 0;
 }
 
@@ -267,8 +262,7 @@ TiltedRoundOutcome ImportanceSampler::RunRound() {
 
   // Every sample is i.i.d.: restart the arm, replay the nominal warm-up
   // rounds, then measure the tilted round.
-  arm_cylinder_ = 0;
-  ascending_ = true;
+  arm_.Reset(0, true);
   TiltedRoundOutcome outcome;
   double log_weight = 0.0;
   for (int w = 0; w < warmups; ++w) {
@@ -366,34 +360,23 @@ void ImportanceSampler::RunOneRound(const double* u_pos, const double* u_rot,
     }
   }
 
-  // Arm policy and SCAN sweep, exactly as RunRoundBatched. Seeks are
+  // Service order and sweep, exactly as RunRoundBatched. Seeks are
   // untilted: their law is a deterministic function of the positions,
-  // already accounted by the zone tilt.
-  double return_seek_s = 0.0;
-  sched::SweepDirection direction = sched::SweepDirection::kAscending;
-  if (config_.sweep_policy == SweepPolicy::kAlternate) {
-    if (!ascending_) direction = sched::SweepDirection::kDescending;
-  } else {
-    if (arm_cylinder_ != 0) return_seek_s = seek_.SeekTime(arm_cylinder_);
-    arm_cylinder_ = 0;
-  }
+  // already accounted by the zone tilt, and so is the service order.
   sched::ScanBatch batch;
   batch.n = static_cast<size_t>(n);
   batch.cylinder = s.cylinder.data();
   batch.rotation_s = s.rotation_s.data();
   batch.transfer_s = s.transfer_time_s.data();
-  s.sweep.Run(seek_, batch, arm_cylinder_, direction);
+  const sched::Arm::Round served = arm_.Serve(
+      seek_, batch, config_.policy, config_.round_length_s, &s.sweep);
 
-  // The deadline split. Warm-up rounds overwrite these fields; only the
-  // measured (final) round's values survive in the caller's outcome.
-  const int on_time = static_cast<int>(
-      s.sweep.OnTimeCount(return_seek_s, config_.round_length_s));
-  outcome->glitched_streams = n - on_time;
+  // Warm-up rounds overwrite these fields; only the measured (final)
+  // round's values survive in the caller's outcome.
+  outcome->glitched_streams = n - static_cast<int>(served.on_time);
   outcome->total_service_time_s =
-      return_seek_s + s.sweep.total_service_time_s();
+      served.return_seek_s + s.sweep.total_service_time_s();
   outcome->overran = outcome->total_service_time_s > config_.round_length_s;
-  if (on_time > 0) arm_cylinder_ = s.cylinder[s.sweep.order()[on_time - 1]];
-  ascending_ = !ascending_;
 
   if (tilt_active) {
     *log_weight += static_cast<double>(n) * psi_ -

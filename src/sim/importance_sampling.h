@@ -61,6 +61,7 @@
 #include "disk/position_sampler.h"
 #include "disk/seek_model.h"
 #include "numeric/random.h"
+#include "sched/ordering.h"
 #include "sched/scan_kernel.h"
 #include "sim/replication.h"
 #include "sim/round_simulator.h"
@@ -158,8 +159,10 @@ common::StatusOr<double> AutoTiltParameter(
 // Tilted mirror of RoundSimulator's batched kernel. Not thread-safe; use
 // one per thread (ReplicatedIS* below shard exactly like replication.h).
 //
+// Any service policy: the order is a function of the weighted draws. The
+// auto tilt models SCAN, so FCFS needs an explicit, smaller theta.
 // Restrictions (InvalidArgument otherwise): Gamma fragment sizes (the
-// closed-form tilt needs the Gamma family), SCAN ordering, the default
+// closed-form tilt needs the Gamma family), the default
 // uniform-over-capacity position sampler, and no structured faults.
 class ImportanceSampler {
  public:
@@ -246,9 +249,7 @@ class ImportanceSampler {
   obs::Counter* is_overruns_ = nullptr;
   obs::Histogram* is_log_weight_ = nullptr;
 
-  // Arm state, mirroring RoundSimulator; reset at each sample.
-  int arm_cylinder_ = 0;
-  bool ascending_ = true;
+  sched::Arm arm_;  // serves config_.policy; reset at each sample
   int64_t samples_run_ = 0;
 
   // Per-round scratch, sized once.
@@ -263,7 +264,7 @@ class ImportanceSampler {
     std::vector<double> unit_gamma;  // n Gamma(k, 1) draws
     std::vector<double> rotation_s;  // tilted latency + disturbance delay
     std::vector<double> transfer_time_s;
-    sched::ScanKernel sweep;  // the shared SCAN sweep (sched/scan_kernel.h)
+    sched::ScanKernel sweep;  // the shared sweep (sched/scan_kernel.h)
   };
   Scratch scratch_;
 };

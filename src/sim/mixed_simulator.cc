@@ -8,7 +8,7 @@
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/round_trace.h"
-#include "sched/scan_kernel.h"
+#include "sched/ordering.h"
 
 namespace zonestream::sim {
 
@@ -69,6 +69,7 @@ MixedRunResult MixedRoundSimulator::Run(int rounds) {
   std::vector<double> response_samples;
   numeric::RunningStats leftover;
   int64_t discrete_served_total = 0;
+  int64_t arrivals = 0;
 
   // Pre-draw the first arrival.
   if (config_.discrete_arrival_rate_hz > 0.0 && next_arrival_s_ == 0.0) {
@@ -76,7 +77,9 @@ MixedRunResult MixedRoundSimulator::Run(int rounds) {
   }
 
   for (int r = 0; r < rounds; ++r) {
-    const double round_start = r * config_.round_length_s;
+    // Arrival times are absolute: the clock runs on across Run() calls.
+    const double round_start =
+        static_cast<double>(rounds_run_) * config_.round_length_s;
     const double round_end = round_start + config_.round_length_s;
 
     // Discrete arrivals during this round join the queue (they become
@@ -89,6 +92,7 @@ MixedRunResult MixedRoundSimulator::Run(int rounds) {
         request.arrival_time_s = next_arrival_s_;
         request.bytes = discrete_sizes_->Sample(&rng_);
         queue_.push_back(request);
+        ++arrivals;
         next_arrival_s_ +=
             rng_.Exponential(1.0 / config_.discrete_arrival_rate_hz);
       }
@@ -100,7 +104,7 @@ MixedRunResult MixedRoundSimulator::Run(int rounds) {
     const ContinuousSweep sweep = RunContinuousSweep();
     result.continuous_requests += num_continuous_;
     result.continuous_glitches += sweep.glitches;
-    int arm = sweep.arm_after;
+    int arm = arm_.cylinder();
 
     // Leftover window: serve queued discrete requests FCFS until the
     // round boundary. Each pays an explicit seek from the current arm
@@ -137,7 +141,7 @@ MixedRunResult MixedRoundSimulator::Run(int rounds) {
       ++served_this_round;
     }
     discrete_served_total += served_this_round;
-    arm_cylinder_ = arm;
+    arm_.MoveTo(arm);
 
     // Observability: one trace event per round for the continuous sweep
     // plus the discrete-side tallies of its leftover window. Zone tallies
@@ -186,8 +190,7 @@ MixedRunResult MixedRoundSimulator::Run(int rounds) {
                 result.continuous_requests
           : 0.0;
   result.discrete_completed = discrete_served_total;
-  result.discrete_arrivals =
-      discrete_served_total + static_cast<int64_t>(queue_.size());
+  result.discrete_arrivals = arrivals;
   result.mean_discrete_per_round =
       static_cast<double>(discrete_served_total) / rounds;
   result.mean_response_time_s =
@@ -213,25 +216,17 @@ MixedRoundSimulator::ContinuousSweep MixedRoundSimulator::RunContinuousSweep() {
   continuous_sizes_->FillSamples(&rng_, s.bytes.data(), n);
   rng_.FillUniform(0.0, geometry_.rotation_time(), s.rotation_s.data(), n);
 
+  // The requests after the on-time prefix missed the deadline.
   sched::ScanKernel& kernel = s.sweep;
-  kernel.Run(seek_,
-             sched::ScanBatch{n, s.cylinder.data(), s.rotation_s.data(),
-                              s.bytes.data(), s.rate_bps.data()},
-             arm_cylinder_,
-             ascending_ ? sched::SweepDirection::kAscending
-                        : sched::SweepDirection::kDescending);
-  ascending_ = !ascending_;
-
-  // The requests after the on-time prefix missed the deadline; the arm
-  // ends at the last request served on time.
+  const sched::Arm::Round served =
+      arm_.Serve(seek_,
+                 sched::ScanBatch{n, s.cylinder.data(), s.rotation_s.data(),
+                                  s.bytes.data(), s.rate_bps.data()},
+                 sched::ServicePolicy::kScan, config_.round_length_s, &kernel);
   const int* order = kernel.order();
-  const size_t on_time = kernel.OnTimeCount(0.0, config_.round_length_s);
   ContinuousSweep sweep;
   sweep.total_service_s = kernel.total_service_time_s();
-  sweep.glitches = static_cast<int>(n - on_time);
-  sweep.arm_after =
-      on_time > 0 ? s.cylinder[static_cast<size_t>(order[on_time - 1])]
-                  : arm_cylinder_;
+  sweep.glitches = static_cast<int>(n - served.on_time);
   if (config_.trace != nullptr) {
     // Phase sums and zone tallies only feed the trace event.
     const double* seek_s = kernel.seek_s();

@@ -1,12 +1,12 @@
 // Detailed simulation of a mixed continuous + discrete workload on one
 // disk (validates core::MixedWorkloadModel; §6 outlook / [NMW97]).
 //
-// Each round: the N continuous requests are served in one SCAN sweep (as
-// in RoundSimulator); queued discrete requests are then served
-// work-conserving in the leftover time until the round ends. Discrete
-// requests arrive Poisson and queue FCFS; a discrete request whose
-// service would cross the round boundary waits for the next round's
-// leftover window.
+// Each round: the N continuous requests are served in one SCAN sweep of
+// the disk arm (sched::Arm, as in RoundSimulator); queued discrete
+// requests are then served work-conserving in the leftover time until the
+// round ends, each moving the arm. Discrete requests arrive Poisson and
+// queue FCFS; a discrete request whose service would cross the round
+// boundary waits for the next round's leftover window.
 #ifndef ZONESTREAM_SIM_MIXED_SIMULATOR_H_
 #define ZONESTREAM_SIM_MIXED_SIMULATOR_H_
 
@@ -21,6 +21,7 @@
 #include "disk/seek_model.h"
 #include "numeric/random.h"
 #include "numeric/statistics.h"
+#include "sched/ordering.h"
 #include "sched/scan_kernel.h"
 #include "workload/size_distribution.h"
 
@@ -54,7 +55,7 @@ struct MixedRunResult {
   int64_t continuous_glitches = 0;
   double continuous_glitch_rate = 0.0;
   // Discrete side.
-  int64_t discrete_arrivals = 0;
+  int64_t discrete_arrivals = 0;   // drawn during this call
   int64_t discrete_completed = 0;
   double mean_discrete_per_round = 0.0;
   double mean_response_time_s = 0.0;
@@ -73,7 +74,9 @@ class MixedRoundSimulator {
       std::shared_ptr<const workload::SizeDistribution> discrete_sizes,
       const MixedSimulatorConfig& config);
 
-  // Simulates `rounds` rounds and returns the aggregates.
+  // Simulates the next `rounds` rounds and returns their aggregates.
+  // Successive calls continue one run: the round clock, the arm and the
+  // discrete queue carry over.
   MixedRunResult Run(int rounds);
 
  private:
@@ -94,7 +97,6 @@ class MixedRoundSimulator {
   struct ContinuousSweep {
     double total_service_s = 0.0;
     int glitches = 0;
-    int arm_after = 0;  // arm position per the glitch-aware policy
     double seek_sum = 0.0;
     double rotation_sum = 0.0;
     double transfer_sum = 0.0;
@@ -114,8 +116,8 @@ class MixedRoundSimulator {
   };
 
   // Draws the round's continuous requests the way RoundSimulator's batched
-  // kernel does and serves them through the shared SCAN kernel; advances
-  // rng_ and flips ascending_.
+  // kernel does and serves them in one SCAN sweep of arm_; advances rng_
+  // and leaves arm_ at the last on-time request.
   ContinuousSweep RunContinuousSweep();
 
   disk::DiskGeometry geometry_;
@@ -126,8 +128,7 @@ class MixedRoundSimulator {
   std::shared_ptr<const workload::SizeDistribution> discrete_sizes_;
   MixedSimulatorConfig config_;
   numeric::Rng rng_;
-  int arm_cylinder_ = 0;
-  bool ascending_ = true;
+  sched::Arm arm_;
   std::deque<DiscreteRequest> queue_;
   double next_arrival_s_ = 0.0;
   int64_t rounds_run_ = 0;  // across Run() calls; indexes trace events

@@ -77,19 +77,15 @@ PrefetchRunResult PrefetchRoundSimulator::Run(int rounds, int warmup) {
 
     // 2. Serve the mandatory batch in one SCAN sweep. The requests after
     //    the on-time prefix glitch; the arm ends at the last one served.
-    sweep_.Run(seek_,
-               sched::ScanBatch{mandatory, cylinder_.data(),
-                                rotation_s_.data(), bytes_.data(),
-                                rate_bps_.data()},
-               arm_cylinder_,
-               ascending_ ? sched::SweepDirection::kAscending
-                          : sched::SweepDirection::kDescending);
-    ascending_ = !ascending_;
-    const size_t on_time = sweep_.OnTimeCount(0.0, config_.round_length_s);
-    if (counted) result.glitches += static_cast<int64_t>(mandatory - on_time);
-    int arm = on_time > 0
-                  ? cylinder_[static_cast<size_t>(sweep_.order()[on_time - 1])]
-                  : arm_cylinder_;
+    const sched::Arm::Round served = arm_.Serve(
+        seek_,
+        sched::ScanBatch{mandatory, cylinder_.data(), rotation_s_.data(),
+                         bytes_.data(), rate_bps_.data()},
+        sched::ServicePolicy::kScan, config_.round_length_s, &sweep_);
+    if (counted) {
+      result.glitches += static_cast<int64_t>(mandatory - served.on_time);
+    }
+    int arm = arm_.cylinder();
 
     // 3. Prefetch into the leftover time: repeatedly serve the stream with
     //    the lowest buffer level (ties by id) until the round ends or all
@@ -117,7 +113,7 @@ PrefetchRunResult PrefetchRoundSimulator::Run(int rounds, int warmup) {
       ++buffered_[target];
       if (counted) ++result.prefetched_fragments;
     }
-    arm_cylinder_ = arm;
+    arm_.MoveTo(arm);
 
     if (counted) {
       buffer_level_sum +=

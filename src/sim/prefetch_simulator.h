@@ -25,6 +25,7 @@
 #include "disk/disk_geometry.h"
 #include "disk/seek_model.h"
 #include "numeric/random.h"
+#include "sched/ordering.h"
 #include "sched/scan_kernel.h"
 #include "workload/size_distribution.h"
 
@@ -74,8 +75,7 @@ class PrefetchRoundSimulator {
   std::shared_ptr<const workload::SizeDistribution> sizes_;
   PrefetchSimulatorConfig config_;
   numeric::Rng rng_;
-  int arm_cylinder_ = 0;
-  bool ascending_ = true;
+  sched::Arm arm_;
   std::vector<int> buffered_;  // fragments buffered ahead, per stream
   // This round's mandatory batch in issue order, and its sweep.
   std::vector<int> cylinder_;

@@ -1,7 +1,6 @@
 #include "sim/round_simulator.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -75,7 +74,6 @@ RoundSimulator::RoundSimulator(
   scratch_.rate_bps.resize(n);
   scratch_.bytes.resize(n);
   scratch_.rotation_s.resize(n);
-  scratch_.order.resize(n);
   scratch_.zone_hits.resize(geometry_.num_zones());
 }
 
@@ -203,28 +201,28 @@ RoundOutcome RoundSimulator::RunRoundScalar() {
     return FinishDiskFailedRound();
   }
 
-  // Arm policy. One-directional SCAN must return the arm to cylinder 0
-  // between rounds; that return sweep is disk time like any other seek, so
-  // it is charged to this round's service time (Oyang's worst-case bound
-  // also accounts a full-stroke budget).
+  // Arm policy, spelled out over the request structs as the reference
+  // for sched::Arm. C-SCAN must return the arm to cylinder 0 between
+  // rounds; that return sweep is disk time like any other seek, so it is
+  // charged to this round's service time.
+  int arm = arm_.cylinder();
   double return_seek_s = 0.0;
   sched::SweepDirection direction = sched::SweepDirection::kAscending;
-  if (config_.sweep_policy == SweepPolicy::kAlternate) {
-    direction = ascending_ ? sched::SweepDirection::kAscending
-                           : sched::SweepDirection::kDescending;
-  } else {
-    if (arm_cylinder_ != 0) return_seek_s = seek_.SeekTime(arm_cylinder_);
-    arm_cylinder_ = 0;
+  if (config_.policy == sched::ServicePolicy::kCScan) {
+    if (arm != 0) return_seek_s = seek_.SeekTime(arm);
+    arm = 0;
+  } else if (!arm_.ascending()) {
+    direction = sched::SweepDirection::kDescending;
   }
-  sched::OrderRequests(&requests, config_.ordering, arm_cylinder_, direction);
+  sched::OrderRequests(&requests, config_.policy, arm, direction);
   const sched::RoundTiming timing =
-      sched::ExecuteScanRound(seek_, requests, arm_cylinder_);
+      sched::ExecuteScanRound(seek_, requests, arm);
 
   RoundOutcome outcome;
   outcome.total_service_time_s =
       return_seek_s + timing.total_service_time_s;
   outcome.overran = outcome.total_service_time_s > config_.round_length_s;
-  int last_on_time_cylinder = arm_cylinder_;
+  int last_on_time_cylinder = arm;
   for (size_t i = 0; i < timing.per_request.size(); ++i) {
     if (return_seek_s + timing.per_request[i].completion_s >
         config_.round_length_s) {
@@ -236,10 +234,9 @@ RoundOutcome RoundSimulator::RunRoundScalar() {
   // Unfinished transfers are dropped at the deadline: the arm ends at the
   // last request it fully served (or at the aborted request's cylinder,
   // which for SCAN is adjacent — the difference is below seek resolution).
-  arm_cylinder_ = outcome.glitched_streams.empty()
-                      ? timing.final_arm_cylinder
-                      : last_on_time_cylinder;
-  ascending_ = !ascending_;
+  arm_.Reset(outcome.glitched_streams.empty() ? timing.final_arm_cylinder
+                                               : last_on_time_cylinder,
+             !arm_.ascending());
 
   // Observability: per-round decomposition into the trace sink and the
   // metric registry. The injected disturbance and fault delays ride in
@@ -372,65 +369,21 @@ RoundOutcome RoundSimulator::RunRoundBatched() {
     return FinishDiskFailedRound();
   }
 
-  // Arm policy, identical to the scalar kernel.
-  double return_seek_s = 0.0;
-  sched::SweepDirection direction = sched::SweepDirection::kAscending;
-  if (config_.sweep_policy == SweepPolicy::kAlternate) {
-    direction = ascending_ ? sched::SweepDirection::kAscending
-                           : sched::SweepDirection::kDescending;
-  } else {
-    if (arm_cylinder_ != 0) return_seek_s = seek_.SeekTime(arm_cylinder_);
-    arm_cylinder_ = 0;
-  }
-
-  // Service order and sweep through the shared kernel
-  // (sched/scan_kernel.h): SCAN orders inside it; the FCFS/SSTF ablations
-  // hand it their own permutation of the SoA indices.
+  // Service order, arm policy and sweep through the shared arm and kernel
+  // (sched/ordering.h). The requests after the on-time prefix missed the
+  // deadline (stream id == SoA index).
   const sched::ScanBatch batch{static_cast<size_t>(n), s.cylinder.data(),
                                s.rotation_s.data(), s.bytes.data(),
                                s.rate_bps.data()};
   sched::ScanKernel& sweep = s.sweep;
-  switch (config_.ordering) {
-    case sched::OrderingPolicy::kScan:
-      sweep.Run(seek_, batch, arm_cylinder_, direction);
-      break;
-    case sched::OrderingPolicy::kFcfs:
-      for (int i = 0; i < n; ++i) s.order[i] = i;
-      sweep.RunInOrder(seek_, batch, arm_cylinder_, s.order.data());
-      break;
-    case sched::OrderingPolicy::kSstf: {
-      for (int i = 0; i < n; ++i) s.order[i] = i;
-      int arm = arm_cylinder_;
-      for (int served = 0; served < n; ++served) {
-        int best = served;
-        int best_distance = std::abs(s.cylinder[s.order[served]] - arm);
-        for (int i = served + 1; i < n; ++i) {
-          const int distance = std::abs(s.cylinder[s.order[i]] - arm);
-          if (distance < best_distance) {
-            best = i;
-            best_distance = distance;
-          }
-        }
-        std::swap(s.order[served], s.order[best]);
-        arm = s.cylinder[s.order[served]];
-      }
-      sweep.RunInOrder(seek_, batch, arm_cylinder_, s.order.data());
-      break;
-    }
-  }
-
-  // The requests after the on-time prefix missed the deadline (stream id
-  // == SoA index). Unfinished transfers are dropped at the deadline: the
-  // arm ends at the last request served on time.
+  const sched::Arm::Round served = arm_.Serve(
+      seek_, batch, config_.policy, config_.round_length_s, &sweep);
+  const double return_seek_s = served.return_seek_s;
   const int* order = sweep.order();
-  const int on_time = static_cast<int>(
-      sweep.OnTimeCount(return_seek_s, config_.round_length_s));
   RoundOutcome outcome;
-  outcome.glitched_streams.assign(order + on_time, order + n);
+  outcome.glitched_streams.assign(order + served.on_time, order + n);
   outcome.total_service_time_s = return_seek_s + sweep.total_service_time_s();
   outcome.overran = outcome.total_service_time_s > config_.round_length_s;
-  if (on_time > 0) arm_cylinder_ = s.cylinder[order[on_time - 1]];
-  ascending_ = !ascending_;
 
   if (config_.trace != nullptr || metrics_.has_value()) {
     // Phase sums only feed the observability sink, so they accumulate
@@ -481,8 +434,7 @@ void RoundSimulator::ResetForReplication(uint64_t seed,
   rng_ = numeric::Rng(seed);
   disturbance_rng_ =
       numeric::Rng(numeric::SubstreamSeed(seed, kDisturbanceSubstream));
-  arm_cylinder_ = 0;
-  ascending_ = true;
+  arm_.Reset(0, true);
   rounds_run_ = 0;
 }
 
@@ -495,7 +447,7 @@ RoundOutcome RoundSimulator::FinishDiskFailedRound() {
   outcome.glitched_streams.resize(static_cast<size_t>(num_streams_));
   std::iota(outcome.glitched_streams.begin(), outcome.glitched_streams.end(),
             0);
-  ascending_ = !ascending_;
+  arm_.Skip();
   if (config_.trace != nullptr || metrics_.has_value()) {
     RoundBreakdown breakdown;
     breakdown.disk_failed = true;
@@ -606,8 +558,8 @@ RoundSimulatorState RoundSimulator::ExportState() const {
   if (fault_injector_ != nullptr) {
     state.fault_injector = fault_injector_->ExportState();
   }
-  state.arm_cylinder = arm_cylinder_;
-  state.ascending = ascending_;
+  state.arm_cylinder = arm_.cylinder();
+  state.ascending = arm_.ascending();
   state.rounds_run = rounds_run_;
   state.source_states.reserve(sources_.size());
   for (const auto& source : sources_) {
@@ -659,8 +611,7 @@ common::Status RoundSimulator::ImportState(const RoundSimulatorState& state) {
   }
   rng_ = rng;
   disturbance_rng_ = disturbance_rng;
-  arm_cylinder_ = state.arm_cylinder;
-  ascending_ = state.ascending;
+  arm_.Reset(state.arm_cylinder, state.ascending);
   rounds_run_ = state.rounds_run;
   return common::Status::Ok();
 }

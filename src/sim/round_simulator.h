@@ -4,8 +4,9 @@
 // requests one fragment at a position sampled uniformly over the disk's
 // stored bytes (zone with probability C_i/C, cylinder uniform within the
 // zone), with a uniform rotational latency and a zone-rate transfer. The
-// requests are served in one SCAN sweep; fragments that would complete
-// after the round deadline are glitches for their streams.
+// requests are served in one sweep of the disk arm (sched::Arm) in the
+// configured service order — SCAN, the paper's, by default; fragments that
+// would complete after the round deadline are glitches for their streams.
 #ifndef ZONESTREAM_SIM_ROUND_SIMULATOR_H_
 #define ZONESTREAM_SIM_ROUND_SIMULATOR_H_
 
@@ -42,12 +43,6 @@ namespace zonestream::sim {
 using FragmentSourceFactory =
     std::function<std::unique_ptr<workload::FragmentSource>(int stream_id)>;
 
-// How the arm behaves between rounds.
-enum class SweepPolicy {
-  kAlternate,       // elevator: sweep direction flips every round
-  kResetAscending,  // arm returns to cylinder 0, every sweep ascends
-};
-
 // Samples the disk position of one fragment. The default (null) sampler is
 // uniform-over-capacity on the geometry (the paper's placement); the
 // zone-aware strategies in disk/placement.h provide alternatives.
@@ -79,10 +74,9 @@ struct DisturbanceConfig {
 struct SimulatorConfig {
   double round_length_s = 1.0;
   uint64_t seed = 42;
-  SweepPolicy sweep_policy = SweepPolicy::kAlternate;
-  // Intra-round service order (the paper uses SCAN; kSstf/kFcfs support
-  // the scheduling ablation).
-  sched::OrderingPolicy ordering = sched::OrderingPolicy::kScan;
+  // Service order and arm policy (the paper uses SCAN; C-SCAN, SSTF and
+  // FCFS support the scheduling ablation).
+  sched::ServicePolicy policy = sched::ServicePolicy::kScan;
   PositionSampler position_sampler;  // null = uniform over capacity
   DisturbanceConfig disturbance;     // default: none
 
@@ -271,10 +265,7 @@ class RoundSimulator {
     std::vector<double> rate_bps;
     std::vector<double> bytes;
     std::vector<double> rotation_s;    // rotational latency + injected delay
-    // FCFS/SSTF service order (indices into the SoA); SCAN orders inside
-    // the kernel.
-    std::vector<int> order;
-    // The shared SCAN sweep (sched/scan_kernel.h): order, per-position
+    // The shared sweep (sched/scan_kernel.h): order, per-position
     // seek/transfer times and completion clock of the current round.
     sched::ScanKernel sweep;
     std::vector<int32_t> zone_hits;    // per-zone tallies, reset each round
@@ -340,8 +331,7 @@ class RoundSimulator {
   numeric::Rng disturbance_rng_;
   // Null when config_.faults is empty (the common case).
   std::unique_ptr<fault::FaultInjector> fault_injector_;
-  int arm_cylinder_ = 0;
-  bool ascending_ = true;
+  sched::Arm arm_;
   int64_t rounds_run_ = 0;
   std::optional<Metrics> metrics_;
   // Non-null iff every stream draws i.i.d. from this one distribution, in

@@ -269,7 +269,6 @@ TEST(AdmissionTableTest, NanToleranceReturnsZeroOnEveryLookupPath) {
   EXPECT_EQ(table->MaxStreams(nan), 0);
   const AdmissionTableSnapshot snapshot(*table);
   EXPECT_EQ(snapshot.MaxStreams(nan), 0);
-  EXPECT_EQ(AdmissionController(*table, nan).max_streams(), 0);
 }
 
 TEST(AdmissionTableSnapshotTest, EmptySnapshotReturnsZero) {
@@ -277,20 +276,6 @@ TEST(AdmissionTableSnapshotTest, EmptySnapshotReturnsZero) {
   EXPECT_EQ(snapshot.size(), 0u);
   EXPECT_EQ(snapshot.MaxStreams(0.01), 0);
   EXPECT_EQ(snapshot.MaxStreams(1.0), 0);
-}
-
-TEST(AdmissionControllerTest, BoundaryContractAtBothEnds) {
-  const auto table = BoundaryTable();
-  ASSERT_TRUE(table.ok());
-  // Exactly the strictest row: that row's limit, not 0.
-  EXPECT_EQ(AdmissionController(*table, 0.001).max_streams(), 8);
-  // One ulp below every row: limit 0, every admit rejected.
-  AdmissionController below(*table, std::nextafter(0.001, 0.0));
-  EXPECT_EQ(below.max_streams(), 0);
-  EXPECT_FALSE(below.TryAdmit());
-  // Exactly the loosest row, and above it.
-  EXPECT_EQ(AdmissionController(*table, 0.05).max_streams(), 20);
-  EXPECT_EQ(AdmissionController(*table, 0.9).max_streams(), 20);
 }
 
 TEST(AdmissionTableTest, SerializeRoundTrip) {
@@ -338,33 +323,6 @@ TEST(AdmissionTableTest, DeserializeRejectsGarbage) {
                    "criterion glitch_rate\nround_length 1\nrows 2\n"
                    "0.05 26\n0.01 24\n")
                    .ok());
-}
-
-TEST(AdmissionControllerTest, AdmitReleaseLifecycle) {
-  AdmissionController controller(2);
-  EXPECT_EQ(controller.max_streams(), 2);
-  EXPECT_TRUE(controller.TryAdmit());
-  EXPECT_TRUE(controller.TryAdmit());
-  EXPECT_FALSE(controller.TryAdmit());  // full
-  EXPECT_EQ(controller.active_streams(), 2);
-  controller.Release();
-  EXPECT_TRUE(controller.TryAdmit());
-  EXPECT_FALSE(controller.TryAdmit());
-}
-
-TEST(AdmissionControllerTest, FromTable) {
-  const ServiceTimeModel model = TestModel();
-  const auto table = AdmissionTable::Build(
-      model, AdmissionCriterion::kLateProbability, 1.0, {0.01});
-  ASSERT_TRUE(table.ok());
-  AdmissionController controller(*table, 0.01);
-  EXPECT_EQ(controller.max_streams(),
-            MaxStreamsByLateProbability(model, 1.0, 0.01));
-}
-
-TEST(AdmissionControllerTest, ZeroLimitRejectsEverything) {
-  AdmissionController controller(0);
-  EXPECT_FALSE(controller.TryAdmit());
 }
 
 }  // namespace

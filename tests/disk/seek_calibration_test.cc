@@ -1,6 +1,7 @@
 #include "disk/seek_calibration.h"
 
 #include <cmath>
+#include <optional>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -15,13 +16,15 @@ std::vector<SeekMeasurement> SampleViking(int step, double noise_sd,
                                           uint64_t seed) {
   const SeekTimeModel truth = QuantumViking2100Seek();
   numeric::Rng rng(seed);
-  std::normal_distribution<double> noise(0.0, noise_sd);
+  // A normal law needs a positive standard deviation.
+  std::optional<std::normal_distribution<double>> noise;
+  if (noise_sd > 0.0) noise.emplace(0.0, noise_sd);
   std::vector<SeekMeasurement> samples;
   for (int d = step; d <= 6720; d += step) {
     SeekMeasurement sample;
     sample.distance_cylinders = d;
     sample.seek_time_s =
-        truth.SeekTime(d) + (noise_sd > 0.0 ? noise(rng.engine()) : 0.0);
+        truth.SeekTime(d) + (noise ? (*noise)(rng.engine()) : 0.0);
     if (sample.seek_time_s <= 0.0) sample.seek_time_s = 1e-5;
     samples.push_back(sample);
   }

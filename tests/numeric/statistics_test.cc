@@ -163,36 +163,6 @@ TEST(KolmogorovSmirnovTest, GammaSamplerPassesAgainstItsOwnCdf) {
   EXPECT_LT(d, KolmogorovSmirnovCriticalValue(20000, 0.01));
 }
 
-TEST(HistogramTest, BinAssignment) {
-  Histogram histogram(0.0, 10.0, 10);
-  histogram.Add(0.5);
-  histogram.Add(9.5);
-  histogram.Add(5.0);
-  EXPECT_EQ(histogram.total(), 3);
-  EXPECT_EQ(histogram.bin_count(0), 1);
-  EXPECT_EQ(histogram.bin_count(9), 1);
-  EXPECT_EQ(histogram.bin_count(5), 1);
-}
-
-TEST(HistogramTest, OutOfRangeClampsToEdgeBins) {
-  Histogram histogram(0.0, 1.0, 4);
-  histogram.Add(-5.0);
-  histogram.Add(7.0);
-  EXPECT_EQ(histogram.bin_count(0), 1);
-  EXPECT_EQ(histogram.bin_count(3), 1);
-}
-
-TEST(HistogramTest, DensityIntegratesToOne) {
-  Histogram histogram(0.0, 1.0, 20);
-  for (int i = 0; i < 1000; ++i) histogram.Add((i % 100) / 100.0);
-  double integral = 0.0;
-  const double width = 1.0 / 20;
-  for (int b = 0; b < histogram.bins(); ++b) {
-    integral += histogram.density(b) * width;
-  }
-  EXPECT_NEAR(integral, 1.0, 1e-12);
-}
-
 TEST(WilsonIntervalRealTest, MatchesIntegerWilsonOnIntegerInputs) {
   const ProportionInterval integer = WilsonInterval(7, 50);
   const ProportionInterval real = WilsonIntervalReal(7.0, 50.0);
@@ -304,12 +274,6 @@ TEST(ClusteredProportionIntervalTest, OverloadsAgree) {
   EXPECT_DOUBLE_EQ(from_vector.point, from_moments.point);
   EXPECT_DOUBLE_EQ(from_vector.lower, from_moments.lower);
   EXPECT_DOUBLE_EQ(from_vector.upper, from_moments.upper);
-}
-
-TEST(HistogramTest, BinCenters) {
-  Histogram histogram(0.0, 1.0, 4);
-  EXPECT_DOUBLE_EQ(histogram.bin_center(0), 0.125);
-  EXPECT_DOUBLE_EQ(histogram.bin_center(3), 0.875);
 }
 
 }  // namespace

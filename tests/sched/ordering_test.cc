@@ -32,7 +32,7 @@ double TotalSeek(const std::vector<DiskRequest>& ordered, int start) {
 
 TEST(OrderingTest, FcfsKeepsIssueOrder) {
   std::vector<DiskRequest> requests = {At(500, 0), At(10, 1), At(300, 2)};
-  OrderRequests(&requests, OrderingPolicy::kFcfs, 0,
+  OrderRequests(&requests, ServicePolicy::kFcfs, 0,
                 SweepDirection::kAscending);
   EXPECT_EQ(requests[0].stream_id, 0);
   EXPECT_EQ(requests[1].stream_id, 1);
@@ -41,18 +41,18 @@ TEST(OrderingTest, FcfsKeepsIssueOrder) {
 
 TEST(OrderingTest, ScanDelegatesToSortForScan) {
   std::vector<DiskRequest> requests = {At(500), At(10), At(300)};
-  OrderRequests(&requests, OrderingPolicy::kScan, 0,
+  OrderRequests(&requests, ServicePolicy::kScan, 0,
                 SweepDirection::kAscending);
   EXPECT_EQ(requests[0].cylinder, 10);
   EXPECT_EQ(requests[2].cylinder, 500);
-  OrderRequests(&requests, OrderingPolicy::kScan, 0,
+  OrderRequests(&requests, ServicePolicy::kScan, 0,
                 SweepDirection::kDescending);
   EXPECT_EQ(requests[0].cylinder, 500);
 }
 
 TEST(OrderingTest, SstfPicksNearestFirst) {
   std::vector<DiskRequest> requests = {At(500), At(90), At(300)};
-  OrderRequests(&requests, OrderingPolicy::kSstf, /*start_cylinder=*/100,
+  OrderRequests(&requests, ServicePolicy::kSstf, /*start_cylinder=*/100,
                 SweepDirection::kAscending);
   EXPECT_EQ(requests[0].cylinder, 90);    // nearest to 100
   EXPECT_EQ(requests[1].cylinder, 300);   // nearest to 90 among the rest
@@ -69,9 +69,9 @@ TEST(OrderingTest, SstfNeverWorseThanFcfsOnRandomBatches) {
     }
     std::vector<DiskRequest> fcfs = batch;
     std::vector<DiskRequest> sstf = batch;
-    OrderRequests(&fcfs, OrderingPolicy::kFcfs, 0,
+    OrderRequests(&fcfs, ServicePolicy::kFcfs, 0,
                   SweepDirection::kAscending);
-    OrderRequests(&sstf, OrderingPolicy::kSstf, 0,
+    OrderRequests(&sstf, ServicePolicy::kSstf, 0,
                   SweepDirection::kAscending);
     EXPECT_LE(TotalSeek(sstf, 0), TotalSeek(fcfs, 0) + 1e-12) << trial;
   }
@@ -94,9 +94,9 @@ TEST(OrderingTest, ScanSeekWithinOyangBoundSstfClose) {
     }
     std::vector<DiskRequest> scan = batch;
     std::vector<DiskRequest> sstf = batch;
-    OrderRequests(&scan, OrderingPolicy::kScan, 0,
+    OrderRequests(&scan, ServicePolicy::kScan, 0,
                   SweepDirection::kAscending);
-    OrderRequests(&sstf, OrderingPolicy::kSstf, 0,
+    OrderRequests(&sstf, ServicePolicy::kSstf, 0,
                   SweepDirection::kAscending);
     const double scan_seek = TotalSeek(scan, 0);
     EXPECT_LE(scan_seek, oyang + 1e-12);

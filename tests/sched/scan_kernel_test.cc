@@ -1,8 +1,9 @@
-// The batched SCAN kernel against the struct-based reference: for every
-// batch, ScanKernel must reproduce SortForScan + ExecuteScanRound bit for
-// bit — the service permutation and every per-position seek, rotation,
-// transfer and completion time — on every SIMD tier the host supports
-// (numeric::ForceSimdTier caps at the detected tier).
+// The batched SCAN kernel and the disk arm against the struct-based
+// reference: for every batch, ScanKernel and Arm must reproduce
+// OrderRequests + ExecuteScanRound bit for bit — the service permutation
+// and every per-position seek, rotation, transfer and completion time —
+// on every SIMD tier the host supports (numeric::ForceSimdTier caps at
+// the detected tier).
 #include "sched/scan_kernel.h"
 
 #include <cstddef>
@@ -14,6 +15,7 @@
 #include "disk/presets.h"
 #include "numeric/random.h"
 #include "numeric/simd.h"
+#include "sched/ordering.h"
 #include "sched/request.h"
 #include "sched/scan.h"
 
@@ -75,13 +77,15 @@ std::vector<DiskRequest> ToRequests(const Batch& batch) {
   return requests;
 }
 
-// Checks the kernel's last result against the struct-based reference.
+// Checks the kernel's last result against the struct-based reference:
+// the requests ordered under `policy` and timed from `start_cylinder`.
 void ExpectMatchesReference(const ScanKernel& kernel, const Batch& batch,
-                            int start_cylinder, SweepDirection direction,
+                            ServicePolicy policy, int start_cylinder,
+                            SweepDirection direction,
                             const std::string& label) {
   const disk::SeekTimeModel seek = disk::QuantumViking2100Seek();
   std::vector<DiskRequest> requests = ToRequests(batch);
-  SortForScan(&requests, direction);
+  OrderRequests(&requests, policy, start_cylinder, direction);
   const RoundTiming timing = ExecuteScanRound(seek, requests, start_cylinder);
 
   ASSERT_EQ(kernel.size(), requests.size()) << label;
@@ -144,8 +148,8 @@ TEST(ScanKernelTest, MatchesSortForScanAndExecuteScanRoundOnEveryTier) {
               (few_cylinders ? " repeated" : " distinct") +
               (direction == SweepDirection::kAscending ? " asc" : " desc") +
               " tier=" + numeric::SimdTierName(tier);
-          ExpectMatchesReference(kernel, batch, start_cylinder, direction,
-                                 label);
+          ExpectMatchesReference(kernel, batch, ServicePolicy::kScan,
+                                 start_cylinder, direction, label);
         }
       }
     }
@@ -165,7 +169,8 @@ TEST(ScanKernelTest, CylindersBeyondTheNetworkKeyTakeTheWideSort) {
   for (const SweepDirection direction :
        {SweepDirection::kAscending, SweepDirection::kDescending}) {
     kernel.Run(disk::QuantumViking2100Seek(), batch.View(), 0, direction);
-    ExpectMatchesReference(kernel, batch, 0, direction, "wide cylinders");
+    ExpectMatchesReference(kernel, batch, ServicePolicy::kScan, 0, direction,
+                           "wide cylinders");
   }
 }
 
@@ -178,16 +183,11 @@ TEST(ScanKernelTest, RunInOrderTimesTheGivenPermutation) {
   for (size_t i = 0; i < identity.size(); ++i) {
     identity[i] = static_cast<int>(i);
   }
-  const std::vector<DiskRequest> requests = ToRequests(batch);
-  const disk::SeekTimeModel seek = disk::QuantumViking2100Seek();
-  const RoundTiming timing = ExecuteScanRound(seek, requests, 123);
   ScanKernel kernel;
-  kernel.RunInOrder(seek, batch.View(), 123, identity.data());
-  for (size_t pos = 0; pos < requests.size(); ++pos) {
-    EXPECT_EQ(kernel.order()[pos], static_cast<int>(pos));
-    EXPECT_EQ(kernel.completion_s()[pos],
-              timing.per_request[pos].completion_s);
-  }
+  kernel.RunInOrder(disk::QuantumViking2100Seek(), batch.View(), 123,
+                    identity.data());
+  ExpectMatchesReference(kernel, batch, ServicePolicy::kFcfs, 123,
+                         SweepDirection::kAscending, "fcfs");
 }
 
 TEST(ScanKernelTest, PrecomputedTransferTimesReplaceBytesOverRate) {
@@ -205,8 +205,87 @@ TEST(ScanKernelTest, PrecomputedTransferTimesReplaceBytesOverRate) {
   ScanKernel kernel;
   kernel.Run(disk::QuantumViking2100Seek(), view, 17,
              SweepDirection::kDescending);
-  ExpectMatchesReference(kernel, batch, 17, SweepDirection::kDescending,
-                         "precomputed transfers");
+  ExpectMatchesReference(kernel, batch, ServicePolicy::kScan, 17,
+                         SweepDirection::kDescending, "precomputed transfers");
+}
+
+TEST(ArmTest, ServeMatchesTheStructReferenceOnEveryTier) {
+  // Each policy's round through the arm against the struct path's arm
+  // rules: C-SCAN pays SeekTime(arm) back to cylinder 0 and sweeps
+  // ascending from there, the others start where the arm rests; a request
+  // is on time when return seek + completion <= deadline; the arm then
+  // rests on the last on-time request (or stays put) and the direction
+  // flips.
+  const disk::SeekTimeModel seek = disk::QuantumViking2100Seek();
+  numeric::Rng rng(20261018);
+  ScanKernel kernel;
+  Arm arm;
+  for (const ServicePolicy policy :
+       {ServicePolicy::kScan, ServicePolicy::kCScan, ServicePolicy::kSstf,
+        ServicePolicy::kFcfs}) {
+    for (const size_t n : {0u, 1u, 7u, 26u, 32u, 33u, 40u}) {
+      const Batch batch = RandomBatch(n, /*few_cylinders=*/false, &rng);
+      for (const int start_cylinder : {0, 3360}) {
+        for (const bool ascending : {true, false}) {
+          const SweepDirection direction = ascending
+                                               ? SweepDirection::kAscending
+                                               : SweepDirection::kDescending;
+          const bool cscan = policy == ServicePolicy::kCScan;
+          const int begin = cscan ? 0 : start_cylinder;
+          const double return_seek_s =
+              cscan && start_cylinder != 0 ? seek.SeekTime(start_cylinder)
+                                           : 0.0;
+          std::vector<DiskRequest> requests = ToRequests(batch);
+          OrderRequests(&requests, policy, begin, direction);
+          const RoundTiming timing = ExecuteScanRound(seek, requests, begin);
+          // Deadlines before every completion, after all of them, and at
+          // and around a first, middle and last completion.
+          std::vector<double> deadlines = {0.0, 1e9};
+          for (const size_t pos : {size_t{0}, n / 2, n - 1}) {
+            if (pos >= n) continue;
+            for (const double slack : {-1e-9, 0.0, 1e-9}) {
+              deadlines.push_back(return_seek_s +
+                                  timing.per_request[pos].completion_s +
+                                  slack);
+            }
+          }
+          for (const SimdTier tier :
+               {SimdTier::kScalar, SimdTier::kAvx2, SimdTier::kAvx512}) {
+            ScopedTier forced(tier);
+            const std::string label =
+                "policy=" + std::to_string(static_cast<int>(policy)) +
+                " n=" + std::to_string(n) +
+                " start=" + std::to_string(start_cylinder) +
+                (ascending ? " asc" : " desc") +
+                " tier=" + numeric::SimdTierName(tier);
+            for (const double deadline : deadlines) {
+              arm.Reset(start_cylinder, ascending);
+              const Arm::Round round =
+                  arm.Serve(seek, batch.View(), policy, deadline, &kernel);
+              size_t on_time = 0;
+              for (const RequestTiming& rt : timing.per_request) {
+                if (return_seek_s + rt.completion_s <= deadline) ++on_time;
+              }
+              EXPECT_EQ(round.return_seek_s, return_seek_s) << label;
+              EXPECT_EQ(round.on_time, on_time)
+                  << label << " deadline=" << deadline;
+              EXPECT_EQ(arm.cylinder(),
+                        on_time > 0 ? requests[on_time - 1].cylinder : begin)
+                  << label << " deadline=" << deadline;
+              EXPECT_EQ(arm.ascending(), !ascending) << label;
+            }
+            ExpectMatchesReference(kernel, batch, policy, begin, direction,
+                                   label);
+            // A round the disk skips only flips the direction.
+            const int rest = arm.cylinder();
+            arm.Skip();
+            EXPECT_EQ(arm.cylinder(), rest) << label;
+            EXPECT_EQ(arm.ascending(), ascending) << label;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -56,7 +56,7 @@ std::vector<obs::RoundTraceEvent> SimulatorRounds(
   sim::SimulatorConfig config;
   config.round_length_s = 1.0;
   config.seed = kSeed;
-  config.sweep_policy = sim::SweepPolicy::kAlternate;
+  config.policy = sched::ServicePolicy::kScan;
   config.batched_kernel = true;
   config.trace = &trace;
   auto simulator = sim::RoundSimulator::Create(

@@ -32,13 +32,14 @@ std::shared_ptr<const workload::SizeDistribution> Table1Sizes() {
   return std::make_shared<workload::GammaSizeDistribution>(*sizes);
 }
 
-RoundSimulator MakeSimulator(int n, uint64_t seed, bool batched,
-                             SweepPolicy policy = SweepPolicy::kAlternate) {
+RoundSimulator MakeSimulator(
+    int n, uint64_t seed, bool batched,
+    sched::ServicePolicy policy = sched::ServicePolicy::kScan) {
   SimulatorConfig config;
   config.round_length_s = 1.0;
   config.seed = seed;
   config.batched_kernel = batched;
-  config.sweep_policy = policy;
+  config.policy = policy;
   auto simulator = RoundSimulator::Create(
       disk::QuantumViking2100(), disk::QuantumViking2100Seek(), n,
       RoundSimulator::IidFactory(Table1Sizes()), config);
@@ -56,7 +57,7 @@ RoundSimulator MakeSimulator(int n, uint64_t seed, bool batched,
 // documented contract of batched_kernel = false.
 TEST(BatchKernelTest, ScalarKernelPreservesGoldenSamplePaths) {
   RoundSimulator alternate =
-      MakeSimulator(26, 12345, /*batched=*/false, SweepPolicy::kAlternate);
+      MakeSimulator(26, 12345, /*batched=*/false, sched::ServicePolicy::kScan);
   double sum = 0.0;
   int glitches = 0;
   for (int r = 0; r < 300; ++r) {
@@ -68,7 +69,7 @@ TEST(BatchKernelTest, ScalarKernelPreservesGoldenSamplePaths) {
   EXPECT_EQ(glitches, 0);
 
   RoundSimulator reset = MakeSimulator(26, 12345, /*batched=*/false,
-                                       SweepPolicy::kResetAscending);
+                                       sched::ServicePolicy::kCScan);
   double reset_sum = 0.0;
   for (int r = 0; r < 300; ++r) {
     reset_sum += reset.RunRound().total_service_time_s;

@@ -50,21 +50,37 @@ TEST(CleanPathGoldenTest, ScalarKernelSamplePathIsPinned) {
 }
 
 TEST(CleanPathGoldenTest, BatchedKernelSamplePathIsPinned) {
-  SimulatorConfig config = GoldenConfig();
-  config.batched_kernel = true;
-  auto simulator = RoundSimulator::Create(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 27,
-      RoundSimulator::IidFactory(GoldenSizes()), config);
-  ASSERT_TRUE(simulator.ok());
-  double sum = 0.0;
-  int glitches = 0;
-  for (int r = 0; r < 300; ++r) {
-    const RoundOutcome outcome = simulator->RunRound();
-    sum += outcome.total_service_time_s;
-    glitches += static_cast<int>(outcome.glitched_streams.size());
+  // One row per service policy. The C-SCAN, SSTF and FCFS rows were
+  // captured before the policies moved onto sched::Arm.
+  struct Pinned {
+    sched::ServicePolicy policy;
+    double sum;
+    int glitches;
+  };
+  for (const Pinned& pinned :
+       {Pinned{sched::ServicePolicy::kScan, 237.43269236106721, 1},
+        Pinned{sched::ServicePolicy::kCScan, 242.78408641226918, 2},
+        Pinned{sched::ServicePolicy::kSstf, 237.71969128886204, 1},
+        Pinned{sched::ServicePolicy::kFcfs, 276.16417684824341, 69}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "policy " << static_cast<int>(pinned.policy));
+    SimulatorConfig config = GoldenConfig();
+    config.batched_kernel = true;
+    config.policy = pinned.policy;
+    auto simulator = RoundSimulator::Create(
+        disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 27,
+        RoundSimulator::IidFactory(GoldenSizes()), config);
+    ASSERT_TRUE(simulator.ok());
+    double sum = 0.0;
+    int glitches = 0;
+    for (int r = 0; r < 300; ++r) {
+      const RoundOutcome outcome = simulator->RunRound();
+      sum += outcome.total_service_time_s;
+      glitches += static_cast<int>(outcome.glitched_streams.size());
+    }
+    EXPECT_EQ(sum, pinned.sum);
+    EXPECT_EQ(glitches, pinned.glitches);
   }
-  EXPECT_EQ(sum, 237.43269236106721);
-  EXPECT_EQ(glitches, 1);
 }
 
 TEST(CleanPathGoldenTest, ReplicatedEstimatorsArePinned) {

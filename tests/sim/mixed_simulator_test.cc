@@ -163,7 +163,7 @@ TEST(MixedSimulatorTest, NoArrivalsIsTheBatchedRoundSimulator) {
     SimulatorConfig sim_config;
     sim_config.round_length_s = 1.0;
     sim_config.seed = kSeed;
-    sim_config.sweep_policy = SweepPolicy::kAlternate;
+    sim_config.policy = sched::ServicePolicy::kScan;
     sim_config.trace = &sim_trace;
     auto simulator = RoundSimulator::Create(
         disk::QuantumViking2100(), disk::QuantumViking2100Seek(), n,
@@ -184,6 +184,52 @@ TEST(MixedSimulatorTest, NoArrivalsIsTheBatchedRoundSimulator) {
     if (n > 26) {
       EXPECT_GT(glitches, 0);
     }
+  }
+}
+
+TEST(MixedSimulatorTest, RunInPiecesIsOneRun) {
+  // Arrival and queue times are absolute, so successive Run() calls
+  // continue one run: two halves serve exactly what one whole run does.
+  constexpr int kRounds = 400;
+  obs::RoundTraceRecorder whole_trace(kRounds);
+  obs::RoundTraceRecorder pieces_trace(kRounds);
+  MixedSimulatorConfig config;
+  config.round_length_s = 1.0;
+  config.discrete_arrival_rate_hz = 20.0;
+  config.seed = 515;
+  config.trace = &whole_trace;
+  auto whole = MixedRoundSimulator::Create(
+      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 20,
+      VideoSizes(), WebSizes(), config);
+  config.trace = &pieces_trace;
+  auto pieces = MixedRoundSimulator::Create(
+      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 20,
+      VideoSizes(), WebSizes(), config);
+  ASSERT_TRUE(whole.ok());
+  ASSERT_TRUE(pieces.ok());
+  const MixedRunResult one = whole->Run(kRounds);
+  const MixedRunResult first = pieces->Run(kRounds / 2);
+  const MixedRunResult second = pieces->Run(kRounds / 2);
+  EXPECT_EQ(first.discrete_completed + second.discrete_completed,
+            one.discrete_completed);
+  EXPECT_EQ(first.discrete_arrivals + second.discrete_arrivals,
+            one.discrete_arrivals);
+  EXPECT_EQ(first.continuous_glitches + second.continuous_glitches,
+            one.continuous_glitches);
+
+  const std::vector<obs::RoundTraceEvent> a = whole_trace.Snapshot();
+  const std::vector<obs::RoundTraceEvent> b = pieces_trace.Snapshot();
+  ASSERT_EQ(a.size(), static_cast<size_t>(kRounds));
+  ASSERT_EQ(b.size(), static_cast<size_t>(kRounds));
+  for (int r = 0; r < kRounds; ++r) {
+    EXPECT_EQ(a[r].round, b[r].round);
+    EXPECT_EQ(a[r].service_time_s, b[r].service_time_s) << "round " << r;
+    EXPECT_EQ(a[r].seek_s, b[r].seek_s) << "round " << r;
+    EXPECT_EQ(a[r].rotation_s, b[r].rotation_s) << "round " << r;
+    EXPECT_EQ(a[r].transfer_s, b[r].transfer_s) << "round " << r;
+    EXPECT_EQ(a[r].glitches, b[r].glitches) << "round " << r;
+    EXPECT_EQ(a[r].leftover_s, b[r].leftover_s) << "round " << r;
+    EXPECT_EQ(a[r].zone_hits, b[r].zone_hits) << "round " << r;
   }
 }
 

@@ -138,14 +138,6 @@ TEST(RareEventTest, CreateRejectsUnsupportedConfigurations) {
     EXPECT_FALSE(sampler.ok());
   }
   {
-    SimulatorConfig config = BaseConfig();
-    config.ordering = sched::OrderingPolicy::kFcfs;
-    auto sampler = ImportanceSampler::Create(geometry, seek, 24, sizes,
-                                             config,
-                                             ImportanceSamplingOptions{});
-    EXPECT_FALSE(sampler.ok());
-  }
-  {
     // Antithetic needs an even number of rounds per replication.
     ImportanceSamplingOptions options;
     options.antithetic = true;
@@ -177,20 +169,46 @@ TEST(RareEventTest, WeightMeanIsUnity) {
 }
 
 TEST(RareEventTest, MatchesNaiveEstimatorAtModerateProbability) {
-  // p_late(n=30) ~ 3.8e-2 is resolvable both ways; the two estimators
-  // must agree within their joint uncertainty, and IS must not be wider.
+  // Under each service policy, at an N where p_late is a few percent
+  // (3.8e-2 for SCAN at N = 30) and resolvable both ways, the two
+  // estimators must agree within their joint uncertainty, IS must not be
+  // wider, and its weights must not collapse. The auto tilt comes from
+  // SCAN's model, whose tail at N = 26 is far deeper than FCFS's; there
+  // it leaves an ESS of a few dozen, so FCFS runs at half of it.
+  struct Case {
+    sched::ServicePolicy policy;
+    int n;
+    double tilt_fraction;  // of AutoTiltParameter
+  };
+  const auto geometry = disk::QuantumViking2100();
+  const auto seek = disk::QuantumViking2100Seek();
   const auto replication = BaseReplication();
-  auto naive = EstimateLateProbabilityReplicated(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 30,
-      RoundSimulator::IidFactory(Table1Sizes()), BaseConfig(), 20000,
-      replication);
-  ASSERT_TRUE(naive.ok());
-  auto is = LateIS(30, 20000, ImportanceSamplingOptions{}, replication);
-  ASSERT_TRUE(is.ok());
-  EXPECT_GT(is->point, naive->ci_lower);
-  EXPECT_LT(is->point, naive->ci_upper);
-  EXPECT_LT(HalfWidth(*is),
-            (naive->ci_upper - naive->ci_lower) / 2.0);
+  for (const Case& c : {Case{sched::ServicePolicy::kScan, 30, 1.0},
+                        Case{sched::ServicePolicy::kCScan, 30, 1.0},
+                        Case{sched::ServicePolicy::kSstf, 30, 1.0},
+                        Case{sched::ServicePolicy::kFcfs, 26, 0.5}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "policy " << static_cast<int>(c.policy));
+    SimulatorConfig config = BaseConfig();
+    config.policy = c.policy;
+    auto naive = EstimateLateProbabilityReplicated(
+        geometry, seek, c.n, RoundSimulator::IidFactory(Table1Sizes()),
+        config, 20000, replication);
+    ASSERT_TRUE(naive.ok());
+    auto theta =
+        AutoTiltParameter(geometry, seek, c.n, *Table1Sizes(), 1.0);
+    ASSERT_TRUE(theta.ok());
+    ImportanceSamplingOptions options;
+    options.theta = c.tilt_fraction * *theta;
+    auto is = EstimateLateProbabilityIS(geometry, seek, c.n, Table1Sizes(),
+                                        config, 20000, replication, options);
+    ASSERT_TRUE(is.ok());
+    EXPECT_GT(is->point, naive->ci_lower);
+    EXPECT_LT(is->point, naive->ci_upper);
+    EXPECT_LT(HalfWidth(*is),
+              (naive->ci_upper - naive->ci_lower) / 2.0);
+    EXPECT_GE(is->ess, 1000.0);
+  }
 }
 
 TEST(RareEventTest, SelfNormalizedAgreesWithHorvitzThompson) {

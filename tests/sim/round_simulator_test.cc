@@ -155,22 +155,22 @@ TEST(RoundSimulatorTest, SweepPoliciesBothWork) {
   SimulatorConfig config;
   config.round_length_s = 1.0;
   config.seed = 21;
-  config.sweep_policy = SweepPolicy::kResetAscending;
+  config.policy = sched::ServicePolicy::kCScan;
   auto reset = RoundSimulator::Create(
       disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 26,
       RoundSimulator::IidFactory(Table1Sizes()), config);
   ASSERT_TRUE(reset.ok());
   const ProbabilityEstimate p_reset = reset->EstimateLateProbability(4000);
 
-  config.sweep_policy = SweepPolicy::kAlternate;
+  config.policy = sched::ServicePolicy::kScan;
   auto alternate = RoundSimulator::Create(
       disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 26,
       RoundSimulator::IidFactory(Table1Sizes()), config);
   ASSERT_TRUE(alternate.ok());
   const ProbabilityEstimate p_alt = alternate->EstimateLateProbability(4000);
 
-  // Both policies must be well under the analytic bound at N = 26; the
-  // reset policy pays an extra return seek but stays the same regime.
+  // Both policies must be well under the analytic bound at N = 26; C-SCAN
+  // pays an extra return seek but stays in the same regime.
   EXPECT_LT(p_reset.point, 0.01);
   EXPECT_LT(p_alt.point, 0.01);
 }
@@ -284,7 +284,7 @@ RoundSimulator MakeResetSimulator(int n, uint64_t seed) {
   SimulatorConfig config;
   config.round_length_s = 1.0;
   config.seed = seed;
-  config.sweep_policy = SweepPolicy::kResetAscending;
+  config.policy = sched::ServicePolicy::kCScan;
   auto simulator = RoundSimulator::Create(
       disk::QuantumViking2100(), disk::QuantumViking2100Seek(), n,
       RoundSimulator::IidFactory(Table1Sizes()), config);
@@ -292,7 +292,7 @@ RoundSimulator MakeResetSimulator(int n, uint64_t seed) {
   return *std::move(simulator);
 }
 
-// One kResetAscending round from `simulator`'s current state, and the same
+// One C-SCAN round from `simulator`'s current state, and the same
 // round from a twin that imports that state with the arm already at
 // cylinder 0 — the round an uncharged (teleporting) reset would serve.
 // Every sweep starts at cylinder 0, so the two draw and serve identical
@@ -547,7 +547,7 @@ TEST(ObservabilityTest, TraceDecompositionIdentityHolds) {
   obs::RoundTraceRecorder trace;
   SimulatorConfig config;
   config.seed = 73;
-  config.sweep_policy = SweepPolicy::kResetAscending;
+  config.policy = sched::ServicePolicy::kCScan;
   config.disturbance = tcal;
   config.trace = &trace;
   config.trace_source_id = 9;
