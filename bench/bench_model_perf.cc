@@ -312,6 +312,32 @@ void BM_ImportanceSampledErrorProbability(benchmark::State& state) {
 }
 BENCHMARK(BM_ImportanceSampledErrorProbability)->Arg(24);
 
+// One importance-sampled sample — the arm reset, one nominal warm-up
+// round and the tilted measured round — at validate_mc's configuration:
+// N = 30 on the Table 1 workload at the auto tilt. The estimators above
+// repeat this unit; BM_ImportanceSampledErrorProbability prices a whole
+// estimate.
+void BM_ImportanceSampledRound(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  sim::SimulatorConfig config;
+  config.round_length_s = bench::kRoundLengthS;
+  config.seed = 1;
+  sim::ImportanceSamplingOptions options;
+  auto theta = sim::AutoTiltParameter(
+      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), n,
+      *bench::Table1Sizes(), bench::kRoundLengthS);
+  ZS_CHECK(theta.ok());
+  options.theta = *theta;
+  auto sampler = sim::ImportanceSampler::Create(
+      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), n,
+      bench::Table1Sizes(), config, options);
+  ZS_CHECK(sampler.ok());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sampler->RunRound().log_weight);
+  }
+}
+BENCHMARK(BM_ImportanceSampledRound)->Arg(30);
+
 // One degraded parity-array round: N streams per data phase on a 3-disk
 // RAID-5 MediaServer with disk 0 down for good, so every round pays the
 // full degraded tax — reconstruction fan-out to both survivors plus the

@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "core/glitch_model.h"
 #include "core/service_time_model.h"
+#include "numeric/log1p.h"
 #include "numeric/special_functions.h"
 #include "obs/metrics.h"
 
@@ -181,7 +182,7 @@ ImportanceSampler::ImportanceSampler(const disk::DiskGeometry& geometry,
   scratch_.u_all.resize(rounds_per_sample * 3 * n);
   scratch_.zone.resize(n);
   scratch_.cylinder.resize(n);
-  scratch_.unit_gamma.resize(n);
+  scratch_.unit_gamma.resize(rounds_per_sample * n);
   scratch_.rotation_s.resize(n);
   scratch_.transfer_time_s.resize(n);
 }
@@ -260,23 +261,22 @@ TiltedRoundOutcome ImportanceSampler::RunRound() {
     for (size_t i = 0; i < total_u; ++i) s.u_all[i] = Reflect(s.u_all[i]);
   }
 
+  // The Gamma(k, 1) transfer draws of every round of the sample in one
+  // batch: the engine reads its words in the order per-round batches
+  // would.
+  unit_gamma_.Fill(&rng_, s.unit_gamma.data(), s.unit_gamma.size());
+
   // Every sample is i.i.d.: restart the arm, replay the nominal warm-up
   // rounds, then measure the tilted round.
   arm_.Reset(0, true);
   TiltedRoundOutcome outcome;
-  double log_weight = 0.0;
-  for (int w = 0; w < warmups; ++w) {
-    const double* u_round = s.u_all.data() + static_cast<size_t>(w) * per_round;
-    RunOneRound(u_round, u_round + 2 * n, /*tilted=*/false, &outcome,
-                &log_weight);
-  }
-  {
+  for (int w = 0; w <= warmups; ++w) {
     const double* u_round =
-        s.u_all.data() + static_cast<size_t>(warmups) * per_round;
-    RunOneRound(u_round, u_round + 2 * n, /*tilted=*/true, &outcome,
-                &log_weight);
+        s.u_all.data() + static_cast<size_t>(w) * per_round;
+    RunOneRound(u_round, u_round + 2 * n,
+                s.unit_gamma.data() + static_cast<size_t>(w) * n,
+                /*tilted=*/w == warmups, &outcome);
   }
-  outcome.log_weight = log_weight;
 
   if (is_rounds_ != nullptr) {
     is_rounds_->Increment();
@@ -288,8 +288,8 @@ TiltedRoundOutcome ImportanceSampler::RunRound() {
 }
 
 void ImportanceSampler::RunOneRound(const double* u_pos, const double* u_rot,
-                                    bool tilted, TiltedRoundOutcome* outcome,
-                                    double* log_weight) {
+                                    const double* unit_gamma, bool tilted,
+                                    TiltedRoundOutcome* outcome) {
   const int n = num_streams_;
   Scratch& s = scratch_;
   const bool tilt_active = tilted && theta_ > 0.0;
@@ -302,35 +302,31 @@ void ImportanceSampler::RunOneRound(const double* u_pos, const double* u_rot,
       .Sample(u_pos, u_pos + n, static_cast<size_t>(n), s.zone.data(),
               s.cylinder.data(), nullptr);
 
-  // Transfers: one Gamma(k, 1) batch, scaled per request by the zone's
-  // transfer-time scale (tilted s_z / (1 - theta s_z) on the measured
-  // round). The sum of the tilted times feeds the weight.
-  unit_gamma_.Fill(&rng_, s.unit_gamma.data(), static_cast<size_t>(n));
+  // Transfers: the round's Gamma(k, 1) draws scaled per request by the
+  // zone's transfer-time scale (tilted s_z / (1 - theta s_z) on the
+  // measured round).
   const std::vector<double>& time_scale =
       tilt_active ? tilted_time_scale_ : nominal_time_scale_;
-  double transfer_sum = 0.0;
   for (int i = 0; i < n; ++i) {
-    const double t = s.unit_gamma[i] * time_scale[s.zone[i]];
-    s.transfer_time_s[i] = t;
-    transfer_sum += t;
+    s.transfer_time_s[i] = unit_gamma[i] * time_scale[s.zone[i]];
   }
 
   // Rotational latencies; the measured round draws from the tilted
   // uniform via the inverse CDF log1p(u (e^{theta ROT} - 1)) / theta.
+  double transfer_sum = 0.0;
   double rotation_sum = 0.0;
   if (tilt_active) {
+    numeric::TiltedUniformInverseCdf(u_rot, rot_expm1_, theta_,
+                                     s.rotation_s.data(),
+                                     static_cast<size_t>(n));
+    // The weight's sums; a warm-up round carries no weight terms.
     for (int i = 0; i < n; ++i) {
-      const double r = std::log1p(u_rot[i] * rot_expm1_) / theta_;
-      s.rotation_s[i] = r;
-      rotation_sum += r;
+      transfer_sum += s.transfer_time_s[i];
+      rotation_sum += s.rotation_s[i];
     }
   } else {
     const double rotation_time = geometry_.rotation_time();
-    for (int i = 0; i < n; ++i) {
-      const double r = u_rot[i] * rotation_time;
-      s.rotation_s[i] = r;
-      rotation_sum += r;
-    }
+    for (int i = 0; i < n; ++i) s.rotation_s[i] = u_rot[i] * rotation_time;
   }
 
   // Disturbances from the dedicated substream, tilted when configured
@@ -349,7 +345,7 @@ void ImportanceSampler::RunOneRound(const double* u_pos, const double* u_rot,
         if (tilt_dist && disturbance.delay_max_s > disturbance.delay_min_s) {
           const double u = disturbance_rng_.Uniform01();
           delay = disturbance.delay_min_s +
-                  std::log1p(u * dist_expm1_) / theta_;
+                  numeric::Log1p(u * dist_expm1_) / theta_;
         } else {
           delay = disturbance_rng_.Uniform(disturbance.delay_min_s,
                                            disturbance.delay_max_s);
@@ -379,8 +375,9 @@ void ImportanceSampler::RunOneRound(const double* u_pos, const double* u_rot,
   outcome->overran = outcome->total_service_time_s > config_.round_length_s;
 
   if (tilt_active) {
-    *log_weight += static_cast<double>(n) * psi_ -
-                   theta_ * (rotation_sum + transfer_sum + tilted_dist_sum);
+    outcome->log_weight =
+        static_cast<double>(n) * psi_ -
+        theta_ * (rotation_sum + transfer_sum + tilted_dist_sum);
   }
 }
 
@@ -440,6 +437,11 @@ common::StatusOr<ImportanceSampleEstimate> RunReplicatedIS(
   }
   ImportanceSamplingOptions resolved = options;
   if (resolved.theta == 0.0) {
+    if (config.policy == sched::ServicePolicy::kFcfs) {
+      return common::Status::InvalidArgument(
+          "the auto tilt models SCAN's service time and over-tilts FCFS; "
+          "pass an explicit theta for FCFS");
+    }
     auto theta = AutoTiltParameter(geometry, seek, num_streams, *sizes,
                                    config.round_length_s);
     if (!theta.ok()) return theta.status();

@@ -8,7 +8,10 @@
 // and corrects each round with its exact likelihood ratio:
 //
 //   - Rotational latencies U(0, ROT) are drawn from the tilted density
-//     f_theta(x) ∝ e^{theta x} on [0, ROT] (inverse CDF via log1p).
+//     f_theta(x) ∝ e^{theta x} on [0, ROT] by the inverse CDF
+//     log1p(u (e^{theta ROT} - 1)) / theta, whose log1p is
+//     numeric::Log1p (numeric/log1p.h: fdlibm's algorithm, bit-identical
+//     on every SIMD tier, within 1 ulp of libm's), not std::log1p.
 //   - The (zone, transfer) pair is tilted jointly: zones are drawn from
 //     p~_z ∝ p_z (1 - theta s_z)^{-k} (a one-time tilted alias table,
 //     s_z = scale/R_z the zone's transfer-time Gamma scale) and the
@@ -72,9 +75,9 @@ namespace zonestream::sim {
 // Tuning of one importance-sampled estimation run.
 struct ImportanceSamplingOptions {
   // Tilt parameter theta (1/seconds). 0 selects AutoTiltParameter() — the
-  // analytic Chernoff minimizer for the configured deadline — inside the
-  // estimators; negative is invalid. Values at or above the sampler's
-  // theta_max() are rejected.
+  // analytic Chernoff minimizer for the configured deadline under SCAN —
+  // inside the estimators, which reject it under FCFS; negative is
+  // invalid. Values at or above the sampler's theta_max() are rejected.
   double theta = 0.0;
   // Report the self-normalized estimator sum(w I)/sum(w) instead of the
   // unbiased Horvitz-Thompson mean (1/N) sum(w I). Self-normalization
@@ -159,11 +162,16 @@ common::StatusOr<double> AutoTiltParameter(
 // Tilted mirror of RoundSimulator's batched kernel. Not thread-safe; use
 // one per thread (ReplicatedIS* below shard exactly like replication.h).
 //
-// Any service policy: the order is a function of the weighted draws. The
-// auto tilt models SCAN, so FCFS needs an explicit, smaller theta.
+// Any service policy: the order is a function of the weighted draws.
 // Restrictions (InvalidArgument otherwise): Gamma fragment sizes (the
 // closed-form tilt needs the Gamma family), the default
-// uniform-over-capacity position sampler, and no structured faults.
+// uniform-over-capacity position sampler, and no structured faults. The
+// estimators below also reject the auto tilt (theta == 0) under FCFS:
+// AutoTiltParameter models SCAN's service time, whose tail is far deeper
+// than FCFS's. At N = 26 its tilt gave FCFS a confidence interval no
+// narrower than naive sampling's, and the weights' ESS, which does not
+// depend on the policy, read the same as under SCAN, so nothing showed
+// it. FCFS needs an explicit, smaller theta.
 class ImportanceSampler {
  public:
   static common::StatusOr<ImportanceSampler> Create(
@@ -205,13 +213,14 @@ class ImportanceSampler {
   static double Reflect(double u);
 
   // Simulates one round from the current arm state using the uniforms at
-  // u_pos[0..2n) / u_rot[0..n) (a slice of scratch_.u_all). `tilted`
-  // selects the tilted or nominal zone/rotation/transfer/disturbance
-  // laws; when tilted, the round's weight terms are accumulated into
-  // *log_weight. Gamma and disturbance draws are consumed from the
-  // engines either way.
-  void RunOneRound(const double* u_pos, const double* u_rot, bool tilted,
-                   TiltedRoundOutcome* outcome, double* log_weight);
+  // u_pos[0..2n) / u_rot[0..n) and the Gamma(k, 1) draws at
+  // unit_gamma[0..n) (slices of scratch_.u_all and scratch_.unit_gamma).
+  // `tilted` selects the tilted or nominal zone/rotation/transfer/
+  // disturbance laws; a tilted round also sets outcome->log_weight.
+  // Disturbance draws are consumed from their engine either way.
+  void RunOneRound(const double* u_pos, const double* u_rot,
+                   const double* unit_gamma, bool tilted,
+                   TiltedRoundOutcome* outcome);
 
   disk::DiskGeometry geometry_;
   disk::SeekTimeModel seek_;
@@ -261,7 +270,9 @@ class ImportanceSampler {
     std::vector<double> u_all;
     std::vector<int> zone;
     std::vector<int> cylinder;
-    std::vector<double> unit_gamma;  // n Gamma(k, 1) draws
+    // (warmup + 1) * n Gamma(k, 1) draws, filled in one batch per
+    // sample right after the uniforms; round r owns [r*n, (r+1)*n).
+    std::vector<double> unit_gamma;
     std::vector<double> rotation_s;  // tilted latency + disturbance delay
     std::vector<double> transfer_time_s;
     sched::ScanKernel sweep;  // the shared sweep (sched/scan_kernel.h)
@@ -276,7 +287,8 @@ class ImportanceSampler {
 //
 // `config` and `sizes` obey ImportanceSampler::Create's restrictions.
 // options.theta == 0 derives the tilt with AutoTiltParameter once and
-// shares it across replications.
+// shares it across replications; under FCFS it is InvalidArgument (see
+// ImportanceSampler).
 
 // P[T_N >= round_length] (the late/overrun probability).
 common::StatusOr<ImportanceSampleEstimate> EstimateLateProbabilityIS(

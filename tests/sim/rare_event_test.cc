@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -150,6 +151,26 @@ TEST(RareEventTest, CreateRejectsUnsupportedConfigurations) {
     options.strata = 7;
     auto estimate = LateIS(30, 1000, options, BaseReplication());
     EXPECT_FALSE(estimate.ok());
+  }
+  {
+    // The auto tilt models SCAN; FCFS must pass an explicit theta, in
+    // every estimator.
+    SimulatorConfig fcfs = BaseConfig();
+    fcfs.policy = sched::ServicePolicy::kFcfs;
+    const ImportanceSamplingOptions auto_tilt;
+    const auto late = EstimateLateProbabilityIS(
+        geometry, seek, 26, sizes, fcfs, 1000, BaseReplication(), auto_tilt);
+    const auto glitch = EstimateGlitchProbabilityIS(
+        geometry, seek, 26, sizes, fcfs, 1000, BaseReplication(), auto_tilt);
+    const auto error = EstimateErrorProbabilityIS(geometry, seek, 26, sizes,
+                                                  fcfs, 1200, 12, 1000,
+                                                  BaseReplication(), auto_tilt);
+    for (const common::Status& status :
+         {late.status(), glitch.status(), error.status()}) {
+      EXPECT_EQ(status.code(), common::StatusCode::kInvalidArgument);
+      EXPECT_NE(status.ToString().find("explicit theta"), std::string::npos)
+          << status.ToString();
+    }
   }
 }
 

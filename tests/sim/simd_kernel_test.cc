@@ -16,6 +16,7 @@
 #include "common/check.h"
 #include "disk/presets.h"
 #include "numeric/gamma_internal.h"
+#include "numeric/log1p.h"
 #include "numeric/mt19937_64.h"
 #include "numeric/random.h"
 #include "numeric/random_simd.h"
@@ -279,6 +280,42 @@ TEST(SimdKernelTest, GammaSqueezeNeverAcceptsWhatTheExactTestRejects) {
   }
 }
 
+// The tilted-uniform inverse CDF against its scalar loop, at every batch
+// length around the 4- and 8-lane blocks, with the uniforms' extremes
+// pinned and scales putting x = u E below Log1p's 0.41422 cut only or
+// on both sides of it, up to x near 2^53.
+TEST(SimdKernelTest, TiltedUniformInverseCdfBitIdenticalAcrossTiers) {
+  constexpr double kCut = 0x1.a827ap-2;  // where Log1p's k = 0 range ends
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 40; ++n) lengths.push_back(n);
+  lengths.push_back(81);
+  const double theta = 22.77;
+  numeric::Rng rng(4242);
+  for (const double scale :
+       {0.287, 0.41, kCut, 0.5, 0.83, 1.0, 3.0, 1e6, 0x1.0p53}) {
+    for (const size_t n : lengths) {
+      std::vector<double> u(n);
+      rng.FillUniform01(u.data(), n);
+      if (n > 0) u[0] = 0.0;
+      if (n > 1) u[n - 1] = 0x1.fffffffffffffp-1;
+      // x at (the rounding of) the cut, where the scale reaches it.
+      if (n > 2 && kCut / scale < 1.0) u[n / 2] = kCut / scale;
+      std::vector<double> reference(n);
+      for (size_t i = 0; i < n; ++i) {
+        reference[i] = numeric::Log1p(u[i] * scale) / theta;
+      }
+      for (SimdTier tier : AllTiers()) {
+        ScopedTier forced(tier);
+        std::vector<double> got(n);
+        numeric::TiltedUniformInverseCdf(u.data(), scale, theta, got.data(),
+                                         n);
+        EXPECT_EQ(got, reference) << numeric::SimdTierName(tier)
+                                  << " scale=" << scale << " n=" << n;
+      }
+    }
+  }
+}
+
 // --------------------------------------------------------------------------
 // End-to-end: whole-round sample paths are tier-independent.
 
@@ -304,17 +341,51 @@ TEST(SimdKernelTest, RoundSimulatorSamplePathTierIndependent) {
   }
 }
 
-// N = 30 is validate_mc's importance-sampling size: not a multiple of 8,
-// so its Gamma batch ends in a partial block.
+// Tilted samplers at the auto tilt (validate_mc's N = 30 among them: not
+// a multiple of 8, so its Gamma batches end in partial blocks), with
+// tilted disturbances, and with antithetic pairs and strata; plus the
+// untilted theta = 0 sampler at both sizes. Each sample's discrete
+// outcome, service time and log weight must match the scalar tier's bit
+// for bit.
 TEST(SimdKernelTest, ImportanceSamplerSamplePathTierIndependent) {
-  for (const int streams : {24, 30}) {
-    auto run = [streams](SimdTier tier) {
+  struct Case {
+    const char* name;
+    int streams;
+    bool auto_tilt;
+    bool disturbances;
+    bool antithetic_strata;
+  };
+  for (const Case& c : {Case{"untilted", 24, false, false, false},
+                        Case{"untilted", 30, false, false, false},
+                        Case{"auto tilt", 24, true, false, false},
+                        Case{"auto tilt", 30, true, false, false},
+                        Case{"tilted disturbances", 30, true, true, false},
+                        Case{"antithetic strata", 24, true, false, true}}) {
+    SimulatorConfig config;
+    config.round_length_s = 1.0;
+    if (c.disturbances) {
+      config.disturbance.probability = 0.05;
+      config.disturbance.delay_min_s = 0.002;
+      config.disturbance.delay_max_s = 0.03;
+    }
+    ImportanceSamplingOptions options;
+    if (c.auto_tilt) {
+      auto theta = AutoTiltParameter(disk::QuantumViking2100(),
+                                     disk::QuantumViking2100Seek(), c.streams,
+                                     *Table1Sizes(), config.round_length_s);
+      ASSERT_TRUE(theta.ok());
+      ASSERT_GT(*theta, 0.0);
+      options.theta = *theta;
+    }
+    if (c.antithetic_strata) {
+      options.antithetic = true;
+      options.strata = 4;
+    }
+    auto run = [&](SimdTier tier) {
       ScopedTier forced(tier);
-      SimulatorConfig config;
-      config.round_length_s = 1.0;
       auto sampler = ImportanceSampler::Create(
-          disk::QuantumViking2100(), disk::QuantumViking2100Seek(), streams,
-          Table1Sizes(), config, ImportanceSamplingOptions{});
+          disk::QuantumViking2100(), disk::QuantumViking2100Seek(),
+          c.streams, Table1Sizes(), config, options);
       ZS_CHECK(sampler.ok());
       sampler->ResetForReplication(55);
       std::vector<double> values;
@@ -322,13 +393,15 @@ TEST(SimdKernelTest, ImportanceSamplerSamplePathTierIndependent) {
         const TiltedRoundOutcome outcome = sampler->RunRound();
         values.push_back(outcome.total_service_time_s);
         values.push_back(outcome.log_weight);
+        values.push_back(outcome.overran ? 1.0 : 0.0);
+        values.push_back(outcome.glitched_streams);
       }
       return values;
     };
     const std::vector<double> reference = run(SimdTier::kScalar);
     for (SimdTier tier : AllTiers()) {
-      EXPECT_EQ(run(tier), reference)
-          << numeric::SimdTierName(tier) << " N=" << streams;
+      EXPECT_EQ(run(tier), reference) << numeric::SimdTierName(tier) << " "
+                                      << c.name << " N=" << c.streams;
     }
   }
 }
