@@ -8,7 +8,10 @@
 // this tool extracts the stable subset we track across PRs (per-benchmark
 // name, iteration count, real/CPU time normalized to nanoseconds, plus a
 // little machine context) and writes it in a fixed key order so diffs of
-// the trajectory file stay readable. Parsing is a small purpose-built
+// the trajectory file stay readable. Run with --benchmark_repetitions, a
+// benchmark's iteration rows are folded into one entry (schema v2): the
+// median times, the minimum CPU time and the CPU time's coefficient of
+// variation over the repetitions. Parsing is a small purpose-built
 // scanner for google-benchmark's flat JSON shape — no third-party JSON
 // dependency.
 //
@@ -27,6 +30,7 @@
 // The raw dump's custom context "zonestream_threads" (added by
 // bench_model_perf's main) is surfaced as a numeric "num_threads" so a
 // trajectory line is attributable to its parallelism.
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -156,6 +160,15 @@ std::string FormatNumber(double value) {
 
 }  // namespace
 
+// Median of a non-empty sample (the mean of the middle two for an even
+// count).
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : 0.5 * (values[mid - 1] + values[mid]);
+}
+
 int main(int argc, char** argv) {
   std::string build_type;
   bool require_release = false;
@@ -242,7 +255,7 @@ int main(int argc, char** argv) {
 
   std::ostringstream out;
   out << "{\n";
-  out << "  \"schema\": \"zonestream-bench-trajectory-v1\",\n";
+  out << "  \"schema\": \"zonestream-bench-trajectory-v2\",\n";
   out << "  \"source_binary\": \"bench_model_perf\",\n";
   // Context: the subset that is stable enough to be worth diffing.
   out << "  \"context\": {";
@@ -288,33 +301,95 @@ int main(int argc, char** argv) {
     first_context = false;
   }
   out << "\n  },\n";
-  out << "  \"benchmarks\": [\n";
-  bool first_entry = true;
+  // One entry per benchmark name, in first-appearance order, over its
+  // iteration rows (one per --benchmark_repetitions repetition); the
+  // aggregate rows google-benchmark appends are skipped.
+  struct Rows {
+    std::string name;
+    // Registration order (family, instance): random interleaving writes
+    // the rows in execution order, which changes from run to run.
+    double family = 0.0;
+    double instance = 0.0;
+    std::vector<double> iterations, real_ns, cpu_ns;
+    std::vector<std::vector<double>> counters;  // per kCounters entry
+  };
+  // Counter passthrough: throughput, admission latency percentiles, the
+  // flash-crowd shed fraction and the round trip's daemon CPU per request
+  // (already in their final units — counters are not scaled by
+  // time_unit).
+  constexpr const char* kCounters[] = {"items_per_second", "p50_ns",
+                                       "p99_ns", "shed_fraction",
+                                       "daemon_cpu_ns"};
+  constexpr size_t kNumCounters = sizeof(kCounters) / sizeof(kCounters[0]);
+  std::vector<Rows> benchmarks;
   for (const std::string& entry : entries) {
-    // Skip aggregate rows (mean/median/stddev of repetition runs).
     const auto run_type = FindValue(entry, "run_type");
     if (run_type.has_value() && *run_type != "iteration") continue;
     const auto name = FindValue(entry, "name");
-    const auto iterations = FindNumber(entry, "iterations");
     const auto real_time = FindNumber(entry, "real_time");
-    const auto cpu_time = FindNumber(entry, "cpu_time");
     if (!name.has_value() || !real_time.has_value()) continue;
     const std::string unit = FindValue(entry, "time_unit").value_or("ns");
+    Rows* rows = nullptr;
+    for (Rows& existing : benchmarks) {
+      if (existing.name == *name) rows = &existing;
+    }
+    if (rows == nullptr) {
+      benchmarks.push_back(Rows{*name,
+                                FindNumber(entry, "family_index").value_or(0),
+                                FindNumber(entry, "per_family_instance_index")
+                                    .value_or(0),
+                                {}, {}, {}, {}});
+      rows = &benchmarks.back();
+      rows->counters.resize(kNumCounters);
+    }
+    rows->iterations.push_back(FindNumber(entry, "iterations").value_or(0));
+    rows->real_ns.push_back(ToNanoseconds(*real_time, unit));
+    rows->cpu_ns.push_back(ToNanoseconds(
+        FindNumber(entry, "cpu_time").value_or(*real_time), unit));
+    for (size_t c = 0; c < kNumCounters; ++c) {
+      if (const auto value = FindNumber(entry, kCounters[c])) {
+        rows->counters[c].push_back(*value);
+      }
+    }
+  }
+
+  std::stable_sort(benchmarks.begin(), benchmarks.end(),
+                   [](const Rows& a, const Rows& b) {
+                     return a.family != b.family ? a.family < b.family
+                                                 : a.instance < b.instance;
+                   });
+
+  // real_time_ns, cpu_time_ns and the counters are medians over the
+  // repetitions; cpu_time_min_ns is the figure that holds under a
+  // drifting host, and cpu_time_cv (sample stddev / mean, 0 for a single
+  // repetition) says how far to trust the others.
+  out << "  \"benchmarks\": [\n";
+  bool first_entry = true;
+  for (const Rows& rows : benchmarks) {
+    double mean = 0.0;
+    for (const double t : rows.cpu_ns) mean += t;
+    mean /= static_cast<double>(rows.cpu_ns.size());
+    double squares = 0.0;
+    for (const double t : rows.cpu_ns) squares += (t - mean) * (t - mean);
+    const double cv =
+        rows.cpu_ns.size() > 1 && mean > 0.0
+            ? std::sqrt(squares / static_cast<double>(rows.cpu_ns.size() - 1)) /
+                  mean
+            : 0.0;
     if (!first_entry) out << ",\n";
-    out << "    {\"name\": \"" << JsonEscape(*name) << "\""
-        << ", \"iterations\": " << FormatNumber(iterations.value_or(0))
-        << ", \"real_time_ns\": "
-        << FormatNumber(ToNanoseconds(*real_time, unit))
-        << ", \"cpu_time_ns\": "
-        << FormatNumber(ToNanoseconds(cpu_time.value_or(*real_time), unit));
-    // Counter passthrough: throughput, admission latency percentiles, the
-    // flash-crowd shed fraction and the round trip's daemon CPU per
-    // request (already in their final units — counters are not scaled by
-    // time_unit).
-    for (const char* counter : {"items_per_second", "p50_ns", "p99_ns",
-                                "shed_fraction", "daemon_cpu_ns"}) {
-      if (const auto value = FindNumber(entry, counter)) {
-        out << ", \"" << counter << "\": " << FormatNumber(*value);
+    out << "    {\"name\": \"" << JsonEscape(rows.name) << "\""
+        << ", \"repetitions\": " << rows.cpu_ns.size()
+        << ", \"iterations\": " << FormatNumber(Median(rows.iterations))
+        << ", \"real_time_ns\": " << FormatNumber(Median(rows.real_ns))
+        << ", \"cpu_time_ns\": " << FormatNumber(Median(rows.cpu_ns))
+        << ", \"cpu_time_min_ns\": "
+        << FormatNumber(*std::min_element(rows.cpu_ns.begin(),
+                                          rows.cpu_ns.end()))
+        << ", \"cpu_time_cv\": " << FormatNumber(cv);
+    for (size_t c = 0; c < kNumCounters; ++c) {
+      if (!rows.counters[c].empty()) {
+        out << ", \"" << kCounters[c]
+            << "\": " << FormatNumber(Median(rows.counters[c]));
       }
     }
     out << "}";
@@ -332,6 +407,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "write to %s failed\n", positional[1]);
     return 1;
   }
-  std::printf("wrote %s (%zu benchmarks)\n", positional[1], entries.size());
+  std::printf("wrote %s (%zu benchmarks)\n", positional[1], benchmarks.size());
   return 0;
 }

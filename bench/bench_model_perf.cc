@@ -130,6 +130,18 @@ void BM_SimulatedRound(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatedRound)->Arg(26);
 
+// The same round as the late and glitch estimators run it
+// (RoundSimulator::RunRoundLateness): at N = 26 nearly every round is
+// proven on time by the seek bound and skips its sort and sweep.
+void BM_LatenessRound(benchmark::State& state) {
+  sim::RoundSimulator simulator =
+      bench::Table1Simulator(static_cast<int>(state.range(0)), 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(simulator.RunRoundLateness().overran);
+  }
+}
+BENCHMARK(BM_LatenessRound)->Arg(26);
+
 // The scalar reference kernel on the same Table 1 round as
 // BM_SimulatedRound (which runs the default, batched kernel): the explicit
 // flag pins it regardless of the default.

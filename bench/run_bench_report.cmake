@@ -12,6 +12,12 @@
 #                    bundled google-benchmark rejects the "0.1s" suffix
 #                    form); empty = library default
 #   BENCH_FILTER   - --benchmark_filter regex; empty = all benchmarks
+#   REPETITIONS    - --benchmark_repetitions; empty = 1. The report folds
+#                    the repetitions into a median, a minimum and a
+#                    coefficient of variation per benchmark. Repetitions
+#                    run randomly interleaved across benchmarks, so a slow
+#                    stretch of the shared host lands on several
+#                    benchmarks' repetitions instead of all of one's
 #   BUILD_TYPE     - zonestream's CMAKE_BUILD_TYPE, recorded in the output
 #                    context as provenance
 #   REQUIRE_RELEASE - ON makes bench_json_report refuse non-Release
@@ -35,6 +41,10 @@ set(bench_args
   --benchmark_out_format=json)
 if(DEFINED MIN_TIME AND NOT MIN_TIME STREQUAL "")
   list(APPEND bench_args --benchmark_min_time=${MIN_TIME})
+endif()
+if(DEFINED REPETITIONS AND NOT REPETITIONS STREQUAL "")
+  list(APPEND bench_args --benchmark_repetitions=${REPETITIONS}
+    --benchmark_enable_random_interleaving=true)
 endif()
 if(DEFINED BENCH_FILTER AND NOT BENCH_FILTER STREQUAL "")
   list(APPEND bench_args --benchmark_filter=${BENCH_FILTER})

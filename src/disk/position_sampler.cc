@@ -28,9 +28,9 @@ struct Columns {
 
 // The reference: AliasTable::Sample's expressions, then the offset clamp.
 void SampleScalar(const Columns& col, const double* u_zone,
-                  const double* u_cylinder, size_t begin, size_t n, int* zone,
-                  int* cylinder, double* rate_bps) {
-  for (size_t i = begin; i < n; ++i) {
+                  const double* u_cylinder, size_t n, int* zone, int* cylinder,
+                  double* rate_bps) {
+  for (size_t i = 0; i < n; ++i) {
     const double scaled = u_zone[i] * static_cast<double>(col.buckets);
     size_t bucket = static_cast<size_t>(scaled);
     if (bucket >= col.buckets) bucket = col.buckets - 1;
@@ -88,44 +88,6 @@ __attribute__((target("avx512f,avx512dq"))) void SampleAvx512(
   }
 }
 
-// 4 lanes in 32-bit integer lanes; the alias choice blends the two
-// candidates as (exactly converted) doubles. The tail runs scalar.
-__attribute__((target("avx2"))) void SampleAvx2(
-    const Columns& col, const double* u_zone, const double* u_cylinder,
-    size_t n, int* zone, int* cylinder, double* rate_bps) {
-  const __m256d buckets = _mm256_set1_pd(static_cast<double>(col.buckets));
-  const __m128i last_bucket =
-      _mm_set1_epi32(static_cast<int32_t>(col.buckets) - 1);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d scaled = _mm256_mul_pd(_mm256_loadu_pd(u_zone + i), buckets);
-    const __m128i bucket =
-        _mm_min_epi32(_mm256_cvttpd_epi32(scaled), last_bucket);
-    const __m256d bucket_d = _mm256_cvtepi32_pd(bucket);
-    const __m256d own = _mm256_cmp_pd(
-        _mm256_sub_pd(scaled, bucket_d),
-        _mm256_i32gather_pd(col.threshold, bucket, 8), _CMP_LT_OQ);
-    const __m256d alias_d =
-        _mm256_cvtepi32_pd(_mm_i32gather_epi32(col.alias, bucket, 4));
-    const __m128i z =
-        _mm256_cvttpd_epi32(_mm256_blendv_pd(alias_d, bucket_d, own));
-
-    const __m128i offset = _mm_min_epi32(
-        _mm256_cvttpd_epi32(
-            _mm256_mul_pd(_mm256_loadu_pd(u_cylinder + i),
-                          _mm256_i32gather_pd(col.cylinders, z, 8))),
-        _mm_i32gather_epi32(col.last_offset, z, 4));
-    const __m128i first = _mm_i32gather_epi32(col.first_cylinder, z, 4);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(zone + i), z);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(cylinder + i),
-                     _mm_add_epi32(first, offset));
-    if (rate_bps != nullptr) {
-      _mm256_storeu_pd(rate_bps + i, _mm256_i32gather_pd(col.rate_bps, z, 8));
-    }
-  }
-  SampleScalar(col, u_zone, u_cylinder, i, n, zone, cylinder, rate_bps);
-}
-
 #endif  // ZS_SIMD_X86
 
 }  // namespace
@@ -158,18 +120,12 @@ void ZonePositionSampler::Sample(const double* u_zone,
                     last_offset_.data(),    cylinders_.data(),
                     rate_bps_.data()};
 #ifdef ZS_SIMD_X86
-  switch (numeric::ActiveSimdTier()) {
-    case numeric::SimdTier::kAvx512:
-      SampleAvx512(col, u_zone, u_cylinder, n, zone, cylinder, rate_bps);
-      return;
-    case numeric::SimdTier::kAvx2:
-      SampleAvx2(col, u_zone, u_cylinder, n, zone, cylinder, rate_bps);
-      return;
-    case numeric::SimdTier::kScalar:
-      break;
+  if (numeric::ActiveSimdTier() == numeric::SimdTier::kAvx512) {
+    SampleAvx512(col, u_zone, u_cylinder, n, zone, cylinder, rate_bps);
+    return;
   }
 #endif
-  SampleScalar(col, u_zone, u_cylinder, 0, n, zone, cylinder, rate_bps);
+  SampleScalar(col, u_zone, u_cylinder, n, zone, cylinder, rate_bps);
 }
 
 }  // namespace zonestream::disk

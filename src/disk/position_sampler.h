@@ -6,10 +6,11 @@
 // batched kernel, the ImportanceSampler (on a tilted zone law for its
 // measured round), MixedRoundSimulator's continuous sweep and MediaServer —
 // so the draw lives here once. The alias table and the zone table are
-// copied into structure-of-arrays columns at construction, and the batch
-// runs on the active SIMD tier (numeric/simd.h): zone choice and cylinder
-// offset become per-lane gathers and blends instead of a data-dependent
-// branch per request. Every tier reproduces the scalar expressions of
+// copied into structure-of-arrays columns at construction. On the AVX-512
+// tier (numeric/simd.h) zone choice and cylinder offset become per-lane
+// gathers and blends instead of a data-dependent branch per request; the
+// AVX2 tier runs the scalar loop, which beat a 4-lane gather kernel about
+// 3× (docs/PERFORMANCE.md). Both reproduce the scalar expressions of
 // AliasTable::Sample and the offset clamp bit for bit
 // (tests/disk/position_sampler_test.cc).
 #ifndef ZONESTREAM_DISK_POSITION_SAMPLER_H_

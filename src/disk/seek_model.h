@@ -52,9 +52,36 @@ class SeekTimeModel {
   // baseline (eq. 4.1) uses this as T_seek^max.
   double MaxSeekTime(int total_cylinders) const;
 
+  // A concave majorant g >= SeekTime on [0, inf), fixed by Create: the
+  // sqrt regime's curve g(d) = a_sqrt + b_sqrt * sqrt(d) up to a knee d1,
+  // then its tangent line at d1. The knee is the largest point whose
+  // tangent clears the linear regime: d1 = min(d_threshold,
+  // (b_sqrt / (2 b_lin))^2, r^2), r the smaller root of
+  // b_sqrt r^2 - 2 (a_lin + b_lin d_threshold - a_sqrt) r
+  // + b_sqrt d_threshold = 0 (the tangent meets the linear regime at the
+  // threshold; no real root sets no limit), shrunk by a relative 1e-9 so
+  // the float coefficients keep it a majorant. With b_sqrt = 0 the sqrt
+  // regime is the constant a_sqrt and g is the line
+  // max(a_sqrt, a_lin) + b_lin * d. None of the presets' curves is itself
+  // concave (the linear regime starts steeper than the sqrt curve ends, or
+  // steps), but by Jensen any n seeks of total distance D take at most
+  // n * g(D / n) (sched::Arm::ServeCertified).
+  double SeekTimeMajorant(double distance) const {
+    if (distance <= majorant_knee_) {
+      return params_.sqrt_intercept_s +
+             params_.sqrt_coefficient *
+                 std::sqrt(distance > 0.0 ? distance : 0.0);
+    }
+    return majorant_intercept_ + majorant_slope_ * distance;
+  }
+
  private:
   SeekTimeModel() = default;
   SeekParameters params_;
+  // The majorant's knee d1 and its tangent line intercept + slope * d.
+  double majorant_knee_ = 0.0;
+  double majorant_slope_ = 0.0;
+  double majorant_intercept_ = 0.0;
 };
 
 }  // namespace zonestream::disk

@@ -1,7 +1,9 @@
 #include "sched/batch_kernels.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "numeric/simd.h"
 
@@ -23,7 +25,73 @@ void SeekTimesScalar(const disk::SeekTimeModel& seek, const double* distance,
   for (size_t i = 0; i < n; ++i) out[i] = seek.SeekTime(distance[i]);
 }
 
+// Four accumulators, so the adds do not wait on one another.
+template <typename Transfer>
+double ServiceSumScalar(const double* rotation_s, size_t n,
+                        Transfer transfer) {
+  double sum[4] = {0.0, 0.0, 0.0, 0.0};
+  for (size_t i = 0; i < n; ++i) sum[i % 4] += rotation_s[i] + transfer(i);
+  return (sum[0] + sum[1]) + (sum[2] + sum[3]);
+}
+
+BatchSummary SummarizeBatchScalar(const ScanBatch& batch) {
+  BatchSummary summary;
+  summary.min_cylinder = summary.max_cylinder = batch.cylinder[0];
+  for (size_t i = 1; i < batch.n; ++i) {
+    summary.min_cylinder = std::min(summary.min_cylinder, batch.cylinder[i]);
+    summary.max_cylinder = std::max(summary.max_cylinder, batch.cylinder[i]);
+  }
+  if (batch.transfer_s != nullptr) {
+    summary.service_s = ServiceSumScalar(
+        batch.rotation_s, batch.n,
+        [t = batch.transfer_s](size_t i) { return t[i]; });
+  } else {
+    summary.service_s = ServiceSumScalar(
+        batch.rotation_s, batch.n,
+        [b = batch.bytes, r = batch.rate_bps](size_t i) {
+          return b[i] / r[i];
+        });
+  }
+  return summary;
+}
+
 #ifdef ZS_SIMD_X86
+
+// Sixteen cylinders and eight service terms a step, the last partial
+// block masked (masked-off lanes load nothing and add 0 + 0 / 1).
+__attribute__((target("avx512f"))) BatchSummary SummarizeBatchAvx512(
+    const ScanBatch& batch) {
+  const size_t n = batch.n;
+  __m512i lo = _mm512_set1_epi32(INT32_MAX);
+  __m512i hi = _mm512_set1_epi32(INT32_MIN);
+  for (size_t i = 0; i < n; i += 16) {
+    const size_t lanes = n - i < 16 ? n - i : 16;
+    const __mmask16 live = static_cast<__mmask16>((1u << lanes) - 1u);
+    const __m512i c = _mm512_maskz_loadu_epi32(live, batch.cylinder + i);
+    lo = _mm512_mask_min_epi32(lo, live, lo, c);
+    hi = _mm512_mask_max_epi32(hi, live, hi, c);
+  }
+  const __m512d one = _mm512_set1_pd(1.0);
+  __m512d sum = _mm512_setzero_pd();
+  for (size_t i = 0; i < n; i += 8) {
+    const size_t lanes = n - i < 8 ? n - i : 8;
+    const __mmask8 live = static_cast<__mmask8>((1u << lanes) - 1u);
+    const __m512d transfer =
+        batch.transfer_s != nullptr
+            ? _mm512_maskz_loadu_pd(live, batch.transfer_s + i)
+            : _mm512_div_pd(_mm512_maskz_loadu_pd(live, batch.bytes + i),
+                            _mm512_mask_loadu_pd(one, live,
+                                                 batch.rate_bps + i));
+    sum = _mm512_add_pd(
+        sum, _mm512_add_pd(_mm512_maskz_loadu_pd(live, batch.rotation_s + i),
+                           transfer));
+  }
+  BatchSummary summary;
+  summary.min_cylinder = _mm512_reduce_min_epi32(lo);
+  summary.max_cylinder = _mm512_reduce_max_epi32(hi);
+  summary.service_s = _mm512_reduce_add_pd(sum);
+  return summary;
+}
 
 __attribute__((target("avx2"))) void TransferTimesAvx2(const double* bytes,
                                                        const double* rate_bps,
@@ -122,6 +190,15 @@ void TransferTimes(const double* bytes, const double* rate_bps, double* out,
   }
 #endif
   TransferTimesScalar(bytes, rate_bps, out, n);
+}
+
+BatchSummary SummarizeBatch(const ScanBatch& batch) {
+#ifdef ZS_SIMD_X86
+  if (numeric::ActiveSimdTier() == numeric::SimdTier::kAvx512) {
+    return SummarizeBatchAvx512(batch);
+  }
+#endif
+  return SummarizeBatchScalar(batch);
 }
 
 void SeekTimes(const disk::SeekTimeModel& seek, const double* distance,

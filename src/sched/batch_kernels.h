@@ -17,6 +17,7 @@
 #include <cstddef>
 
 #include "disk/seek_model.h"
+#include "sched/scan_kernel.h"
 
 #if defined(ZS_SIMD_ENABLED) && defined(__x86_64__)
 #include <immintrin.h>
@@ -33,6 +34,19 @@ void TransferTimes(const double* bytes, const double* rate_bps, double* out,
 // model does).
 void SeekTimes(const disk::SeekTimeModel& seek, const double* distance,
                double* out, size_t n);
+
+// What the on-time certificate (sched::Arm::ServeCertified) reads of a
+// batch: its cylinder range and sum_i rotation_s[i] + transfer_i, the
+// transfer as the sweep forms it (bytes / rate_bps, or transfer_s). The
+// sum's order differs by tier, which moves it by rounding only; the
+// certificate's margin covers any order.
+struct BatchSummary {
+  int min_cylinder = 0;
+  int max_cylinder = 0;
+  double service_s = 0.0;
+};
+// Requires batch.n > 0.
+BatchSummary SummarizeBatch(const ScanBatch& batch);
 
 #if defined(ZS_SIMD_ENABLED) && defined(__x86_64__)
 // SeekTimeModel::SeekTime on eight lanes of distances. Both regimes are

@@ -1,10 +1,12 @@
 #include "sched/ordering.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <numeric>
 
 #include "common/check.h"
+#include "sched/batch_kernels.h"
 
 namespace zonestream::sched {
 
@@ -52,6 +54,65 @@ void OrderRequests(std::vector<DiskRequest>* requests, ServicePolicy policy,
       return;
     }
   }
+}
+
+namespace {
+
+// The certificate compares its bound B with the deadline t less a
+// relative margin, and must never pass a round whose sweep, as the kernel
+// computes it, ends after t. Every term is non-negative, so each rounding
+// is relative to the sum (u = 2^-53):
+//   * the sweep's clock T adds per position seek + rotation + transfer
+//     (two adds) and accumulates n positions, after C-SCAN's return seek:
+//     n + 3 roundings, and each seek a + b * sqrt(d) carries up to 3 of
+//     its own, so T <= (1 + u)^(n + 6) * T_exact over the same rotation and
+//     transfer values (the bound's divisions are the sweep's, correctly
+//     rounded either way);
+//   * B rounds D / n, the majorant's sqrt, product and sum, n * g, the
+//     service sum's 2n adds in any order and the final two adds: at most
+//     2n + 8 roundings, so B >= (1 - u)^(2n + 8) * B_exact (a concave g
+//     with g(0) >= 0 keeps g(x (1 - u)) >= (1 - u) g(x));
+//   * SeekTimeMajorant's stored coefficients keep it within a few ulps of
+//     an exactly concave majorant.
+// So T <= B * (1 + (3n + 20) u) to first order, and B <= t * (1 - m)
+// implies T <= t whenever m > (3n + 24) u. Batches up to 2^20 requests
+// need m > 3.5e-10; 1e-9 keeps a margin on that margin and gives up only
+// bounds within a nanosecond of a one-second deadline.
+constexpr double kCertificateMargin = 1e-9;
+constexpr size_t kMaxCertifiedBatch = size_t{1} << 20;
+
+}  // namespace
+
+bool Arm::ServeCertified(const disk::SeekTimeModel& seek,
+                         const ScanBatch& batch, ServicePolicy policy,
+                         double deadline_s) {
+  const size_t n = batch.n;
+  if ((policy != ServicePolicy::kScan && policy != ServicePolicy::kCScan) ||
+      n == 0 || n > kMaxCertifiedBatch) {
+    return false;
+  }
+  const internal::BatchSummary summary = internal::SummarizeBatch(batch);
+  const double lo = summary.min_cylinder;
+  const double hi = summary.max_cylinder;
+  double return_seek_s = 0.0;
+  double travel = hi;
+  int last = summary.max_cylinder;
+  if (policy == ServicePolicy::kCScan) {
+    if (cylinder_ != 0) return_seek_s = seek.SeekTime(cylinder_);
+  } else if (ascending_) {
+    travel = std::abs(cylinder_ - lo) + (hi - lo);
+  } else {
+    travel = std::abs(cylinder_ - hi) + (hi - lo);
+    last = summary.min_cylinder;
+  }
+  const double hops = static_cast<double>(n);
+  const double bound = return_seek_s +
+                       hops * seek.SeekTimeMajorant(travel / hops) +
+                       summary.service_s;
+  if (!(bound <= deadline_s * (1.0 - kCertificateMargin))) return false;
+  cylinder_ = last;
+  ascending_ = !ascending_;
+  return true;
 }
 
 Arm::Round Arm::Serve(const disk::SeekTimeModel& seek, const ScanBatch& batch,

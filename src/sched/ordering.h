@@ -60,6 +60,22 @@ class Arm {
   Round Serve(const disk::SeekTimeModel& seek, const ScanBatch& batch,
               ServicePolicy policy, double deadline_s, ScanKernel* kernel);
 
+  // Serves `batch` under SCAN or C-SCAN without sorting or sweeping it
+  // when a seek bound proves every request on time, and returns true with
+  // the arm where Serve would leave it: on the sweep's last cylinder (the
+  // batch's largest when ascending, smallest when descending), the
+  // direction flipped. The sweep makes n hops over a total distance D —
+  // |arm - first cylinder| + (max - min) for SCAN, the largest cylinder
+  // for C-SCAN after its return seek — so by Jensen its seeks take at most
+  // n * SeekTimeMajorant(D / n), and the round is on time when
+  // return_seek_s + that + sum rotation_s + sum transfer fits the deadline
+  // less a relative margin for rounding. Returns false, changing nothing,
+  // when the bound does not fit or `policy` is SSTF or FCFS; the caller
+  // then serves the round with Serve. Reads no kernel, so a certified
+  // round leaves no sweep behind.
+  bool ServeCertified(const disk::SeekTimeModel& seek, const ScanBatch& batch,
+                      ServicePolicy policy, double deadline_s);
+
   // A round the disk does not serve: only the direction flips.
   void Skip() { ascending_ = !ascending_; }
 

@@ -364,6 +364,13 @@ void ImportanceSampler::RunOneRound(const double* u_pos, const double* u_rot,
   batch.cylinder = s.cylinder.data();
   batch.rotation_s = s.rotation_s.data();
   batch.transfer_s = s.transfer_time_s.data();
+  // A warm-up round only moves the arm, so one the seek bound proves on
+  // time skips its sweep (sched::Arm::ServeCertified leaves the arm where
+  // Serve would); the measured round always sweeps.
+  if (!tilted && arm_.ServeCertified(seek_, batch, config_.policy,
+                                     config_.round_length_s)) {
+    return;
+  }
   const sched::Arm::Round served = arm_.Serve(
       seek_, batch, config_.policy, config_.round_length_s, &s.sweep);
 

@@ -217,7 +217,10 @@ class ImportanceSampler {
   // unit_gamma[0..n) (slices of scratch_.u_all and scratch_.unit_gamma).
   // `tilted` selects the tilted or nominal zone/rotation/transfer/
   // disturbance laws; a tilted round also sets outcome->log_weight.
-  // Disturbance draws are consumed from their engine either way.
+  // Disturbance draws are consumed from their engine either way. A warm-up
+  // (untilted) round that sched::Arm::ServeCertified proves on time moves
+  // the arm without a sweep and leaves `outcome` alone; the measured
+  // (tilted) round always sweeps and sets it.
   void RunOneRound(const double* u_pos, const double* u_rot,
                    const double* unit_gamma, bool tilted,
                    TiltedRoundOutcome* outcome);

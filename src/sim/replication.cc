@@ -24,16 +24,18 @@ common::Status ValidateSharding(const ReplicationOptions& options,
 }
 
 // Runs replications [begin, end) — one contiguous ParallelForBlocks
-// block — and hands each round's outcome to `tally(replication,
-// outcome)`. When the configuration supports it (shared i.i.d. sizes, no
-// fault injector — the common Monte Carlo setup), one simulator instance
+// block — and hands each round's result, `(simulator.*kRound)()`, to
+// `tally(replication, result)`: RunRoundLateness for the estimators
+// that read only lateness, RunRound for those that read T_N. When the
+// configuration supports it (shared i.i.d. sizes, no fault injector —
+// the common Monte Carlo setup), one simulator instance
 // serves the whole block and is rewound per replication, skipping a full
 // construction (sources, scratch, metric resolution) per shard; rewound
 // outcomes are bit-identical to a fresh instance's, so results do not
 // depend on the block partition. Creation cannot fail here: the caller
 // validated the arguments by constructing a probe simulator with
 // identical inputs.
-template <typename Tally>
+template <auto kRound, typename Tally>
 void RunReplicationBlock(const disk::DiskGeometry& geometry,
                          const disk::SeekTimeModel& seek, int num_streams,
                          const FragmentSourceFactory& source_factory,
@@ -59,7 +61,9 @@ void RunReplicationBlock(const disk::DiskGeometry& geometry,
       ZS_CHECK(holder->ok());
     }
     RoundSimulator& simulator = **holder;
-    for (int r = 0; r < rounds; ++r) tally(replication, simulator.RunRound());
+    for (int r = 0; r < rounds; ++r) {
+      tally(replication, (simulator.*kRound)());
+    }
   }
 }
 
@@ -82,13 +86,12 @@ common::StatusOr<ProbabilityEstimate> EstimateLateProbabilityReplicated(
   common::ParallelForBlocks(
       options.replications,
       [&](int64_t begin, int64_t end) {
-        RunReplicationBlock(geometry, seek, num_streams, source_factory,
-                            config, options.base_seed, begin, end,
-                            rounds_per_replication,
-                            [&overruns](int64_t replication,
-                                        const RoundOutcome& outcome) {
-                              if (outcome.overran) ++overruns[replication];
-                            });
+        RunReplicationBlock<&RoundSimulator::RunRoundLateness>(
+            geometry, seek, num_streams, source_factory, config,
+            options.base_seed, begin, end, rounds_per_replication,
+            [&overruns](int64_t replication, const RoundLateness& round) {
+              if (round.overran) ++overruns[replication];
+            });
       },
       options.pool);
 
@@ -124,12 +127,12 @@ common::StatusOr<ProbabilityEstimate> EstimateGlitchProbabilityReplicated(
   common::ParallelForBlocks(
       options.replications,
       [&](int64_t begin, int64_t end) {
-        RunReplicationBlock(
+        RunReplicationBlock<&RoundSimulator::RunRoundLateness>(
             geometry, seek, num_streams, source_factory, config,
             options.base_seed, begin, end, rounds_per_replication,
-            [&](int64_t replication, const RoundOutcome& outcome) {
+            [&](int64_t replication, const RoundLateness& round) {
               const int64_t glitched =
-                  static_cast<int64_t>(outcome.glitched_streams.size());
+                  static_cast<int64_t>(round.glitched_streams.size());
               glitch_events[replication] += glitched;
               round_fractions[replication].Add(
                   static_cast<double>(glitched) /
@@ -176,14 +179,13 @@ common::StatusOr<numeric::RunningStats> SampleServiceTimesReplicated(
   common::ParallelForBlocks(
       options.replications,
       [&](int64_t begin, int64_t end) {
-        RunReplicationBlock(geometry, seek, num_streams, source_factory,
-                            config, options.base_seed, begin, end,
-                            rounds_per_replication,
-                            [&per_replication](int64_t replication,
-                                               const RoundOutcome& outcome) {
-                              per_replication[replication].Add(
-                                  outcome.total_service_time_s);
-                            });
+        RunReplicationBlock<&RoundSimulator::RunRound>(
+            geometry, seek, num_streams, source_factory, config,
+            options.base_seed, begin, end, rounds_per_replication,
+            [&per_replication](int64_t replication,
+                               const RoundOutcome& outcome) {
+              per_replication[replication].Add(outcome.total_service_time_s);
+            });
       },
       options.pool);
 

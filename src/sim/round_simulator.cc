@@ -284,9 +284,44 @@ RoundOutcome RoundSimulator::RunRoundScalar() {
 }
 
 RoundOutcome RoundSimulator::RunRoundBatched() {
+  return ServeRoundBatched(DrawRoundBatched());
+}
+
+RoundLateness RoundSimulator::RunRoundLateness() {
+  // The certificate skips the sweep, whose per-request timings the
+  // observability hooks read; the scalar reference kernel keeps its own
+  // draw order. (Under SSTF and FCFS the certificate always declines.)
+  const bool certifiable = config_.batched_kernel &&
+                           config_.trace == nullptr && !metrics_.has_value();
+  RoundOutcome outcome;
+  if (certifiable) {
+    if (fault_injector_ != nullptr) fault_injector_->BeginRound(num_streams_);
+    const DrawnRound drawn = DrawRoundBatched();
+    if (!drawn.disk_failed &&
+        arm_.ServeCertified(seek_, ScratchBatch(), config_.policy,
+                            config_.round_length_s)) {
+      ++rounds_run_;
+      return RoundLateness{};
+    }
+    outcome = ServeRoundBatched(drawn);
+  } else {
+    outcome = RunRound();
+  }
+  return RoundLateness{outcome.overran, std::move(outcome.glitched_streams)};
+}
+
+sched::ScanBatch RoundSimulator::ScratchBatch() const {
+  const RoundScratch& s = scratch_;
+  return sched::ScanBatch{static_cast<size_t>(num_streams_),
+                          s.cylinder.data(), s.rotation_s.data(),
+                          s.bytes.data(), s.rate_bps.data()};
+}
+
+RoundSimulator::DrawnRound RoundSimulator::DrawRoundBatched() {
   const int n = num_streams_;
   RoundScratch& s = scratch_;
-  const bool disk_failed =
+  DrawnRound drawn;
+  drawn.disk_failed =
       fault_injector_ != nullptr && fault_injector_->disk_failed();
   const bool track_delays = config_.truncate_at_deadline;
   if (track_delays) {
@@ -329,8 +364,6 @@ RoundOutcome RoundSimulator::RunRoundBatched() {
 
   // Failure injection, bit-identical to the scalar kernel: the dedicated
   // substream is consumed in the same per-request order.
-  int disturbances = 0;
-  double disturbance_delay_s = 0.0;
   const DisturbanceConfig& disturbance = config_.disturbance;
   if (disturbance.probability > 0.0) {
     for (int i = 0; i < n; ++i) {
@@ -338,8 +371,8 @@ RoundOutcome RoundSimulator::RunRoundBatched() {
         const double delay = disturbance_rng_.Uniform(disturbance.delay_min_s,
                                                       disturbance.delay_max_s);
         s.rotation_s[i] += delay;
-        ++disturbances;
-        disturbance_delay_s += delay;
+        ++drawn.disturbances;
+        drawn.disturbance_delay_s += delay;
         if (track_delays) s.dist_delay_s[i] = delay;
       }
     }
@@ -347,23 +380,27 @@ RoundOutcome RoundSimulator::RunRoundBatched() {
 
   // Structured faults, consumed in the same issue order as the scalar
   // kernel so the fault substream positions match across kernels.
-  double fault_delay_s = 0.0;
-  int faulted_requests = 0;
-  if (fault_injector_ != nullptr && !disk_failed) {
+  if (fault_injector_ != nullptr && !drawn.disk_failed) {
     for (int i = 0; i < n; ++i) {
       const fault::RequestFaultContext context{i, i, s.zone[i],
                                                s.cylinder[i]};
       const double delay = fault_injector_->DelayFor(context);
       if (delay > 0.0) {
         s.rotation_s[i] += delay;
-        ++faulted_requests;
-        fault_delay_s += delay;
+        ++drawn.faulted_requests;
+        drawn.fault_delay_s += delay;
         if (track_delays) s.fault_delay_s[i] = delay;
       }
       s.rate_bps[i] *= fault_injector_->RateMultiplier(s.zone[i]);
     }
   }
-  if (disk_failed) {
+  return drawn;
+}
+
+RoundOutcome RoundSimulator::ServeRoundBatched(const DrawnRound& drawn) {
+  const int n = num_streams_;
+  RoundScratch& s = scratch_;
+  if (drawn.disk_failed) {
     std::fill(s.zone_hits.begin(), s.zone_hits.end(), 0);
     for (int i = 0; i < n; ++i) ++s.zone_hits[s.zone[i]];
     return FinishDiskFailedRound();
@@ -372,12 +409,9 @@ RoundOutcome RoundSimulator::RunRoundBatched() {
   // Service order, arm policy and sweep through the shared arm and kernel
   // (sched/ordering.h). The requests after the on-time prefix missed the
   // deadline (stream id == SoA index).
-  const sched::ScanBatch batch{static_cast<size_t>(n), s.cylinder.data(),
-                               s.rotation_s.data(), s.bytes.data(),
-                               s.rate_bps.data()};
   sched::ScanKernel& sweep = s.sweep;
   const sched::Arm::Round served = arm_.Serve(
-      seek_, batch, config_.policy, config_.round_length_s, &sweep);
+      seek_, ScratchBatch(), config_.policy, config_.round_length_s, &sweep);
   const double return_seek_s = served.return_seek_s;
   const int* order = sweep.order();
   RoundOutcome outcome;
@@ -401,12 +435,12 @@ RoundOutcome RoundSimulator::RunRoundBatched() {
     RoundBreakdown breakdown;
     breakdown.seek_s = seek_sum;
     breakdown.rotation_s =
-        rotation_sum - disturbance_delay_s - fault_delay_s;
+        rotation_sum - drawn.disturbance_delay_s - drawn.fault_delay_s;
     breakdown.transfer_s = transfer_sum;
-    breakdown.disturbance_delay_s = disturbance_delay_s;
-    breakdown.disturbances = disturbances;
-    breakdown.fault_delay_s = fault_delay_s;
-    breakdown.faulted_requests = faulted_requests;
+    breakdown.disturbance_delay_s = drawn.disturbance_delay_s;
+    breakdown.disturbances = drawn.disturbances;
+    breakdown.fault_delay_s = drawn.fault_delay_s;
+    breakdown.faulted_requests = drawn.faulted_requests;
     breakdown.service_time_s = outcome.total_service_time_s;
     if (config_.truncate_at_deadline && outcome.overran) {
       // The kernel holds seek and transfer per position; only the
@@ -620,7 +654,7 @@ ProbabilityEstimate RoundSimulator::EstimateLateProbability(int rounds) {
   ZS_CHECK_GT(rounds, 0);
   int64_t overruns = 0;
   for (int r = 0; r < rounds; ++r) {
-    if (RunRound().overran) ++overruns;
+    if (RunRoundLateness().overran) ++overruns;
   }
   const numeric::ProportionInterval interval =
       numeric::WilsonInterval(overruns, rounds);
@@ -634,7 +668,7 @@ ProbabilityEstimate RoundSimulator::EstimateGlitchProbability(int rounds) {
   numeric::RunningStats round_fractions;
   for (int r = 0; r < rounds; ++r) {
     const auto glitched =
-        static_cast<int64_t>(RunRound().glitched_streams.size());
+        static_cast<int64_t>(RunRoundLateness().glitched_streams.size());
     glitch_events += glitched;
     round_fractions.Add(static_cast<double>(glitched) /
                         static_cast<double>(num_streams_));
@@ -662,8 +696,8 @@ ProbabilityEstimate RoundSimulator::EstimateErrorProbability(int m, int g,
   for (int lifetime = 0; lifetime < lifetimes; ++lifetime) {
     std::fill(glitch_counts.begin(), glitch_counts.end(), 0);
     for (int r = 0; r < m; ++r) {
-      const RoundOutcome outcome = RunRound();
-      for (int stream : outcome.glitched_streams) ++glitch_counts[stream];
+      const RoundLateness lateness = RunRoundLateness();
+      for (int stream : lateness.glitched_streams) ++glitch_counts[stream];
     }
     for (int count : glitch_counts) {
       if (count >= g) ++exceeding_per_lifetime[lifetime];

@@ -137,6 +137,13 @@ struct RoundOutcome {
   std::vector<int> glitched_streams;  // streams whose fragment missed t
 };
 
+// Lateness of one simulated round: what the late, glitch and error
+// estimators read of it (RoundSimulator::RunRoundLateness).
+struct RoundLateness {
+  bool overran = false;               // T_N > round length
+  std::vector<int> glitched_streams;  // streams whose fragment missed t
+};
+
 // Aggregate estimate of a probability with a confidence interval (Wilson,
 // or cluster-robust where samples are correlated — see each estimator).
 struct ProbabilityEstimate {
@@ -180,6 +187,16 @@ class RoundSimulator {
 
   // Simulates one round and returns its outcome.
   RoundOutcome RunRound();
+
+  // Simulates one round exactly as RunRound does and returns its lateness:
+  // the same draws, the same arm afterwards, and overran and
+  // glitched_streams equal to RunRound's bit for bit. What it skips is the
+  // sort and the sweep of a round that sched::Arm::ServeCertified proves
+  // on time (a concave bound on the sweep's seeks), which then has no T_N
+  // to report. It runs RunRound's full path with metrics or trace hooks
+  // attached (they need the breakdown), on the scalar reference kernel,
+  // under SSTF or FCFS, and whenever the bound fails.
+  RoundLateness RunRoundLateness();
 
   // Estimates p_late = P[T_N >= t] over `rounds` simulated rounds
   // (Figure 1's simulated series). Rounds are independent, so the CI is a
@@ -297,8 +314,24 @@ class RoundSimulator {
                  std::unique_ptr<fault::FaultInjector> fault_injector,
                  const SimulatorConfig& config);
 
+  // What the batched kernel's draws tally for the observability hooks.
+  struct DrawnRound {
+    bool disk_failed = false;
+    int disturbances = 0;
+    double disturbance_delay_s = 0.0;
+    int faulted_requests = 0;
+    double fault_delay_s = 0.0;
+  };
+
   RoundOutcome RunRoundScalar();
   RoundOutcome RunRoundBatched();
+  // The batched round in two halves: every draw of the round into
+  // scratch_, then its service (sweep, outcome, observability). Faults
+  // must have begun the round.
+  DrawnRound DrawRoundBatched();
+  RoundOutcome ServeRoundBatched(const DrawnRound& drawn);
+  // The drawn round as the SCAN kernel's batch.
+  sched::ScanBatch ScratchBatch() const;
 
   // Completes a round on a failed disk: requests were drawn (the caller
   // tallied scratch_.zone_hits) but nothing is served — every stream

@@ -56,6 +56,37 @@ TEST(OyangBoundTest, MonotoneIncreasingInN) {
   }
 }
 
+TEST(OyangBoundTest, DominatesTheConcaveMajorantBoundOnEveryPreset) {
+  // The seek curves are not concave, so Oyang's equidistant argument does
+  // not apply as stated. What holds instead: N hops from cylinder 0 within
+  // the surface travel at most CYL, so they take at most N g(CYL / N) for
+  // the concave majorant g, and the (N + 1)-segment bound covers that.
+  const struct {
+    const char* name;
+    disk::SeekTimeModel seek;
+    int cylinders;
+  } disks[] = {
+      {"viking", disk::QuantumViking2100Seek(),
+       disk::QuantumViking2100Parameters().cylinders},
+      {"fast", disk::SyntheticFastDiskSeek(),
+       disk::SyntheticFastDiskParameters().cylinders},
+      {"small", disk::SyntheticSmallDiskSeek(),
+       disk::SyntheticSmallDiskParameters().cylinders},
+  };
+  double worst_ratio = 0.0;
+  for (const auto& disk : disks) {
+    for (int n = 2; n <= 200; ++n) {
+      const double jensen =
+          n * disk.seek.SeekTimeMajorant(static_cast<double>(disk.cylinders) /
+                                         n);
+      const double oyang = OyangSeekBound(disk.seek, disk.cylinders, n);
+      EXPECT_LE(jensen, oyang) << disk.name << " n=" << n;
+      worst_ratio = std::max(worst_ratio, jensen / oyang);
+    }
+  }
+  EXPECT_LT(worst_ratio, 0.997);
+}
+
 TEST(TotalSeekTimeOfSweepTest, MatchesManualSum) {
   const disk::SeekTimeModel seek = disk::QuantumViking2100Seek();
   const std::vector<int> cylinders = {100, 400, 3000};

@@ -3,9 +3,12 @@
 // OrderRequests + ExecuteScanRound bit for bit — the service permutation
 // and every per-position seek, rotation, transfer and completion time —
 // on every SIMD tier the host supports (numeric::ForceSimdTier caps at
-// the detected tier).
+// the detected tier). Arm::ServeCertified, which skips the sweep, must
+// only pass rounds the sweep finishes by the deadline and must leave the
+// arm where Serve does.
 #include "sched/scan_kernel.h"
 
+#include <cmath>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -286,6 +289,192 @@ TEST(ArmTest, ServeMatchesTheStructReferenceOnEveryTier) {
       }
     }
   }
+}
+
+// The smallest deadline at which ServeCertified passes, from `arm`'s
+// state; the certificate is monotone in the deadline, so bisection finds
+// the bound's edge to the last bit. +inf when it never passes.
+double CertificateEdge(const disk::SeekTimeModel& seek, const Batch& batch,
+                       ServicePolicy policy, const Arm& arm) {
+  const auto passes = [&](double deadline) {
+    Arm copy = arm;
+    return copy.ServeCertified(seek, batch.View(), policy, deadline);
+  };
+  double lo = 0.0;
+  double hi = 1e6;
+  if (!passes(hi)) return INFINITY;
+  while (std::nextafter(lo, hi) < hi) {
+    const double mid = lo + 0.5 * (hi - lo);
+    if (mid <= lo || mid >= hi) break;
+    (passes(mid) ? hi : lo) = mid;
+  }
+  return hi;
+}
+
+// A certified round must be one the full sweep finishes by the deadline,
+// and leave the arm where Serve leaves it.
+void ExpectSoundAt(const disk::SeekTimeModel& seek, const Batch& batch,
+                   ServicePolicy policy, int start_cylinder, bool ascending,
+                   double deadline, const std::string& label) {
+  Arm certified;
+  certified.Reset(start_cylinder, ascending);
+  if (!certified.ServeCertified(seek, batch.View(), policy, deadline)) return;
+  Arm swept;
+  swept.Reset(start_cylinder, ascending);
+  ScanKernel kernel;
+  const Arm::Round round =
+      swept.Serve(seek, batch.View(), policy, deadline, &kernel);
+  EXPECT_EQ(round.on_time, batch.cylinder.size())
+      << label << " deadline=" << deadline;
+  EXPECT_LE(round.return_seek_s + kernel.total_service_time_s(), deadline)
+      << label;
+  EXPECT_EQ(certified.cylinder(), swept.cylinder()) << label;
+  EXPECT_EQ(certified.ascending(), swept.ascending()) << label;
+}
+
+// Checks soundness at the bound's edge and at looser deadlines.
+void StressCertificate(const disk::SeekTimeModel& seek, const Batch& batch,
+                       int start_cylinder, const std::string& label) {
+  for (const ServicePolicy policy :
+       {ServicePolicy::kScan, ServicePolicy::kCScan}) {
+    for (const bool ascending : {true, false}) {
+      Arm arm;
+      arm.Reset(start_cylinder, ascending);
+      const double edge = CertificateEdge(seek, batch, policy, arm);
+      ASSERT_TRUE(std::isfinite(edge)) << label;
+      const std::string where =
+          label + (policy == ServicePolicy::kScan ? " scan" : " cscan") +
+          (ascending ? " asc" : " desc");
+      for (const double deadline :
+           {edge, std::nextafter(edge, INFINITY), edge * (1.0 + 1e-12),
+            edge * 1.5, 1e6}) {
+        ExpectSoundAt(seek, batch, policy, start_cylinder, ascending,
+                      deadline, where);
+      }
+      // Just under the edge the certificate declines and moves nothing.
+      Arm below = arm;
+      EXPECT_FALSE(below.ServeCertified(seek, batch.View(), policy,
+                                        std::nextafter(edge, 0.0)))
+          << where;
+      EXPECT_EQ(below.cylinder(), start_cylinder) << where;
+      EXPECT_EQ(below.ascending(), ascending) << where;
+    }
+  }
+}
+
+// Requests at the given cylinders with the given per-request rotation and
+// bytes (rate 5 MB/s).
+Batch Layout(const std::vector<int>& cylinders, double rotation_s,
+             double bytes) {
+  Batch batch;
+  batch.cylinder = cylinders;
+  batch.rotation_s.assign(cylinders.size(), rotation_s);
+  batch.bytes.assign(cylinders.size(), bytes);
+  batch.rate_bps.assign(cylinders.size(), 5e6);
+  return batch;
+}
+
+TEST(ArmCertificateTest, CertifiedRoundsSweepOnTimeOnEveryTier) {
+  // Random batches on each preset's seek curve, from an arm at either end
+  // or mid-disk, through the network sort (n <= 32) and std::sort
+  // (n > 32): every deadline the certificate passes, down to the last bit
+  // of its edge, is one the full sweep meets.
+  const disk::SeekTimeModel seeks[] = {disk::QuantumViking2100Seek(),
+                                       disk::SyntheticFastDiskSeek(),
+                                       disk::SyntheticSmallDiskSeek()};
+  numeric::Rng rng(20261019);
+  for (const SimdTier tier :
+       {SimdTier::kScalar, SimdTier::kAvx2, SimdTier::kAvx512}) {
+    ScopedTier forced(tier);
+    for (size_t m = 0; m < 3; ++m) {
+      for (const size_t n : {1u, 2u, 7u, 26u, 32u, 33u, 64u}) {
+        for (int trial = 0; trial < 4; ++trial) {
+          const Batch batch = RandomBatch(n, trial % 2 == 1, &rng);
+          for (const int start : {0, 3360, 6719}) {
+            StressCertificate(seeks[m], batch, start,
+                              std::string("tier=") +
+                                  numeric::SimdTierName(tier) +
+                                  " seek=" + std::to_string(m) +
+                                  " n=" + std::to_string(n) +
+                                  " start=" + std::to_string(start));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ArmCertificateTest, AdversarialLayoutsStaySound) {
+  // Layouts where the bound is tight or the arm's first hop dominates:
+  // equidistant stops (every hop D / n, where Jensen is an equality below
+  // the knee), with and without rotation and transfer; every request on
+  // one cylinder; one request; the arm at the far end of the surface.
+  const disk::SeekTimeModel seeks[] = {disk::QuantumViking2100Seek(),
+                                       disk::SyntheticFastDiskSeek(),
+                                       disk::SyntheticSmallDiskSeek()};
+  std::vector<Batch> layouts;
+  for (const int n : {1, 3, 26, 40, 100}) {
+    for (const int step : {1, 50, 258, 6719 / n}) {
+      std::vector<int> cylinders;
+      for (int i = 1; i <= n; ++i) cylinders.push_back(i * step);
+      layouts.push_back(Layout(cylinders, 0.0, 0.0));
+      layouts.push_back(Layout(cylinders, 0.004, 120e3));
+    }
+    layouts.push_back(Layout(std::vector<int>(n, 3000), 0.0, 0.0));
+    layouts.push_back(Layout(std::vector<int>(n, 0), 0.002, 50e3));
+    layouts.push_back(Layout(std::vector<int>(n, 6719), 0.0, 0.0));
+  }
+  for (const SimdTier tier : {SimdTier::kScalar, SimdTier::kAvx512}) {
+    ScopedTier forced(tier);
+    for (size_t m = 0; m < 3; ++m) {
+      for (size_t l = 0; l < layouts.size(); ++l) {
+        for (const int start : {0, 1, 3000, 6719}) {
+          StressCertificate(seeks[m], layouts[l], start,
+                            std::string("tier=") +
+                                numeric::SimdTierName(tier) +
+                                " seek=" + std::to_string(m) +
+                                " layout=" + std::to_string(l) +
+                                " start=" + std::to_string(start));
+        }
+      }
+    }
+  }
+}
+
+TEST(ArmCertificateTest, SstfAndFcfsAlwaysDecline) {
+  const disk::SeekTimeModel seek = disk::QuantumViking2100Seek();
+  numeric::Rng rng(11);
+  const Batch batch = RandomBatch(26, false, &rng);
+  for (const ServicePolicy policy :
+       {ServicePolicy::kSstf, ServicePolicy::kFcfs}) {
+    Arm arm;
+    arm.Reset(1234, false);
+    EXPECT_FALSE(arm.ServeCertified(seek, batch.View(), policy, 1e9));
+    EXPECT_EQ(arm.cylinder(), 1234);
+    EXPECT_FALSE(arm.ascending());
+  }
+}
+
+TEST(ArmCertificateTest, CertifiesMostRoundsWithRoomToSpare) {
+  // Not vacuous: at N = 26 on the Table 1 disk the bound's seek term is
+  // within a few percent of the sweep's, so a deadline 10% past the full
+  // sweep's T certifies nearly every round.
+  const disk::SeekTimeModel seek = disk::QuantumViking2100Seek();
+  numeric::Rng rng(26);
+  int certified = 0;
+  const int trials = 400;
+  for (int trial = 0; trial < trials; ++trial) {
+    const Batch batch = RandomBatch(26, false, &rng);
+    ScanKernel kernel;
+    Arm swept;
+    swept.Serve(seek, batch.View(), ServicePolicy::kScan, 1e9, &kernel);
+    Arm arm;
+    if (arm.ServeCertified(seek, batch.View(), ServicePolicy::kScan,
+                           1.1 * kernel.total_service_time_s())) {
+      ++certified;
+    }
+  }
+  EXPECT_GE(certified, trials * 95 / 100);
 }
 
 }  // namespace
