@@ -93,23 +93,6 @@ void BM_AdmissionTableBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_AdmissionTableBuild);
 
-// Baseline ablation for BM_AdmissionTableBuild: per-tolerance cold scans
-// (no shared warm scan, fresh Chernoff bracket at every (n, tolerance)).
-// The ratio of the two is the engine's warm-start speedup.
-void BM_AdmissionTableBuildCold(benchmark::State& state) {
-  const core::ServiceTimeModel model = bench::Table1Model();
-  core::AdmissionBuildOptions options;
-  options.warm_start = false;
-  for (auto _ : state) {
-    auto table = core::AdmissionTable::Build(
-        model, core::AdmissionCriterion::kGlitchRate, bench::kRoundLengthS,
-        {0.001, 0.01, 0.05, 0.1}, bench::kRoundsPerStream,
-        bench::kToleratedGlitches, options);
-    benchmark::DoNotOptimize(table.ok());
-  }
-}
-BENCHMARK(BM_AdmissionTableBuildCold);
-
 void BM_AdmissionTableLookup(benchmark::State& state) {
   const core::ServiceTimeModel model = bench::Table1Model();
   const auto table = core::AdmissionTable::Build(
@@ -259,29 +242,12 @@ void BM_HistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramRecord);
 
-// A replicated Monte Carlo batch (arg = replication count, 25 rounds
-// each) through the deterministic sharding path on the global pool. The
-// estimate is bit-identical at any thread count, so this curve tracks
-// pure parallel-batch throughput.
-void BM_ReplicatedLateProbability(benchmark::State& state) {
-  sim::SimulatorConfig config;
-  config.round_length_s = bench::kRoundLengthS;
-  sim::ReplicationOptions options;
-  options.replications = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    auto estimate = sim::EstimateLateProbabilityReplicated(
-        disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 26,
-        sim::RoundSimulator::IidFactory(bench::Table1Sizes()), config,
-        /*rounds_per_replication=*/25, options);
-    benchmark::DoNotOptimize(estimate.ok());
-  }
-}
-BENCHMARK(BM_ReplicatedLateProbability)->Arg(8)->Arg(40);
-
-// Thread-scaling curve of the same replicated batch on explicit pool
-// sizes (arg0 = replications, arg1 = threads). The estimate is
-// bit-identical across the whole curve; only wall time moves. On a
-// single-core host the >1 entries measure scheduling overhead.
+// A replicated Monte Carlo batch (arg0 = replications, 25 rounds each)
+// through the deterministic sharding path on an explicit pool of arg1
+// threads. The estimate is bit-identical across the whole curve; only
+// wall time moves. The width-1 entries count every round in cpu_time;
+// the wider ones count only the calling thread's share, and on a
+// single-core host they measure scheduling overhead.
 void BM_ReplicatedLateProbabilityThreads(benchmark::State& state) {
   sim::SimulatorConfig config;
   config.round_length_s = bench::kRoundLengthS;
@@ -298,6 +264,7 @@ void BM_ReplicatedLateProbabilityThreads(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReplicatedLateProbabilityThreads)
+    ->Args({8, 1})
     ->Args({40, 1})
     ->Args({40, 2})
     ->Args({40, 4});

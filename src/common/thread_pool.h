@@ -81,8 +81,8 @@ class ThreadPool {
   ThreadPoolStats Stats() const;
 
   // Installs a hook invoked (outside all pool locks) with each block's
-  // wall time in seconds — obs::AttachThreadPoolMetrics uses this to feed
-  // a latency histogram. Pass nullptr to detach. The observer must be
+  // wall time in seconds, e.g. to feed a latency histogram or to measure
+  // block imbalance. Pass nullptr to detach. The observer must be
   // thread-safe; it runs on worker threads and on ParallelFor callers.
   using BlockObserver = std::function<void(double block_seconds)>;
   void SetBlockObserver(BlockObserver observer);

@@ -14,64 +14,26 @@ namespace zonestream::core {
 
 namespace {
 
-// Per-n quality values for one admission scan: values[n-1] is b_late(n, t)
-// for the per-round criterion or p_error(n, t, m, g) for the glitch-rate
-// criterion. Both are nondecreasing in n. The scan stops after the first n
-// whose value exceeds `cutoff` (or at n_cap), so the returned prefix is
-// exactly what every tolerance <= cutoff needs.
-std::vector<double> ScanQualityValues(LateBoundScan* scan,
-                                      AdmissionCriterion criterion, int m,
-                                      int g, double cutoff, int n_cap) {
-  std::vector<double> values;
-  double late_bound_sum = 0.0;
-  for (int n = 1; n <= n_cap; ++n) {
-    const double b_late = scan->LateBound(n).bound;
-    double value;
-    if (criterion == AdmissionCriterion::kLateProbability) {
-      value = b_late;
-    } else {
-      // Reuse the running sum of b_late(k, t) across N instead of
-      // recomputing the O(N) inner loop for every candidate (the scan is
-      // then O(n_max) Chernoff minimizations in total).
-      late_bound_sum += b_late;
-      const double b_glitch =
-          std::fmin(late_bound_sum / static_cast<double>(n), 1.0);
-      value = GlitchModel::ErrorBoundForGlitchProbability(b_glitch, m, g);
-    }
-    values.push_back(value);
-    if (value > cutoff) break;
-  }
-  return values;
-}
-
-// Largest admissible n for `tolerance` given the scan's quality values:
-// the count of leading values <= tolerance (the values are nondecreasing,
-// but a first-violation search preserves the early-exit semantics even
-// under sub-ulp wobble in the minimizer).
-int LimitFromValues(const std::vector<double>& values, double tolerance) {
-  int n_max = 0;
-  for (double value : values) {
-    if (value > tolerance) break;
-    ++n_max;
-  }
-  return n_max;
+// p(n) of one admission criterion, for n = 1, 2, ... in order: b_late(n, t)
+// for the per-round criterion (eq. 3.1.7) or p_error(n, t, m, g) for the
+// glitch-rate criterion (eq. 3.3.6). Both are nondecreasing in n. The warm
+// LateBoundScan carries θ* from n - 1 to n, and p_error reuses the running
+// sum of b_late(k, t) across n instead of recomputing the O(n) inner loop,
+// so a search costs O(N_max) Chernoff minimizations in total.
+auto CriterionQuality(const ServiceTimeModel* model, double t,
+                      AdmissionCriterion criterion, int m, int g) {
+  return [scan = LateBoundScan(model, t), criterion, m, g,
+          late_bound_sum = 0.0](int n) mutable {
+    const double b_late = scan.LateBound(n).bound;
+    if (criterion == AdmissionCriterion::kLateProbability) return b_late;
+    late_bound_sum += b_late;
+    const double b_glitch =
+        std::fmin(late_bound_sum / static_cast<double>(n), 1.0);
+    return GlitchModel::ErrorBoundForGlitchProbability(b_glitch, m, g);
+  };
 }
 
 }  // namespace
-
-const char* AdmissionQueryErrorName(AdmissionQueryError error) {
-  switch (error) {
-    case AdmissionQueryError::kOk:
-      return "ok";
-    case AdmissionQueryError::kInvalidRoundLength:
-      return "invalid_round_length";
-    case AdmissionQueryError::kInvalidTolerance:
-      return "invalid_tolerance";
-    case AdmissionQueryError::kVacuousTolerance:
-      return "vacuous_tolerance";
-  }
-  return "unknown";
-}
 
 AdmissionQueryError ValidateAdmissionQuery(double t, double delta) {
   // NaN comparisons are all false, so NaN t / delta fall through to the
@@ -86,83 +48,58 @@ AdmissionQueryError ValidateAdmissionQuery(double t, double delta) {
   return AdmissionQueryError::kOk;
 }
 
-MaxStreamsResult MaxStreamsByLateProbabilityChecked(
-    const ServiceTimeModel& model, double t, double delta, int n_cap) {
-  ZS_CHECK_GT(n_cap, 0);
-  MaxStreamsResult result;
-  result.error = ValidateAdmissionQuery(t, delta);
-  if (result.error != AdmissionQueryError::kOk) return result;
-  LateBoundScan scan(&model, t);
-  const std::vector<double> values = ScanQualityValues(
-      &scan, AdmissionCriterion::kLateProbability, 0, 0, delta, n_cap);
-  result.n_max = LimitFromValues(values, delta);
-  return result;
-}
-
 int MaxStreamsByLateProbability(const ServiceTimeModel& model, double t,
                                 double delta, int n_cap) {
-  return MaxStreamsByLateProbabilityChecked(model, t, delta, n_cap).n_max;
+  return MaxStreamsWithin(t, delta, n_cap, [&] {
+    return CriterionQuality(&model, t, AdmissionCriterion::kLateProbability,
+                            0, 0);
+  });
 }
 
 int MaxStreamsByGlitchRate(const ServiceTimeModel& model, double t, int m,
                            int g, double epsilon, int n_cap) {
   ZS_CHECK_GT(m, 0);
   ZS_CHECK_GE(g, 0);
-  ZS_CHECK_GT(n_cap, 0);
-  if (ValidateAdmissionQuery(t, epsilon) != AdmissionQueryError::kOk) {
-    return 0;
-  }
-  LateBoundScan scan(&model, t);
-  const std::vector<double> values = ScanQualityValues(
-      &scan, AdmissionCriterion::kGlitchRate, m, g, epsilon, n_cap);
-  return LimitFromValues(values, epsilon);
+  return MaxStreamsWithin(t, epsilon, n_cap, [&] {
+    return CriterionQuality(&model, t, AdmissionCriterion::kGlitchRate, m, g);
+  });
 }
 
 int MaxStreamsByLateProbabilityDegraded(const ServiceTimeModel& model,
                                         double t, double delta,
                                         int repair_requests, int n_cap) {
   ZS_CHECK_GE(repair_requests, 0);
-  ZS_CHECK_GT(n_cap, 0);
-  if (ValidateAdmissionQuery(t, delta) != AdmissionQueryError::kOk) {
-    return 0;
-  }
   // A survivor's worst round carries 2N + R requests (own phase, the
-  // failed disk's phase, and the repair throttle share). b_late is
-  // monotone in the request count, so scan N ascending and stop at the
-  // first violation. LateBoundScan is warm-start-correct for any query
-  // order, including this stride-2 sequence.
-  LateBoundScan scan(&model, t);
-  int n_max = 0;
-  for (int n = 1; n <= n_cap; ++n) {
-    const double bound = scan.LateBound(2 * n + repair_requests).bound;
-    if (bound > delta) break;
-    n_max = n;
-  }
-  return n_max;
-}
-
-int MaxStreamsByCombinedCriteria(const ServiceTimeModel& model, double t,
-                                 double delta, int m, int g, double epsilon,
-                                 int n_cap) {
-  return std::min(MaxStreamsByLateProbability(model, t, delta, n_cap),
-                  MaxStreamsByGlitchRate(model, t, m, g, epsilon, n_cap));
+  // failed disk's phase, and the repair throttle share). LateBoundScan is
+  // warm-start-correct for any query order, including this stride-2
+  // sequence.
+  return MaxStreamsWithin(t, delta, n_cap, [&] {
+    return [scan = LateBoundScan(&model, t), repair_requests](int n) mutable {
+      return scan.LateBound(2 * n + repair_requests).bound;
+    };
+  });
 }
 
 common::StatusOr<AdmissionTable> AdmissionTable::Build(
     const ServiceTimeModel& model, AdmissionCriterion criterion, double t,
     std::vector<double> tolerances, int m, int g,
     const AdmissionBuildOptions& options) {
-  if (t <= 0.0) {
-    return common::Status::InvalidArgument("round length must be positive");
-  }
   if (tolerances.empty()) {
     return common::Status::InvalidArgument("tolerances must be non-empty");
   }
   if (!std::is_sorted(tolerances.begin(), tolerances.end())) {
     return common::Status::InvalidArgument("tolerances must be ascending");
   }
-  if (tolerances.front() <= 0.0 || tolerances.back() >= 1.0) {
-    return common::Status::InvalidArgument("tolerances must lie in (0, 1)");
+  // The searches' own rule, so no row can come back as a sentinel.
+  for (const double tolerance : tolerances) {
+    const AdmissionQueryError error = ValidateAdmissionQuery(t, tolerance);
+    if (error == AdmissionQueryError::kInvalidRoundLength) {
+      return common::Status::InvalidArgument(
+          "round length must be positive and finite");
+    }
+    if (error != AdmissionQueryError::kOk) {
+      return common::Status::InvalidArgument("tolerances must lie in (0, 1)");
+    }
   }
   if (criterion == AdmissionCriterion::kGlitchRate && (m <= 0 || g < 0)) {
     return common::Status::InvalidArgument(
@@ -176,39 +113,30 @@ common::StatusOr<AdmissionTable> AdmissionTable::Build(
   // a field copy, so the extra model costs nothing in the default case.
   const ServiceTimeModel effective = model.WithSeekBound(options.seek_bound);
 
+  // The per-n quality values do not depend on the tolerance, so ONE
+  // warm-started serial search at the loosest tolerance records every
+  // value a row needs: it stops at that row's first violation, which no
+  // stricter row gets past. Each row is then the same search over the
+  // recorded values, cheap and embarrassingly parallel, and bit-identical
+  // at every thread count because it is a pure function of those values.
+  std::vector<double> values;
+  MaxStreamsWithin(t, tolerances.back(), options.n_cap, [&] {
+    return [&values, quality = CriterionQuality(&effective, t, criterion, m,
+                                                g)](int n) mutable {
+      values.push_back(quality(n));
+      return values.back();
+    };
+  });
   std::vector<AdmissionTableRow> rows(tolerances.size());
-  if (options.warm_start) {
-    // Fast path: the per-n quality values are tolerance-independent, so
-    // ONE warm-started serial scan up to the loosest tolerance's break
-    // point serves every row. The per-tolerance derivation is then cheap
-    // and embarrassingly parallel — and bit-identical at every thread
-    // count, because each row is a pure function of the shared values.
-    LateBoundScan scan(&effective, t);
-    const std::vector<double> values =
-        ScanQualityValues(&scan, criterion, m, g, tolerances.back(),
-                          options.n_cap);
-    common::ParallelFor(
-        static_cast<int64_t>(tolerances.size()),
-        [&rows, &tolerances, &values](int64_t i) {
-          rows[i].tolerance = tolerances[i];
-          rows[i].n_max = LimitFromValues(values, tolerances[i]);
-        },
-        options.pool);
-  } else {
-    // Validation path: the pre-optimization algorithm — an independent
-    // cold-started scan per tolerance — parallelized across tolerances.
-    common::ParallelFor(
-        static_cast<int64_t>(tolerances.size()),
-        [&rows, &tolerances, &effective, criterion, t, m, g,
-         &options](int64_t i) {
-          LateBoundScan scan(&effective, t, /*warm_start=*/false);
-          const std::vector<double> values = ScanQualityValues(
-              &scan, criterion, m, g, tolerances[i], options.n_cap);
-          rows[i].tolerance = tolerances[i];
-          rows[i].n_max = LimitFromValues(values, tolerances[i]);
-        },
-        options.pool);
-  }
+  common::ParallelFor(
+      static_cast<int64_t>(tolerances.size()),
+      [&rows, &tolerances, &values, t](int64_t i) {
+        rows[i].tolerance = tolerances[i];
+        rows[i].n_max = MaxStreamsWithin(
+            t, tolerances[i], static_cast<int>(values.size()),
+            [&values] { return [&values](int n) { return values[n - 1]; }; });
+      },
+      options.pool);
   return AdmissionTable(criterion, t, std::move(rows));
 }
 

@@ -5,16 +5,19 @@
 // requested tolerance:
 //   N_max^plate  = max{ N : b_late(N, t) <= delta }          (eq. 3.1.7)
 //   N_max^perror = max{ N : p_error(N, t, M, g) <= epsilon } (eq. 3.3.6)
-// §5 recommends precomputing these limits into a lookup table so run-time
-// admission costs O(1); AdmissionTable and AdmissionTableSnapshot implement
-// that scheme, and the run-time controllers (service::AdmissionService,
-// MediaServer's phase admission) enforce its limits.
+// Every engine's limit, these two included, is one call to the search
+// MaxStreamsWithin below. §5 recommends precomputing these limits into a
+// lookup table so run-time admission costs O(1); AdmissionTable and
+// AdmissionTableSnapshot implement that scheme, and the run-time
+// controllers (service::AdmissionService, MediaServer's phase admission)
+// enforce its limits.
 #ifndef ZONESTREAM_CORE_ADMISSION_H_
 #define ZONESTREAM_CORE_ADMISSION_H_
 
 #include <cstdint>
 #include <vector>
 
+#include "common/check.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/glitch_model.h"
@@ -23,11 +26,11 @@
 namespace zonestream::core {
 
 // Structured reason for an admission query with no meaningful finite
-// answer. The MaxStreams* family (here, baselines.h, saddlepoint.h,
-// snc.h) returns the sentinel 0 for such queries instead of crashing
-// (t <= 0) or scanning to n_cap and reporting a misleading large N
-// (delta >= 1, NaN tolerance) — the same documented-sentinel contract
-// style as the `MaxStreams >=` boundary pin on the table paths.
+// answer. Every N_max search (MaxStreamsWithin below, and through it the
+// MaxStreams* family here and in baselines.h, saddlepoint.h, snc.h,
+// transform_inversion.h and multiclass.h) returns the sentinel 0 for such
+// queries instead of crashing (t <= 0) or scanning to n_cap and reporting
+// a misleading large N (delta >= 1, NaN tolerance).
 enum class AdmissionQueryError {
   kOk = 0,
   // Round length t is not a positive finite number: no round ever
@@ -41,37 +44,42 @@ enum class AdmissionQueryError {
   kVacuousTolerance,
 };
 
-// Stable lowercase name for logs/CLIs ("ok", "invalid_round_length", ...).
-const char* AdmissionQueryErrorName(AdmissionQueryError error);
-
 // Classifies an admission query: kOk iff t is positive and finite and
-// delta lies in (0, 1). Every MaxStreams*-family function applies this
-// exact classification.
+// delta lies in (0, 1). MaxStreamsWithin and AdmissionTable::Build apply
+// exactly this classification.
 AdmissionQueryError ValidateAdmissionQuery(double t, double delta);
 
-// Sentinel-carrying result of a checked MaxStreams* query.
-struct MaxStreamsResult {
-  int n_max = 0;  // always 0 when error != kOk
-  AdmissionQueryError error = AdmissionQueryError::kOk;
-};
+// The one N_max search behind every admission limit (§5):
+//   N_max = max{ n <= n_cap : p(k) <= delta for every k <= n },
+// where p(n) is an engine's quality at multiprogramming level n (b_late,
+// p_error, an estimate, ...). The search runs n = 1, 2, ... and stops at
+// the first violation; a NaN p(n) counts as one. It validates (t, delta)
+// first and returns the sentinel 0 for an invalid query before calling
+// `make_quality`, so engine state that rejects a bad t (LateBoundScan,
+// SncEngine) is only built for a valid one. `make_quality()` returns the
+// callable p(int n) -> double, which is called once per n in ascending
+// order and may carry state from one n to the next (warm starts, running
+// sums). n_cap must be positive.
+template <typename MakeQuality>
+int MaxStreamsWithin(double t, double delta, int n_cap,
+                     MakeQuality make_quality) {
+  ZS_CHECK_GT(n_cap, 0);
+  if (ValidateAdmissionQuery(t, delta) != AdmissionQueryError::kOk) return 0;
+  auto quality = make_quality();
+  int n_max = 0;
+  while (n_max < n_cap && quality(n_max + 1) <= delta) ++n_max;
+  return n_max;
+}
 
-// Largest N with b_late(N, t) <= delta; 0 if even N=1 violates the
-// tolerance. b_late is monotone in N, so a linear scan with early exit is
-// exact. The scan warm-starts each Chernoff minimization from the previous
-// candidate's θ* (LateBoundScan). `n_cap` guards against pathological
-// configurations. Invalid queries (see ValidateAdmissionQuery) return the
-// sentinel 0; use the Checked variant to distinguish "zero capacity" from
-// "invalid query".
+// Largest N with b_late(N, t) <= delta (eq. 3.1.7); 0 if even N=1
+// violates the tolerance or the query is invalid. The search warm-starts
+// each Chernoff minimization from the previous candidate's θ*
+// (LateBoundScan). `n_cap` guards against pathological configurations.
 int MaxStreamsByLateProbability(const ServiceTimeModel& model, double t,
                                 double delta, int n_cap = 4096);
 
-// As MaxStreamsByLateProbability, with the structured reason.
-MaxStreamsResult MaxStreamsByLateProbabilityChecked(
-    const ServiceTimeModel& model, double t, double delta, int n_cap = 4096);
-
-// Largest N with p_error(N, t, M, g) <= epsilon (eq. 3.3.6). Invalid
-// (t, epsilon) queries return the sentinel 0, same contract as
-// MaxStreamsByLateProbability.
+// Largest N with p_error(N, t, M, g) <= epsilon (eq. 3.3.6), same
+// contract as MaxStreamsByLateProbability.
 int MaxStreamsByGlitchRate(const ServiceTimeModel& model, double t, int m,
                            int g, double epsilon, int n_cap = 4096);
 
@@ -93,15 +101,6 @@ int MaxStreamsByLateProbabilityDegraded(const ServiceTimeModel& model,
                                         int repair_requests,
                                         int n_cap = 4096);
 
-// Largest N satisfying BOTH contracts simultaneously: b_late(N, t) <=
-// delta AND p_error(N, t, m, g) <= epsilon. Operators often want the
-// per-round guarantee for interactive feel plus the per-stream guarantee
-// for session quality; by monotonicity this is simply the minimum of the
-// two limits.
-int MaxStreamsByCombinedCriteria(const ServiceTimeModel& model, double t,
-                                 double delta, int m, int g, double epsilon,
-                                 int n_cap = 4096);
-
 // One row of the §5 lookup table.
 struct AdmissionTableRow {
   double tolerance = 0.0;  // delta (p_late) or epsilon (p_error)
@@ -114,19 +113,13 @@ enum class AdmissionCriterion {
   kGlitchRate,       // bound p_error over a stream's lifetime (eq. 3.3.6)
 };
 
-// Tuning knobs for AdmissionTable::Build. The defaults give the fast
-// deterministic path; results are bit-identical at every thread count
-// because the per-n quality values are computed by one serial warm scan
-// and each tolerance's row is a pure function of those shared values.
+// Tuning knobs for AdmissionTable::Build. Results are bit-identical at
+// every thread count because the per-n quality values are computed by one
+// serial warm scan and each tolerance's row is a pure function of those
+// shared values.
 struct AdmissionBuildOptions {
   // Thread pool for the per-tolerance work; null uses the global pool.
   common::ThreadPool* pool = nullptr;
-  // Warm-started shared scan (default) vs. independent cold per-tolerance
-  // scans (the pre-optimization algorithm, kept for validation and
-  // benchmarking). The two agree to the Chernoff minimizer's tolerance
-  // (~1e-12 on the bounds), which yields identical integer rows except
-  // for tolerances sitting exactly on a bound value.
-  bool warm_start = true;
   // Upper limit on the candidate multiprogramming level.
   int n_cap = 4096;
   // Seek term charged by the scans: the paper's equidistant worst case
@@ -139,9 +132,10 @@ struct AdmissionBuildOptions {
 // rebuilding when the disk configuration or workload statistics change.
 class AdmissionTable {
  public:
-  // Builds a table for the given tolerances (must be positive, ascending).
-  // For kGlitchRate, `m` and `g` define the stream-lifetime QoS contract;
-  // they are ignored for kLateProbability.
+  // Builds a table for the given tolerances (ascending, each in (0, 1))
+  // at round length t (positive and finite). For kGlitchRate, `m` and `g`
+  // define the stream-lifetime QoS contract; they are ignored for
+  // kLateProbability.
   static common::StatusOr<AdmissionTable> Build(
       const ServiceTimeModel& model, AdmissionCriterion criterion, double t,
       std::vector<double> tolerances, int m = 0, int g = 0,

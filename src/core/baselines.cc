@@ -43,16 +43,9 @@ double NormalApproxLateProbability(const ServiceTimeModel& model, int n,
 
 int NormalApproxMaxStreams(const ServiceTimeModel& model, double t,
                            double delta, int n_cap) {
-  ZS_CHECK_GT(n_cap, 0);
-  if (ValidateAdmissionQuery(t, delta) != AdmissionQueryError::kOk) {
-    return 0;
-  }
-  int n_max = 0;
-  for (int n = 1; n <= n_cap; ++n) {
-    if (NormalApproxLateProbability(model, n, t) > delta) break;
-    n_max = n;
-  }
-  return n_max;
+  return MaxStreamsWithin(t, delta, n_cap, [&] {
+    return [&](int n) { return NormalApproxLateProbability(model, n, t); };
+  });
 }
 
 double ChebyshevLateBound(const ServiceTimeModel& model, int n, double t) {
@@ -67,16 +60,9 @@ double ChebyshevLateBound(const ServiceTimeModel& model, int n, double t) {
 
 int ChebyshevMaxStreams(const ServiceTimeModel& model, double t, double delta,
                         int n_cap) {
-  ZS_CHECK_GT(n_cap, 0);
-  if (ValidateAdmissionQuery(t, delta) != AdmissionQueryError::kOk) {
-    return 0;
-  }
-  int n_max = 0;
-  for (int n = 1; n <= n_cap; ++n) {
-    if (ChebyshevLateBound(model, n, t) > delta) break;
-    n_max = n;
-  }
-  return n_max;
+  return MaxStreamsWithin(t, delta, n_cap, [&] {
+    return [&](int n) { return ChebyshevLateBound(model, n, t); };
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ class LateBoundScan {
  public:
   // The scan borrows `model`; the caller keeps it alive. `warm_start`
   // false disables the θ-hint (every step minimizes cold) — the memoized
-  // values are exact either way, so this exists for validation and
-  // benchmarking only.
+  // values are exact either way, so this exists as the reference the
+  // tests compare the warm scan against.
   LateBoundScan(const ServiceTimeModel* model, double t,
                 bool warm_start = true);
 

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/check.h"
+#include "core/admission.h"
 #include "core/glitch_model.h"
 #include "sched/oyang_bound.h"
 
@@ -182,13 +183,13 @@ int MultiClassServiceModel::MaxAdditionalStreams(const ClassCounts& base,
   ZS_CHECK_LT(class_index, num_classes());
   ClassCounts counts = base;
   counts.resize(transfers_.size(), 0);
-  int added = 0;
-  for (int i = 0; i < cap; ++i) {
-    ++counts[class_index];
-    if (!Admissible(counts, t, delta)) break;
-    ++added;
-  }
-  return added;
+  const int base_count = counts[class_index];
+  return MaxStreamsWithin(t, delta, cap, [&] {
+    return [&](int added) {
+      counts[class_index] = base_count + added;
+      return LateBound(counts, t).bound;
+    };
+  });
 }
 
 std::vector<std::pair<int, int>> MultiClassServiceModel::CapacityFrontier(

@@ -91,7 +91,9 @@ class MultiClassServiceModel {
   bool Admissible(const ClassCounts& counts, double t, double delta) const;
 
   // Largest additional count of class `class_index` admissible on top of
-  // `base` under b_late <= delta (0 if none).
+  // `base` under b_late <= delta (0 if none), by MaxStreamsWithin
+  // (admission.h) with n_cap = `cap`: an invalid (t, delta) query returns
+  // 0.
   int MaxAdditionalStreams(const ClassCounts& base, int class_index, double t,
                            double delta, int cap = 4096) const;
 

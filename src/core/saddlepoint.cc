@@ -167,16 +167,11 @@ SaddlepointResult SaddlepointLateProbability(const ServiceTimeModel& model,
 
 int SaddlepointMaxStreams(const ServiceTimeModel& model, double t,
                           double delta, int n_cap) {
-  ZS_CHECK_GT(n_cap, 0);
-  if (ValidateAdmissionQuery(t, delta) != AdmissionQueryError::kOk) {
-    return 0;
-  }
-  int n_max = 0;
-  for (int n = 1; n <= n_cap; ++n) {
-    if (SaddlepointLateProbability(model, n, t).probability > delta) break;
-    n_max = n;
-  }
-  return n_max;
+  return MaxStreamsWithin(t, delta, n_cap, [&] {
+    return [&](int n) {
+      return SaddlepointLateProbability(model, n, t).probability;
+    };
+  });
 }
 
 }  // namespace zonestream::core

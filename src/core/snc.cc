@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/check.h"
+#include "core/admission.h"
 
 namespace zonestream::core {
 
@@ -197,25 +198,16 @@ SncBoundResult SncEngine::CumulativeLatenessBound(int n, double slack_s,
   return Minimize(exponent);
 }
 
-MaxStreamsResult SncMaxStreamsChecked(const ServiceTimeModel& model,
-                                      double t, double delta, int n_cap) {
-  ZS_CHECK_GT(n_cap, 0);
-  MaxStreamsResult result;
-  result.error = ValidateAdmissionQuery(t, delta);
-  if (result.error != AdmissionQueryError::kOk) return result;
-  const SncEngine engine(model, t);
-  // The round-delay bound is monotone in n, so scan with early exit —
-  // same search shape as the Chernoff path, different bound evaluations.
-  for (int n = 1; n <= n_cap; ++n) {
-    if (engine.RoundDelayBound(n).bound > delta) break;
-    result.n_max = n;
-  }
-  return result;
-}
-
 int SncMaxStreams(const ServiceTimeModel& model, double t, double delta,
                   int n_cap) {
-  return SncMaxStreamsChecked(model, t, delta, n_cap).n_max;
+  // The same search as the Chernoff path over different bound
+  // evaluations. The engine is built only once the query is valid: its
+  // constructor rejects a bad t.
+  return MaxStreamsWithin(t, delta, n_cap, [&] {
+    return [engine = SncEngine(model, t)](int n) {
+      return engine.RoundDelayBound(n).bound;
+    };
+  });
 }
 
 SncBoundResult SncRoundDelayBoundMixed(const MultiClassServiceModel& model,

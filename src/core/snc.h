@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "core/admission.h"
 #include "core/multiclass.h"
 #include "core/service_time_model.h"
 
@@ -121,11 +120,6 @@ class SncEngine {
 // of the MaxStreams* family).
 int SncMaxStreams(const ServiceTimeModel& model, double t, double delta,
                   int n_cap = 4096);
-
-// As SncMaxStreams, with the structured reason.
-MaxStreamsResult SncMaxStreamsChecked(const ServiceTimeModel& model,
-                                      double t, double delta,
-                                      int n_cap = 4096);
 
 // Horizon-1 SNC delay bound for a heterogeneous class mix: the per-class
 // envelopes compose additively in the exponent,

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "core/admission.h"
 #include "numeric/quadrature.h"
 
 namespace zonestream::core {
@@ -77,8 +78,8 @@ common::StatusOr<double> ExactLateProbability(
   if (n <= 0) {
     return common::Status::InvalidArgument("n must be positive");
   }
-  if (t <= 0.0) {
-    return common::Status::InvalidArgument("t must be positive");
+  if (!(t > 0.0) || !std::isfinite(t)) {
+    return common::Status::InvalidArgument("t must be positive and finite");
   }
   if (!model.has_cf()) {
     return common::Status::FailedPrecondition(
@@ -92,21 +93,20 @@ common::StatusOr<double> ExactLateProbability(
 
 common::StatusOr<int> ExactMaxStreams(const ServiceTimeModel& model, double t,
                                       double delta, int n_cap) {
-  if (delta <= 0.0) {
-    return common::Status::InvalidArgument("delta must be positive");
-  }
   if (!model.has_cf()) {
     return common::Status::FailedPrecondition(
         "transfer model exposes no characteristic function");
   }
-  int n_max = 0;
-  for (int n = 1; n <= n_cap; ++n) {
-    const auto p_late = ExactLateProbability(model, n, t);
-    ZS_CHECK(p_late.ok());
-    if (*p_late > delta) break;
-    n_max = n;
+  if (ValidateAdmissionQuery(t, delta) == AdmissionQueryError::kOk &&
+      delta < kExactMaxStreamsMinTolerance) {
+    return common::Status::OutOfRange(
+        "tolerance below the inversion's noise floor (1e-4); use the "
+        "Chernoff limit (MaxStreamsByLateProbability) or the saddlepoint "
+        "limit (SaddlepointMaxStreams)");
   }
-  return n_max;
+  return MaxStreamsWithin(t, delta, n_cap, [&] {
+    return [&](int n) { return ExactLateProbability(model, n, t).value(); };
+  });
 }
 
 }  // namespace zonestream::core

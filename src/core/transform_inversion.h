@@ -15,12 +15,29 @@
 // paper's bound into (a) the Oyang-seek/model-vs-simulation gap and
 // (b) the Chernoff-vs-exact-tail slack.
 //
-// Accuracy note: the inversion carries an absolute noise floor of roughly
-// 1e-7 (quadrature and truncation residuals of an oscillatory integral
-// whose value is the tail minus 1/2). For probabilities below that floor
-// use the Chernoff bound or the saddlepoint estimate instead; in the
-// admission-relevant regime (1e-4..1e-1) the inversion is accurate to a
-// relative few-1e-3.
+// Accuracy note: the inversion carries an absolute noise floor
+// (quadrature and truncation residuals of an oscillatory integral whose
+// value is the tail minus 1/2), and the floor depends on the disk, the
+// size law and t. Measured as the largest ExactLateProbability over the n
+// where the saddlepoint estimate is below 1e-10, maximized over
+// t in {0.5, 1, 2} s (Gamma size laws, mean/stddev in bytes):
+//
+//   preset         200k/100k   64k/32k    1M/1M
+//   viking2100     2.2e-6      9.2e-6     0
+//   viking-1zone   2.8e-6      9.9e-6     0
+//   small-synth    9.5e-8      2.6e-6     0
+//   fast-synth     7.6e-6      3.3e-5     3.4e-10
+//
+// On the Table 1 model at t = 1 s the inversion reads 2.6e-7 at n = 12
+// (saddlepoint: 0) and 3.5e-7 at n = 21 against 7.8e-9 at n = 22, where
+// the saddlepoint reads 7.5e-9 and 1.0e-7. That noise trips a
+// first-violation search: ExactMaxStreams would return 11, 7 and 3 at
+// delta = 2e-7, 1e-7 and 1e-8, where the saddlepoint gives 22, 21 and 21.
+// So below 1e-4 use the Chernoff bound or the saddlepoint estimate
+// instead. From 1e-4 up, over the 36 configurations of the table,
+// ExactMaxStreams equals SaddlepointMaxStreams at delta = 1e-4 in every
+// one and p(n) never decreases, and on the Table 1 model at t = 1 s the
+// two estimates agree within 0.5% from n = 25 (p = 6.3e-5) up.
 #ifndef ZONESTREAM_CORE_TRANSFORM_INVERSION_H_
 #define ZONESTREAM_CORE_TRANSFORM_INVERSION_H_
 
@@ -57,7 +74,16 @@ common::StatusOr<double> ExactLateProbability(
     const ServiceTimeModel& model, int n, double t,
     const InversionOptions& options = {});
 
-// Largest N with model-exact p_late <= delta.
+// Smallest tolerance ExactMaxStreams answers: the noise floor above, with
+// margin. At 1e-4 its limit equals SaddlepointMaxStreams' on every
+// configuration of the table.
+inline constexpr double kExactMaxStreamsMinTolerance = 1e-4;
+
+// Largest N with model-exact p_late <= delta, by MaxStreamsWithin
+// (admission.h): an invalid (t, delta) query returns 0. Returns
+// FailedPrecondition for a model without a characteristic function, and
+// OutOfRange for a valid delta below kExactMaxStreamsMinTolerance, where
+// inversion noise would end the search early.
 common::StatusOr<int> ExactMaxStreams(const ServiceTimeModel& model, double t,
                                       double delta, int n_cap = 4096);
 

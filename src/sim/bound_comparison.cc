@@ -198,17 +198,14 @@ common::StatusOr<std::vector<MixComparisonRow>> RunMixComparison(
     const core::ClassCounts base = {cbr_streams, 0};
     row.chernoff_vbr_max = model->MaxAdditionalStreams(
         base, 1, options.round_length_s, tolerance, options.n_cap);
-    int snc_max = 0;
-    for (int n = 1; n <= options.n_cap; ++n) {
-      const core::ClassCounts counts = {cbr_streams, n};
-      if (core::SncRoundDelayBoundMixed(*model, counts,
-                                        options.round_length_s)
-              .bound > tolerance) {
-        break;
-      }
-      snc_max = n;
-    }
-    row.snc_vbr_max = snc_max;
+    row.snc_vbr_max = core::MaxStreamsWithin(
+        options.round_length_s, tolerance, options.n_cap, [&] {
+          return [&](int n) {
+            return core::SncRoundDelayBoundMixed(*model, {cbr_streams, n},
+                                                 options.round_length_s)
+                .bound;
+          };
+        });
     rows.push_back(std::move(row));
   }
   return rows;

@@ -65,57 +65,79 @@ TEST(MaxStreamsTest, ZeroWhenImpossible) {
 
 TEST(MaxStreamsTest, InvalidQueriesReturnStructuredSentinel) {
   // Invalid (t, delta) queries are operator input errors, not programmer
-  // errors: the whole MaxStreams family returns the sentinel 0, and the
-  // Checked variants say why.
+  // errors: ValidateAdmissionQuery says why, and every search returns the
+  // sentinel 0 for them.
   const ServiceTimeModel model = TestModel();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
 
   for (double t : {0.0, -1.0, inf, nan}) {
-    const MaxStreamsResult result =
-        MaxStreamsByLateProbabilityChecked(model, t, 0.01);
-    EXPECT_EQ(result.n_max, 0) << t;
-    EXPECT_EQ(result.error, AdmissionQueryError::kInvalidRoundLength) << t;
+    EXPECT_EQ(ValidateAdmissionQuery(t, 0.01),
+              AdmissionQueryError::kInvalidRoundLength)
+        << t;
+    EXPECT_EQ(MaxStreamsByLateProbability(model, t, 0.01), 0) << t;
   }
   for (double delta : {0.0, -0.5, nan}) {
-    const MaxStreamsResult result =
-        MaxStreamsByLateProbabilityChecked(model, 1.0, delta);
-    EXPECT_EQ(result.n_max, 0) << delta;
-    EXPECT_EQ(result.error, AdmissionQueryError::kInvalidTolerance) << delta;
+    EXPECT_EQ(ValidateAdmissionQuery(1.0, delta),
+              AdmissionQueryError::kInvalidTolerance)
+        << delta;
+    EXPECT_EQ(MaxStreamsByLateProbability(model, 1.0, delta), 0) << delta;
   }
   for (double delta : {1.0, 2.0, inf}) {
-    const MaxStreamsResult result =
-        MaxStreamsByLateProbabilityChecked(model, 1.0, delta);
-    EXPECT_EQ(result.n_max, 0) << delta;
-    EXPECT_EQ(result.error, AdmissionQueryError::kVacuousTolerance) << delta;
+    EXPECT_EQ(ValidateAdmissionQuery(1.0, delta),
+              AdmissionQueryError::kVacuousTolerance)
+        << delta;
+    EXPECT_EQ(MaxStreamsByLateProbability(model, 1.0, delta), 0) << delta;
   }
-  const MaxStreamsResult valid =
-      MaxStreamsByLateProbabilityChecked(model, 1.0, 0.01);
-  EXPECT_EQ(valid.error, AdmissionQueryError::kOk);
-  EXPECT_EQ(valid.n_max, MaxStreamsByLateProbability(model, 1.0, 0.01));
+  EXPECT_EQ(ValidateAdmissionQuery(1.0, 0.01), AdmissionQueryError::kOk);
+  EXPECT_EQ(MaxStreamsByLateProbability(model, 1.0, 0.01), 26);
 
-  // The un-Checked entry points of the family all honor the sentinel.
-  EXPECT_EQ(MaxStreamsByLateProbability(model, 1.0, 1.0), 0);
-  EXPECT_EQ(MaxStreamsByLateProbability(model, nan, 0.01), 0);
   EXPECT_EQ(MaxStreamsByGlitchRate(model, 0.0, 1200, 12, 0.01), 0);
   EXPECT_EQ(MaxStreamsByGlitchRate(model, 1.0, 1200, 12, 1.5), 0);
   EXPECT_EQ(MaxStreamsByLateProbabilityDegraded(model, -1.0, 0.01, 2), 0);
   EXPECT_EQ(MaxStreamsByLateProbabilityDegraded(model, 1.0, nan, 2), 0);
-  EXPECT_EQ(MaxStreamsByCombinedCriteria(model, 1.0, /*delta=*/1.0,
-                                         /*m=*/1200, /*g=*/12,
-                                         /*epsilon=*/0.01),
-            0);
 }
 
-TEST(MaxStreamsTest, QueryErrorNamesAreStable) {
-  EXPECT_STREQ(AdmissionQueryErrorName(AdmissionQueryError::kOk), "ok");
-  EXPECT_STREQ(
-      AdmissionQueryErrorName(AdmissionQueryError::kInvalidRoundLength),
-      "invalid_round_length");
-  EXPECT_STREQ(AdmissionQueryErrorName(AdmissionQueryError::kInvalidTolerance),
-               "invalid_tolerance");
-  EXPECT_STREQ(AdmissionQueryErrorName(AdmissionQueryError::kVacuousTolerance),
-               "vacuous_tolerance");
+TEST(MaxStreamsWithinTest, FirstViolationEndsTheSearch) {
+  // p(n) = values[n - 1]: the search admits the longest prefix within
+  // delta, even when a later value would pass again, and a NaN value is
+  // a violation.
+  std::vector<double> values = {0.001, 0.002, 0.02, 0.003, 0.5};
+  int calls = 0;
+  const auto recorded = [&] {
+    return [&](int n) {
+      ++calls;
+      return values[n - 1];
+    };
+  };
+  EXPECT_EQ(MaxStreamsWithin(1.0, 0.01, 5, recorded), 2);
+  EXPECT_EQ(calls, 3);  // stops at the first violation
+  EXPECT_EQ(MaxStreamsWithin(1.0, 0.0005, 5, recorded), 0);
+  EXPECT_EQ(MaxStreamsWithin(1.0, 0.9, 5, recorded), 5);
+  EXPECT_EQ(MaxStreamsWithin(1.0, 0.9, 3, recorded), 3);  // n_cap binds
+  values[1] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(MaxStreamsWithin(1.0, 0.9, 5, recorded), 1);
+}
+
+TEST(MaxStreamsWithinTest, InvalidQueryNeverBuildsTheEngine) {
+  // The engine factory runs only for a valid query, so engine state that
+  // rejects a bad t (LateBoundScan, SncEngine) is never built for one.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  int built = 0;
+  const auto factory = [&built] {
+    ++built;
+    return [](int) { return 0.0; };
+  };
+  for (double t : {0.0, -1.0, inf, nan}) {
+    EXPECT_EQ(MaxStreamsWithin(t, 0.01, 10, factory), 0) << t;
+  }
+  for (double delta : {0.0, nan, 1.0, inf}) {
+    EXPECT_EQ(MaxStreamsWithin(1.0, delta, 10, factory), 0) << delta;
+  }
+  EXPECT_EQ(built, 0);
+  EXPECT_EQ(MaxStreamsWithin(1.0, 0.01, 10, factory), 10);
+  EXPECT_EQ(built, 1);
 }
 
 TEST(MaxStreamsTest, GlitchRateConsistentWithBound) {
@@ -134,20 +156,6 @@ TEST(MaxStreamsTest, GlitchCriterionAdmitsMoreThanPerRoundCriterion) {
   const ServiceTimeModel model = TestModel();
   EXPECT_GT(MaxStreamsByGlitchRate(model, 1.0, 1200, 12, 0.01),
             MaxStreamsByLateProbability(model, 1.0, 0.01));
-}
-
-TEST(MaxStreamsTest, CombinedCriteriaIsTheMinimum) {
-  const ServiceTimeModel model = TestModel();
-  const int by_late = MaxStreamsByLateProbability(model, 1.0, 0.01);
-  const int by_glitch = MaxStreamsByGlitchRate(model, 1.0, 1200, 12, 0.01);
-  EXPECT_EQ(MaxStreamsByCombinedCriteria(model, 1.0, 0.01, 1200, 12, 0.01),
-            std::min(by_late, by_glitch));
-  // For the Table 1 contract the per-round criterion binds (26 < 28).
-  EXPECT_EQ(MaxStreamsByCombinedCriteria(model, 1.0, 0.01, 1200, 12, 0.01),
-            26);
-  // Loosening the binding criterion shifts the limit to the other one.
-  EXPECT_EQ(MaxStreamsByCombinedCriteria(model, 1.0, 0.5, 1200, 12, 0.01),
-            by_glitch);
 }
 
 TEST(AdmissionTableTest, BuildValidation) {
@@ -172,6 +180,30 @@ TEST(AdmissionTableTest, BuildValidation) {
       AdmissionTable::Build(model, AdmissionCriterion::kGlitchRate, 1.0,
                             {0.01}, /*m=*/0, /*g=*/12)
           .ok());
+}
+
+TEST(AdmissionTableTest, BuildRejectsWhatTheSearchRejects) {
+  // Build checks (t, tolerance) with the searches' own rule. A NaN round
+  // length used to abort in LateBoundScan, an infinite one built a row at
+  // n_cap, and a NaN tolerance slipped past the range check into a row at
+  // n_cap.
+  const ServiceTimeModel model = TestModel();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double t : {nan, inf, -1.0}) {
+    const auto table = AdmissionTable::Build(
+        model, AdmissionCriterion::kLateProbability, t, {0.01});
+    ASSERT_FALSE(table.ok()) << t;
+    EXPECT_EQ(table.status().code(), common::StatusCode::kInvalidArgument);
+  }
+  for (const std::vector<double>& tolerances :
+       {std::vector<double>{nan}, std::vector<double>{0.001, nan, 0.01},
+        std::vector<double>{0.01, 1.0}}) {
+    const auto table = AdmissionTable::Build(
+        model, AdmissionCriterion::kGlitchRate, 1.0, tolerances, 1200, 12);
+    ASSERT_FALSE(table.ok());
+    EXPECT_EQ(table.status().code(), common::StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(AdmissionTableTest, RowsMatchDirectComputation) {

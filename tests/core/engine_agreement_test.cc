@@ -9,14 +9,21 @@
 //   * every stochastic engine admits at least the deterministic worst
 //     case;
 //   * the Bachmat seek bound never admits fewer streams than the
-//     equidistant one (min-clamp construction).
+//     equidistant one (min-clamp construction);
+//   * every engine's p(n) is nondecreasing in n, which the one
+//     first-violation search (MaxStreamsWithin) relies on.
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/admission.h"
 #include "core/baselines.h"
+#include "core/glitch_model.h"
+#include "core/late_bound_scan.h"
 #include "core/saddlepoint.h"
 #include "core/seek_bound_bachmat.h"
 #include "core/service_time_model.h"
@@ -83,6 +90,102 @@ TEST(EngineAgreementTest, AllEnginesConsistentAcrossPresetGrid) {
       }
     }
   }
+}
+
+// MaxStreamsWithin stops at the first n whose p(n) breaks the tolerance,
+// which is the largest admissible n only because p(n) never decreases.
+// Check every engine it serves, over presets x size laws x t, from n = 1
+// to 3 past the largest limit any engine admits at delta = 0.05. The
+// Chernoff-family values come from warm scans, as the searches see them.
+// Only the Gil-Pelaez engine is non-monotone (below its noise floor; see
+// transform_inversion.h), which is why ExactMaxStreams refuses small
+// tolerances.
+TEST(EngineAgreementTest, EveryEngineQualityIsNondecreasingInN) {
+  constexpr double kDelta = 0.05;
+  constexpr int kRounds = 1200;
+  constexpr int kGlitches = 12;
+  constexpr int kRepairRequests = 2;
+  const struct {
+    double mean_bytes;
+    double stddev_bytes;
+  } laws[] = {{200e3, 100e3}, {64e3, 32e3}, {1e6, 1e6}, {500e3, 250e3}};
+  int steps = 0;
+  for (const PresetCase& preset : Presets()) {
+    for (const auto& law : laws) {
+      for (const double t : {0.5, 1.0, 2.0}) {
+        auto model = ServiceTimeModel::ForMultiZoneDisk(
+            preset.geometry, preset.seek, law.mean_bytes,
+            law.stddev_bytes * law.stddev_bytes);
+        ASSERT_TRUE(model.ok()) << preset.name;
+        const ServiceTimeModel bachmat =
+            model->WithSeekBound(SeekBoundKind::kBachmat);
+        const int n_top =
+            3 + std::max({
+                    MaxStreamsByLateProbability(*model, t, kDelta),
+                    MaxStreamsByLateProbability(bachmat, t, kDelta),
+                    SncMaxStreams(*model, t, kDelta),
+                    SaddlepointMaxStreams(*model, t, kDelta),
+                    NormalApproxMaxStreams(*model, t, kDelta),
+                    ChebyshevMaxStreams(*model, t, kDelta),
+                    MaxStreamsByGlitchRate(*model, t, kRounds, kGlitches,
+                                           kDelta),
+                    MaxStreamsByLateProbabilityDegraded(*model, t, kDelta,
+                                                        kRepairRequests),
+                });
+
+        LateBoundScan chernoff(&*model, t);
+        LateBoundScan chernoff_bachmat(&bachmat, t);
+        LateBoundScan glitch(&*model, t);
+        LateBoundScan degraded(&*model, t);
+        const SncEngine snc(*model, t);
+        double late_bound_sum = 0.0;
+        const std::vector<
+            std::pair<const char*, std::function<double(int)>>>
+            engines = {
+                {"chernoff",
+                 [&](int n) { return chernoff.LateBound(n).bound; }},
+                {"chernoff-bachmat",
+                 [&](int n) { return chernoff_bachmat.LateBound(n).bound; }},
+                {"snc", [&](int n) { return snc.RoundDelayBound(n).bound; }},
+                {"saddlepoint",
+                 [&](int n) {
+                   return SaddlepointLateProbability(*model, n, t).probability;
+                 }},
+                {"clt",
+                 [&](int n) {
+                   return NormalApproxLateProbability(*model, n, t);
+                 }},
+                {"cantelli",
+                 [&](int n) { return ChebyshevLateBound(*model, n, t); }},
+                {"p_error",
+                 [&](int n) {
+                   late_bound_sum += glitch.LateBound(n).bound;
+                   return GlitchModel::ErrorBoundForGlitchProbability(
+                       std::fmin(late_bound_sum / n, 1.0), kRounds,
+                       kGlitches);
+                 }},
+                {"degraded",
+                 [&](int n) {
+                   return degraded.LateBound(2 * n + kRepairRequests).bound;
+                 }},
+            };
+        std::vector<double> previous(engines.size());
+        for (int n = 1; n <= n_top; ++n) {
+          for (size_t e = 0; e < engines.size(); ++e) {
+            const double p = engines[e].second(n);
+            if (n > 1) {
+              EXPECT_GE(p, previous[e])
+                  << engines[e].first << " " << preset.name << " mean="
+                  << law.mean_bytes << " t=" << t << " n=" << n;
+            }
+            previous[e] = p;
+          }
+          if (n > 1) ++steps;
+        }
+      }
+    }
+  }
+  EXPECT_GT(steps, 1000);
 }
 
 }  // namespace

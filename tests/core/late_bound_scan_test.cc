@@ -7,6 +7,7 @@
 
 #include "common/thread_pool.h"
 #include "core/admission.h"
+#include "core/glitch_model.h"
 #include "core/service_time_model.h"
 #include "disk/presets.h"
 
@@ -113,27 +114,29 @@ TEST(AdmissionWarmStartTest, MaxStreamsAgreesWithColdScan) {
 }
 
 TEST(AdmissionWarmStartTest, BuildWarmAndColdRowsIdentical) {
+  // Each row of the warm shared scan is the limit the cold, direct
+  // evaluations give: b_late(n_max) or p_error(n_max) stays within the
+  // row's tolerance and n_max + 1 breaks it.
   const ServiceTimeModel model = MultiZoneModel();
+  const GlitchModel glitch_model(&model);
   const std::vector<double> tolerances = {0.001, 0.01, 0.05, 0.1};
-
-  AdmissionBuildOptions warm_options;
-  warm_options.warm_start = true;
-  AdmissionBuildOptions cold_options;
-  cold_options.warm_start = false;
-
   for (auto criterion : {AdmissionCriterion::kLateProbability,
                          AdmissionCriterion::kGlitchRate}) {
-    auto warm = AdmissionTable::Build(model, criterion, kRound, tolerances,
-                                      1200, 12, warm_options);
-    auto cold = AdmissionTable::Build(model, criterion, kRound, tolerances,
-                                      1200, 12, cold_options);
-    ASSERT_TRUE(warm.ok());
-    ASSERT_TRUE(cold.ok());
-    ASSERT_EQ(warm->rows().size(), cold->rows().size());
-    for (size_t i = 0; i < warm->rows().size(); ++i) {
-      EXPECT_EQ(warm->rows()[i].n_max, cold->rows()[i].n_max)
-          << "row " << i;
-      EXPECT_EQ(warm->rows()[i].tolerance, cold->rows()[i].tolerance);
+    const auto quality = [&](int n) {
+      return criterion == AdmissionCriterion::kLateProbability
+                 ? model.LateBound(n, kRound).bound
+                 : glitch_model.ErrorBound(n, kRound, 1200, 12);
+    };
+    auto table =
+        AdmissionTable::Build(model, criterion, kRound, tolerances, 1200, 12);
+    ASSERT_TRUE(table.ok());
+    ASSERT_EQ(table->rows().size(), tolerances.size());
+    for (size_t i = 0; i < tolerances.size(); ++i) {
+      const AdmissionTableRow& row = table->rows()[i];
+      EXPECT_EQ(row.tolerance, tolerances[i]);
+      ASSERT_GT(row.n_max, 0) << "row " << i;
+      EXPECT_LE(quality(row.n_max), tolerances[i]) << "row " << i;
+      EXPECT_GT(quality(row.n_max + 1), tolerances[i]) << "row " << i;
     }
   }
 }

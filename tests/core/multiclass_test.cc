@@ -1,5 +1,7 @@
 #include "core/multiclass.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "core/admission.h"
@@ -105,6 +107,21 @@ TEST(MultiClassTest, SoloVideoCapacityMatchesPaperModel) {
   // Class 0 is exactly the Table 1 workload: solo capacity must be the
   // paper's N_max = 26.
   EXPECT_EQ(model.MaxAdditionalStreams({0, 0}, 0, kRound, 0.01), 26);
+}
+
+TEST(MultiClassTest, MaxAdditionalStreamsInvalidQueriesReturnZero) {
+  // The search validates (t, delta) first: delta = 0 used to abort in
+  // Admissible, and delta = 1 returned the cap.
+  const MultiClassServiceModel model = TestModel();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(model.MaxAdditionalStreams({0, 0}, 0, kRound, 0.0), 0);
+  EXPECT_EQ(model.MaxAdditionalStreams({0, 0}, 1, kRound, 1.0), 0);
+  EXPECT_EQ(model.MaxAdditionalStreams({3, 0}, 1, kRound, nan), 0);
+  EXPECT_EQ(model.MaxAdditionalStreams({3, 0}, 1, nan, 0.01), 0);
+  EXPECT_EQ(model.MaxAdditionalStreams({0, 0}, 0, 0.0, 0.01), 0);
+  // The added count stops at the cap; the base is not counted.
+  EXPECT_EQ(model.MaxAdditionalStreams({10, 0}, 0, kRound, 0.01), 16);
+  EXPECT_EQ(model.MaxAdditionalStreams({10, 0}, 0, kRound, 0.01, 5), 5);
 }
 
 TEST(MultiClassTest, CapacityFrontierMonotone) {

@@ -106,17 +106,23 @@ TEST(SncMaxStreamsTest, AgreesWithChernoffWithinOneStream) {
 }
 
 TEST(SncMaxStreamsTest, InvalidQueriesReturnStructuredSentinel) {
+  // ValidateAdmissionQuery names the reason; the search returns 0 before
+  // building an SncEngine, whose constructor would reject the bad t.
   const ServiceTimeModel model = Table1Model();
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  MaxStreamsResult result = SncMaxStreamsChecked(model, 0.0, 0.01);
-  EXPECT_EQ(result.n_max, 0);
-  EXPECT_EQ(result.error, AdmissionQueryError::kInvalidRoundLength);
-  result = SncMaxStreamsChecked(model, 1.0, nan);
-  EXPECT_EQ(result.error, AdmissionQueryError::kInvalidTolerance);
-  result = SncMaxStreamsChecked(model, 1.0, 1.0);
-  EXPECT_EQ(result.error, AdmissionQueryError::kVacuousTolerance);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double t : {0.0, -1.0, inf, nan}) {
+    EXPECT_EQ(ValidateAdmissionQuery(t, 0.01),
+              AdmissionQueryError::kInvalidRoundLength);
+    EXPECT_EQ(SncMaxStreams(model, t, 0.01), 0) << t;
+  }
+  EXPECT_EQ(ValidateAdmissionQuery(1.0, nan),
+            AdmissionQueryError::kInvalidTolerance);
+  EXPECT_EQ(SncMaxStreams(model, 1.0, nan), 0);
+  EXPECT_EQ(ValidateAdmissionQuery(1.0, 1.0),
+            AdmissionQueryError::kVacuousTolerance);
+  EXPECT_EQ(SncMaxStreams(model, 1.0, 1.0), 0);
   EXPECT_EQ(SncMaxStreams(model, 1.0, 1.5), 0);
-  EXPECT_EQ(SncMaxStreams(model, -1.0, 0.01), 0);
 }
 
 TEST(SncMixedTest, CrossChecksMultiClassLateBound) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -60,6 +61,12 @@ TEST(ExactLateProbabilityTest, Validation) {
   const ServiceTimeModel model = Table1Model();
   EXPECT_FALSE(ExactLateProbability(model, 0, 1.0).ok());
   EXPECT_FALSE(ExactLateProbability(model, 10, 0.0).ok());
+  EXPECT_FALSE(
+      ExactLateProbability(model, 10, std::numeric_limits<double>::quiet_NaN())
+          .ok());
+  EXPECT_FALSE(
+      ExactLateProbability(model, 10, std::numeric_limits<double>::infinity())
+          .ok());
   EXPECT_TRUE(ExactLateProbability(model, 10, 1.0).ok());
 }
 
@@ -119,6 +126,16 @@ TEST(ExactLateProbabilityTest, MonotoneInN) {
     EXPECT_GE(*p, prev) << n;
     prev = *p;
   }
+  // Consecutive n above the noise floor (p(26) = 3.6e-4): the step-3 pass
+  // above never compares neighbors, and below the floor neighbors do
+  // decrease (3.5e-7 at n = 21, 7.8e-9 at n = 22).
+  prev = 0.0;
+  for (int n = 26; n <= 32; ++n) {
+    const auto p = ExactLateProbability(model, n, 1.0);
+    ASSERT_TRUE(p.ok());
+    EXPECT_GE(*p, prev) << n;
+    prev = *p;
+  }
 }
 
 TEST(ExactMaxStreamsTest, BetweenChernoffAndSimulatedCapacity) {
@@ -129,6 +146,61 @@ TEST(ExactMaxStreamsTest, BetweenChernoffAndSimulatedCapacity) {
   // model-exact tail sits between (the residual gap is the seek bound).
   EXPECT_GE(*exact_nmax, 26);
   EXPECT_LE(*exact_nmax, 29);
+}
+
+TEST(ExactMaxStreamsTest, InvalidQueriesReturnZeroWithoutInverting) {
+  // The shared search validates (t, delta) before any inversion: t = 0
+  // and NaN used to abort, and delta = 1 scanned to n_cap (4096 after
+  // tens of seconds of inversions).
+  const ServiceTimeModel model = Table1Model();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double t : {0.0, -1.0, nan, inf}) {
+    const auto n_max = ExactMaxStreams(model, t, 0.01);
+    ASSERT_TRUE(n_max.ok()) << t;
+    EXPECT_EQ(*n_max, 0) << t;
+  }
+  for (double delta : {0.0, -0.5, nan, 1.0, 2.0}) {
+    const auto n_max = ExactMaxStreams(model, 1.0, delta);
+    ASSERT_TRUE(n_max.ok()) << delta;
+    EXPECT_EQ(*n_max, 0) << delta;
+  }
+}
+
+TEST(ExactMaxStreamsTest, RefusesTolerancesBelowTheNoiseFloor) {
+  // Below the floor the inversion noise would end the search early: on
+  // this model it would return 11, 7 and 3 at 2e-7, 1e-7 and 1e-8.
+  const ServiceTimeModel model = Table1Model();
+  for (double delta : {std::nextafter(kExactMaxStreamsMinTolerance, 0.0),
+                       1e-5, 2e-7, 1e-7, 1e-8}) {
+    const auto n_max = ExactMaxStreams(model, 1.0, delta);
+    ASSERT_FALSE(n_max.ok()) << delta;
+    EXPECT_EQ(n_max.status().code(), common::StatusCode::kOutOfRange);
+  }
+  EXPECT_TRUE(ExactMaxStreams(model, 1.0, kExactMaxStreamsMinTolerance).ok());
+}
+
+TEST(ExactMaxStreamsTest, EqualsSaddlepointAtTheFloorOnEveryPreset) {
+  const struct {
+    disk::DiskGeometry geometry;
+    disk::SeekTimeModel seek;
+  } presets[] = {
+      {disk::QuantumViking2100(), disk::QuantumViking2100Seek()},
+      {disk::SingleZoneViking(), disk::QuantumViking2100Seek()},
+      {disk::SyntheticSmallDisk(), disk::SyntheticSmallDiskSeek()},
+      {disk::SyntheticFastDisk(), disk::SyntheticFastDiskSeek()},
+  };
+  for (const auto& preset : presets) {
+    auto model = ServiceTimeModel::ForMultiZoneDisk(preset.geometry,
+                                                    preset.seek, 200e3, 1e10);
+    ASSERT_TRUE(model.ok());
+    const auto exact =
+        ExactMaxStreams(*model, 1.0, kExactMaxStreamsMinTolerance);
+    ASSERT_TRUE(exact.ok());
+    EXPECT_EQ(*exact, SaddlepointMaxStreams(*model, 1.0,
+                                            kExactMaxStreamsMinTolerance))
+        << preset.geometry.cylinders();
+  }
 }
 
 }  // namespace
