@@ -15,9 +15,9 @@
 #include "common/table_printer.h"
 #include "core/admission.h"
 #include "core/baselines.h"
+#include "core/exact_tail.h"
 #include "core/saddlepoint.h"
 #include "core/transfer_models.h"
-#include "core/transform_inversion.h"
 
 namespace zonestream {
 namespace {
@@ -72,7 +72,7 @@ void RunBoundAblation() {
   nmax.AddRow({"chernoff (exact transform)",
                std::to_string(core::MaxStreamsByLateProbability(
                    *exact_model, bench::kRoundLengthS, 0.01))});
-  nmax.AddRow({"model-exact (transform inversion)",
+  nmax.AddRow({"model-exact (Irwin-Hall integral)",
                std::to_string(*core::ExactMaxStreams(
                    model, bench::kRoundLengthS, 0.01))});
   nmax.AddRow({"saddlepoint (estimate, not a bound)",

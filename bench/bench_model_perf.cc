@@ -23,6 +23,7 @@
 #include "bench/bench_common.h"
 #include "common/thread_pool.h"
 #include "core/admission.h"
+#include "core/exact_tail.h"
 #include "core/glitch_model.h"
 #include "core/snc.h"
 #include "fault/fault_model.h"
@@ -68,6 +69,28 @@ void BM_SncMaxStreams(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SncMaxStreams);
+
+// The model-exact tail (core/exact_tail.h): one p_late at the paper's
+// N = 26, one where the Table 1 tail is already 1, and the limit search
+// at delta = 1%, which evaluates n = 1 … 29.
+void BM_ExactLateProbability(benchmark::State& state) {
+  const core::ServiceTimeModel model = bench::Table1Model();
+  const int n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::ExactLateProbability(model, n, bench::kRoundLengthS).value());
+  }
+}
+BENCHMARK(BM_ExactLateProbability)->Arg(26)->Arg(300);
+
+void BM_ExactMaxStreams(benchmark::State& state) {
+  const core::ServiceTimeModel model = bench::Table1Model();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::ExactMaxStreams(model, bench::kRoundLengthS, 0.01).value());
+  }
+}
+BENCHMARK(BM_ExactMaxStreams);
 
 void BM_ErrorBound(benchmark::State& state) {
   const core::ServiceTimeModel model = bench::Table1Model();

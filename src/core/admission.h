@@ -28,7 +28,7 @@ namespace zonestream::core {
 // Structured reason for an admission query with no meaningful finite
 // answer. Every N_max search (MaxStreamsWithin below, and through it the
 // MaxStreams* family here and in baselines.h, saddlepoint.h, snc.h,
-// transform_inversion.h and multiclass.h) returns the sentinel 0 for such
+// exact_tail.h and multiclass.h) returns the sentinel 0 for such
 // queries instead of crashing (t <= 0) or scanning to n_cap and reporting
 // a misleading large N (delta >= 1, NaN tolerance).
 enum class AdmissionQueryError {

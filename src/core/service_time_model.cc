@@ -135,28 +135,6 @@ ChernoffResult ServiceTimeModel::LateBound(int n, double t,
   return ChernoffTailBound(log_mgf, transfer_->theta_max(), t, options);
 }
 
-std::complex<double> ServiceTimeModel::CharacteristicFunction(
-    int n, double u) const {
-  ZS_CHECK_GE(n, 0);
-  const std::complex<double> i_unit(0.0, 1.0);
-  // Seek component: e^{iu SEEK(n)}.
-  std::complex<double> cf = std::exp(i_unit * (u * SeekBound(n)));
-  // Rotational component: ((e^{iuR} - 1)/(iuR))^n, with a series fallback
-  // near u = 0.
-  const double x = u * rotation_time_s_;
-  std::complex<double> rot;
-  if (std::fabs(x) < 1e-6) {
-    rot = std::complex<double>(1.0 - x * x / 6.0, x / 2.0);
-  } else {
-    const std::complex<double> iux(0.0, x);
-    rot = (std::exp(iux) - 1.0) / iux;
-  }
-  cf *= std::pow(rot, n);
-  // Transfer component.
-  cf *= std::pow(transfer_->Cf(u), n);
-  return cf;
-}
-
 ServiceTimeMoments ServiceTimeModel::Moments(int n) const {
   ZS_CHECK_GE(n, 0);
   const double nn = static_cast<double>(n);

@@ -10,7 +10,6 @@
 #ifndef ZONESTREAM_CORE_SERVICE_TIME_MODEL_H_
 #define ZONESTREAM_CORE_SERVICE_TIME_MODEL_H_
 
-#include <complex>
 #include <memory>
 
 #include "common/status.h"
@@ -91,16 +90,6 @@ class ServiceTimeModel {
   // `options` tunes the minimization (warm-start hints for scans over n).
   ChernoffResult LateBound(int n, double t,
                            const ChernoffOptions& options = {}) const;
-
-  // Whether the transfer model exposes a characteristic function (needed
-  // by the exact transform-inversion extension).
-  bool has_cf() const { return transfer_->has_cf(); }
-
-  // Characteristic function E[e^{iu T_n}] (eq. 3.1.4 at s = -iu). Only
-  // valid if has_cf(). Always uses the deterministic equidistant seek
-  // term (the transform-inversion extension models SEEK(n) as a
-  // constant), regardless of seek_bound_kind().
-  std::complex<double> CharacteristicFunction(int n, double u) const;
 
   // Mean/variance of T_n. Exact in equidistant mode; in Bachmat mode the
   // seek contribution is the expected uniform-placement seek total with

@@ -6,13 +6,6 @@
 
 namespace zonestream::core {
 
-std::complex<double> TransferModel::Cf(double /*u*/) const {
-  // has_cf() was false; callers must check before calling.
-  common::FatalCheckFailure(__FILE__, __LINE__,
-                            "Cf() called on a transfer model without a "
-                            "characteristic function");
-}
-
 // ---------------------------------------------------------------------------
 // GammaTransferModel
 
@@ -97,12 +90,6 @@ double GammaTransferModel::LogMgf(double theta) const {
   ZS_CHECK_LT(theta, alpha_);
   // log (alpha/(alpha-theta))^beta, eq. (3.1.3) at s = -theta.
   return -beta_ * std::log1p(-theta / alpha_);
-}
-
-std::complex<double> GammaTransferModel::Cf(double u) const {
-  // (1 - iu/alpha)^{-beta} = exp(-beta log(1 - iu/alpha)).
-  const std::complex<double> one_minus(1.0, -u / alpha_);
-  return std::exp(-beta_ * std::log(one_minus));
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@
 #ifndef ZONESTREAM_CORE_TRANSFER_MODELS_H_
 #define ZONESTREAM_CORE_TRANSFER_MODELS_H_
 
-#include <complex>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,13 +34,6 @@ class TransferModel {
 
   // Supremum of the admissible θ domain (may be +infinity).
   virtual double theta_max() const = 0;
-
-  // Whether Cf() is implemented (needed by the exact transform-inversion
-  // extension; the Gamma models implement it).
-  virtual bool has_cf() const { return false; }
-
-  // Characteristic function E[e^{iu T_trans}]. Only valid if has_cf().
-  virtual std::complex<double> Cf(double u) const;
 };
 
 // Gamma transfer time with rate alpha = mean/variance (1/seconds) and shape
@@ -79,9 +71,6 @@ class GammaTransferModel final : public TransferModel {
   double variance() const override { return beta_ / (alpha_ * alpha_); }
   double LogMgf(double theta) const override;
   double theta_max() const override { return alpha_; }
-  bool has_cf() const override { return true; }
-  // (1 - iu/alpha)^{-beta}.
-  std::complex<double> Cf(double u) const override;
 
   // Rate parameter alpha (1/seconds) and shape beta.
   double alpha() const { return alpha_; }

@@ -1,8 +1,6 @@
 #include "numeric/quadrature.h"
 
-#include <array>
 #include <cmath>
-#include <map>
 #include <vector>
 
 #include "common/check.h"
@@ -10,55 +8,11 @@
 namespace zonestream::numeric {
 namespace {
 
-struct SimpsonState {
-  const std::function<double(double)>* f;
-  double abs_tol;
-  double rel_tol;
-  int evaluations;
-  bool converged;
-};
-
-// One panel of Simpson's rule over [a, b] with midpoint m and cached values.
-double SimpsonPanel(double fa, double fm, double fb, double a, double b) {
-  return (b - a) / 6.0 * (fa + 4.0 * fm + fb);
-}
-
-double AdaptiveSimpsonRecurse(SimpsonState* state, double a, double m,
-                              double b, double fa, double fm, double fb,
-                              double whole, int depth, int forced_depth) {
-  const double lm = 0.5 * (a + m);
-  const double rm = 0.5 * (m + b);
-  const double flm = (*state->f)(lm);
-  const double frm = (*state->f)(rm);
-  state->evaluations += 2;
-  const double left = SimpsonPanel(fa, flm, fm, a, m);
-  const double right = SimpsonPanel(fm, frm, fb, m, b);
-  const double delta = left + right - whole;
-  const double tol =
-      std::fmax(state->abs_tol, state->rel_tol * std::fabs(left + right));
-  if (depth <= 0) {
-    state->converged = false;
-    return left + right + delta / 15.0;
-  }
-  if (forced_depth <= 0 && std::fabs(delta) <= 15.0 * tol) {
-    return left + right + delta / 15.0;  // Richardson extrapolation
-  }
-  return AdaptiveSimpsonRecurse(state, a, lm, m, fa, flm, fm, left, depth - 1,
-                                forced_depth - 1) +
-         AdaptiveSimpsonRecurse(state, m, rm, b, fm, frm, fb, right,
-                                depth - 1, forced_depth - 1);
-}
-
 // Computes Gauss-Legendre nodes and weights on [-1, 1] by Newton iteration
 // on the Legendre polynomial P_n (roots are bracketed by the Chebyshev-like
 // initial guess cos(pi*(i - 0.25)/(n + 0.5))).
-struct NodesWeights {
-  std::vector<double> nodes;
-  std::vector<double> weights;
-};
-
-NodesWeights ComputeGaussLegendre(int n) {
-  NodesWeights nw;
+GaussLegendreNodes ComputeGaussLegendre(int n) {
+  GaussLegendreNodes nw;
   nw.nodes.resize(n);
   nw.weights.resize(n);
   const int m = (n + 1) / 2;
@@ -89,49 +43,30 @@ NodesWeights ComputeGaussLegendre(int n) {
   return nw;
 }
 
-const NodesWeights& CachedGaussLegendre(int order) {
-  static std::map<int, NodesWeights>& cache =
-      *new std::map<int, NodesWeights>();
-  auto it = cache.find(order);
-  if (it == cache.end()) {
-    it = cache.emplace(order, ComputeGaussLegendre(order)).first;
-  }
-  return it->second;
+template <int kOrder>
+const GaussLegendreNodes& Rule() {
+  static const GaussLegendreNodes rule = ComputeGaussLegendre(kOrder);
+  return rule;
 }
 
 }  // namespace
 
-IntegrateResult AdaptiveSimpson(const std::function<double(double)>& f,
-                                double a, double b, double abs_tol,
-                                double rel_tol, int max_depth,
-                                int min_depth) {
-  ZS_CHECK_LE(a, b);
-  ZS_CHECK_LE(min_depth, max_depth);
-  IntegrateResult result;
-  if (a == b) {
-    result.converged = true;
-    return result;
+const GaussLegendreNodes& GaussLegendreRule(int order) {
+  switch (order) {
+    case 8:
+      return Rule<8>();
+    case 16:
+      return Rule<16>();
+    case 32:
+      return Rule<32>();
   }
-  SimpsonState state{&f, abs_tol, rel_tol, 0, true};
-  const double m = 0.5 * (a + b);
-  const double fa = f(a);
-  const double fm = f(m);
-  const double fb = f(b);
-  state.evaluations = 3;
-  const double whole = SimpsonPanel(fa, fm, fb, a, b);
-  result.value = AdaptiveSimpsonRecurse(&state, a, m, b, fa, fm, fb, whole,
-                                        max_depth, min_depth);
-  result.evaluations = state.evaluations;
-  result.converged = state.converged;
-  result.error_estimate =
-      std::fmax(abs_tol, rel_tol * std::fabs(result.value));
-  return result;
+  common::FatalCheckFailure(__FILE__, __LINE__,
+                            "unsupported Gauss-Legendre order");
 }
 
 double GaussLegendre(const std::function<double(double)>& f, double a,
                      double b, int order) {
-  ZS_CHECK(order == 8 || order == 16 || order == 32);
-  const NodesWeights& nw = CachedGaussLegendre(order);
+  const GaussLegendreNodes& nw = GaussLegendreRule(order);
   const double half = 0.5 * (b - a);
   const double mid = 0.5 * (a + b);
   double sum = 0.0;

@@ -1,32 +1,26 @@
 // Numerical integration. Used to (a) compute exact moments of the
 // multi-zone transfer-time density f_trans (eq. 3.2.7) for validating the
-// paper's moment-matched Gamma approximation, and (b) evaluate empirical
+// paper's moment-matched Gamma approximation, (b) evaluate empirical
 // moment generating functions for size distributions without a closed-form
-// transform (Lognormal, truncated Pareto).
+// transform (Lognormal, truncated Pareto), and (c) integrate the exact
+// model tail against the Irwin-Hall density (core/exact_tail.h).
 #ifndef ZONESTREAM_NUMERIC_QUADRATURE_H_
 #define ZONESTREAM_NUMERIC_QUADRATURE_H_
 
 #include <functional>
+#include <vector>
 
 namespace zonestream::numeric {
 
-// Result of an adaptive integration.
-struct IntegrateResult {
-  double value = 0.0;
-  double error_estimate = 0.0;
-  int evaluations = 0;
-  bool converged = false;
+// Gauss-Legendre nodes and weights on [-1, 1], nodes ascending.
+struct GaussLegendreNodes {
+  std::vector<double> nodes;
+  std::vector<double> weights;
 };
 
-// Adaptive Simpson integration of f over [a, b] to absolute/relative
-// tolerance. The first `min_depth` levels subdivide unconditionally so that
-// narrow features inside a wide interval are not missed by the coarse
-// initial samples; recursion depth is bounded and non-convergence is
-// reported, not silently ignored.
-IntegrateResult AdaptiveSimpson(const std::function<double(double)>& f,
-                                double a, double b, double abs_tol = 1e-12,
-                                double rel_tol = 1e-10, int max_depth = 40,
-                                int min_depth = 8);
+// The `order`-point Gauss-Legendre rule. Supported orders: 8, 16, 32.
+// Each rule is computed once, on first use (thread-safe).
+const GaussLegendreNodes& GaussLegendreRule(int order);
 
 // Fixed-order Gauss-Legendre quadrature of f over [a, b]. Supported orders:
 // 8, 16, 32. Exact for polynomials of degree <= 2*order - 1.

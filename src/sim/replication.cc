@@ -1,6 +1,5 @@
 #include "sim/replication.h"
 
-#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -193,76 +192,6 @@ common::StatusOr<numeric::RunningStats> SampleServiceTimesReplicated(
   for (const numeric::RunningStats& stats : per_replication) {
     merged.Merge(stats);
   }
-  return merged;
-}
-
-common::StatusOr<MixedRunResult> RunMixedReplicated(
-    const disk::DiskGeometry& geometry, const disk::SeekTimeModel& seek,
-    int num_continuous,
-    std::shared_ptr<const workload::SizeDistribution> continuous_sizes,
-    std::shared_ptr<const workload::SizeDistribution> discrete_sizes,
-    const MixedSimulatorConfig& config, int rounds_per_replication,
-    const ReplicationOptions& options) {
-  if (auto status = ValidateSharding(options, rounds_per_replication);
-      !status.ok()) {
-    return status;
-  }
-  auto probe = MixedRoundSimulator::Create(geometry, seek, num_continuous,
-                                           continuous_sizes, discrete_sizes,
-                                           config);
-  if (!probe.ok()) return probe.status();
-
-  std::vector<MixedRunResult> per_replication(options.replications);
-  common::ParallelFor(
-      options.replications,
-      [&](int64_t replication) {
-        MixedSimulatorConfig replication_config = config;
-        replication_config.seed = numeric::SubstreamSeed(
-            options.base_seed, static_cast<uint64_t>(replication));
-        auto simulator = MixedRoundSimulator::Create(
-            geometry, seek, num_continuous, continuous_sizes, discrete_sizes,
-            replication_config);
-        ZS_CHECK(simulator.ok());
-        per_replication[replication] =
-            simulator->Run(rounds_per_replication);
-      },
-      options.pool);
-
-  // Fixed-order reduction: counters sum, time statistics combine weighted
-  // by their sample counts, extrema take the max.
-  MixedRunResult merged;
-  double response_weight = 0.0;
-  double leftover_weight = 0.0;
-  for (const MixedRunResult& result : per_replication) {
-    merged.rounds += result.rounds;
-    merged.continuous_requests += result.continuous_requests;
-    merged.continuous_glitches += result.continuous_glitches;
-    merged.discrete_arrivals += result.discrete_arrivals;
-    merged.discrete_completed += result.discrete_completed;
-    merged.max_queue_depth =
-        std::max(merged.max_queue_depth, result.max_queue_depth);
-    const double completed = static_cast<double>(result.discrete_completed);
-    response_weight += completed;
-    merged.mean_response_time_s += completed * result.mean_response_time_s;
-    merged.p95_response_time_s += completed * result.p95_response_time_s;
-    const double rounds = static_cast<double>(result.rounds);
-    leftover_weight += rounds;
-    merged.mean_leftover_s += rounds * result.mean_leftover_s;
-  }
-  merged.continuous_glitch_rate =
-      merged.continuous_requests > 0
-          ? static_cast<double>(merged.continuous_glitches) /
-                static_cast<double>(merged.continuous_requests)
-          : 0.0;
-  merged.mean_discrete_per_round =
-      merged.rounds > 0 ? static_cast<double>(merged.discrete_completed) /
-                              static_cast<double>(merged.rounds)
-                        : 0.0;
-  if (response_weight > 0.0) {
-    merged.mean_response_time_s /= response_weight;
-    merged.p95_response_time_s /= response_weight;
-  }
-  if (leftover_weight > 0.0) merged.mean_leftover_s /= leftover_weight;
   return merged;
 }
 

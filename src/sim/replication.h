@@ -29,7 +29,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "numeric/statistics.h"
-#include "sim/mixed_simulator.h"
 #include "sim/round_simulator.h"
 
 namespace zonestream::sim {
@@ -67,21 +66,6 @@ common::StatusOr<numeric::RunningStats> SampleServiceTimesReplicated(
     const disk::DiskGeometry& geometry, const disk::SeekTimeModel& seek,
     int num_streams, const FragmentSourceFactory& source_factory,
     const SimulatorConfig& config, int rounds_per_replication,
-    const ReplicationOptions& options);
-
-// Replicated mixed continuous+discrete run. Counters are summed and the
-// time statistics merged by weighted combination in replication order;
-// p95_response_time_s is the completion-weighted mean of the
-// per-replication p95s (each replication is an independent queue history,
-// so pooling raw samples across replications would mix distinct
-// stationary regimes anyway); max_queue_depth is the max over
-// replications.
-common::StatusOr<MixedRunResult> RunMixedReplicated(
-    const disk::DiskGeometry& geometry, const disk::SeekTimeModel& seek,
-    int num_continuous,
-    std::shared_ptr<const workload::SizeDistribution> continuous_sizes,
-    std::shared_ptr<const workload::SizeDistribution> discrete_sizes,
-    const MixedSimulatorConfig& config, int rounds_per_replication,
     const ReplicationOptions& options);
 
 }  // namespace zonestream::sim

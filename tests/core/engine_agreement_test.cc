@@ -11,7 +11,11 @@
 //   * the Bachmat seek bound never admits fewer streams than the
 //     equidistant one (min-clamp construction);
 //   * every engine's p(n) is nondecreasing in n, which the one
-//     first-violation search (MaxStreamsWithin) relies on.
+//     first-violation search (MaxStreamsWithin) relies on;
+//   * the model-exact tail lies under both bounds, Chernoff and Cantelli,
+//     its limit is never below Chernoff's and within one of the
+//     saddlepoint's, and the saddlepoint estimate stays within 5% of it
+//     in the deep tail.
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -22,6 +26,7 @@
 
 #include "core/admission.h"
 #include "core/baselines.h"
+#include "core/exact_tail.h"
 #include "core/glitch_model.h"
 #include "core/late_bound_scan.h"
 #include "core/saddlepoint.h"
@@ -75,6 +80,8 @@ TEST(EngineAgreementTest, AllEnginesConsistentAcrossPresetGrid) {
       const int chernoff_bachmat =
           MaxStreamsByLateProbability(bachmat, kRoundLength, delta);
       const int snc_bachmat = SncMaxStreams(bachmat, kRoundLength, delta);
+      const auto exact = ExactMaxStreams(*model, kRoundLength, delta);
+      ASSERT_TRUE(exact.ok()) << preset.name;
 
       EXPECT_LE(std::abs(snc - chernoff), 1)
           << preset.name << " delta=" << delta << " snc=" << snc
@@ -84,7 +91,11 @@ TEST(EngineAgreementTest, AllEnginesConsistentAcrossPresetGrid) {
           << preset.name << " delta=" << delta;
       EXPECT_LE(std::abs(snc_bachmat - chernoff_bachmat), 1)
           << preset.name << " delta=" << delta;
-      for (int n_max : {chernoff, snc, saddle, chernoff_bachmat}) {
+      EXPECT_GE(*exact, chernoff) << preset.name << " delta=" << delta;
+      EXPECT_LE(std::abs(*exact - saddle), 1)
+          << preset.name << " delta=" << delta << " exact=" << *exact
+          << " saddle=" << saddle;
+      for (int n_max : {chernoff, snc, saddle, chernoff_bachmat, *exact}) {
         EXPECT_GE(n_max, worst_case)
             << preset.name << " delta=" << delta << " n_max=" << n_max;
       }
@@ -97,9 +108,9 @@ TEST(EngineAgreementTest, AllEnginesConsistentAcrossPresetGrid) {
 // Check every engine it serves, over presets x size laws x t, from n = 1
 // to 3 past the largest limit any engine admits at delta = 0.05. The
 // Chernoff-family values come from warm scans, as the searches see them.
-// Only the Gil-Pelaez engine is non-monotone (below its noise floor; see
-// transform_inversion.h), which is why ExactMaxStreams refuses small
-// tolerances.
+// The same pass holds the model-exact tail under b_late and the Cantelli
+// bound, and the saddlepoint estimate within 5% of it wherever the tail
+// lies in [1e-12, 1e-3] (3.9% at most on this grid).
 TEST(EngineAgreementTest, EveryEngineQualityIsNondecreasingInN) {
   constexpr double kDelta = 0.05;
   constexpr int kRounds = 1200;
@@ -168,7 +179,16 @@ TEST(EngineAgreementTest, EveryEngineQualityIsNondecreasingInN) {
                  [&](int n) {
                    return degraded.LateBound(2 * n + kRepairRequests).bound;
                  }},
+                {"exact",
+                 [&](int n) {
+                   return ExactLateProbability(*model, n, t).value();
+                 }},
             };
+        // Positions in `engines` of the values compared across engines.
+        constexpr size_t kChernoff = 0;
+        constexpr size_t kSaddlepoint = 3;
+        constexpr size_t kCantelli = 5;
+        constexpr size_t kExact = 8;
         std::vector<double> previous(engines.size());
         for (int n = 1; n <= n_top; ++n) {
           for (size_t e = 0; e < engines.size(); ++e) {
@@ -179,6 +199,18 @@ TEST(EngineAgreementTest, EveryEngineQualityIsNondecreasingInN) {
                   << law.mean_bytes << " t=" << t << " n=" << n;
             }
             previous[e] = p;
+          }
+          const double exact = previous[kExact];
+          EXPECT_LE(exact, previous[kChernoff])
+              << preset.name << " mean=" << law.mean_bytes << " t=" << t
+              << " n=" << n;
+          EXPECT_LE(exact, previous[kCantelli])
+              << preset.name << " mean=" << law.mean_bytes << " t=" << t
+              << " n=" << n;
+          if (exact >= 1e-12 && exact <= 1e-3) {
+            EXPECT_NEAR(previous[kSaddlepoint], exact, 0.05 * exact)
+                << preset.name << " mean=" << law.mean_bytes << " t=" << t
+                << " n=" << n;
           }
           if (n > 1) ++steps;
         }

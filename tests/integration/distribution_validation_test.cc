@@ -1,5 +1,5 @@
-// Distribution-level validation: the model's T_N law (via exact transform
-// inversion) against the simulated service-time distribution, across
+// Distribution-level validation: the model's T_N law (via its exact tail,
+// core/exact_tail.h) against the simulated service-time distribution, across
 // quantiles — a much stronger check than comparing a single tail point.
 #include <algorithm>
 #include <memory>
@@ -7,8 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/exact_tail.h"
 #include "core/service_time_model.h"
-#include "core/transform_inversion.h"
 #include "disk/presets.h"
 #include "sched/oyang_bound.h"
 #include "sim/round_simulator.h"
@@ -50,7 +50,7 @@ TEST(DistributionValidationTest, ModelCdfBracketsSimulatedServiceTimes) {
   }
   std::sort(samples.begin(), samples.end());
 
-  // Model quantile via bisection on the inverted CDF.
+  // Model quantile via bisection on the exact CDF.
   const auto model_tail = [&](double x) {
     return *core::ExactLateProbability(*model, n, x);
   };

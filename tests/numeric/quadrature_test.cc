@@ -7,38 +7,6 @@
 namespace zonestream::numeric {
 namespace {
 
-TEST(AdaptiveSimpsonTest, Polynomial) {
-  // ∫_0^1 x^3 dx = 1/4 (Simpson is exact for cubics).
-  const IntegrateResult result =
-      AdaptiveSimpson([](double x) { return x * x * x; }, 0.0, 1.0);
-  EXPECT_TRUE(result.converged);
-  EXPECT_NEAR(result.value, 0.25, 1e-12);
-}
-
-TEST(AdaptiveSimpsonTest, EmptyInterval) {
-  const IntegrateResult result =
-      AdaptiveSimpson([](double x) { return x; }, 2.0, 2.0);
-  EXPECT_TRUE(result.converged);
-  EXPECT_DOUBLE_EQ(result.value, 0.0);
-}
-
-TEST(AdaptiveSimpsonTest, Exponential) {
-  const IntegrateResult result =
-      AdaptiveSimpson([](double x) { return std::exp(x); }, 0.0, 2.0);
-  EXPECT_TRUE(result.converged);
-  EXPECT_NEAR(result.value, std::exp(2.0) - 1.0, 1e-9);
-}
-
-TEST(AdaptiveSimpsonTest, PeakedIntegrand) {
-  // Narrow Gaussian bump inside a wide interval: adaptivity must find it.
-  const auto f = [](double x) {
-    return std::exp(-500.0 * (x - 0.37) * (x - 0.37));
-  };
-  const IntegrateResult result = AdaptiveSimpson(f, 0.0, 10.0, 1e-12, 1e-10);
-  EXPECT_TRUE(result.converged);
-  EXPECT_NEAR(result.value, std::sqrt(M_PI / 500.0), 1e-8);
-}
-
 class GaussLegendreOrderTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(GaussLegendreOrderTest, ExactForMatchingPolynomialDegree) {
@@ -48,6 +16,24 @@ TEST_P(GaussLegendreOrderTest, ExactForMatchingPolynomialDegree) {
   const auto f = [degree](double x) { return std::pow(x, degree); };
   // ∫_0^1 x^d dx = 1/(d+1).
   EXPECT_NEAR(GaussLegendre(f, 0.0, 1.0, order), 1.0 / (degree + 1), 1e-12);
+}
+
+TEST_P(GaussLegendreOrderTest, RuleIsSymmetricWithWeightsSummingToTwo) {
+  const int order = GetParam();
+  const GaussLegendreNodes& rule = GaussLegendreRule(order);
+  EXPECT_EQ(&rule, &GaussLegendreRule(order));
+  ASSERT_EQ(rule.nodes.size(), static_cast<size_t>(order));
+  ASSERT_EQ(rule.weights.size(), static_cast<size_t>(order));
+  double weight_sum = 0.0;
+  for (int i = 0; i < order; ++i) {
+    if (i > 0) {
+      EXPECT_LT(rule.nodes[i - 1], rule.nodes[i]);
+    }
+    EXPECT_EQ(rule.nodes[i], -rule.nodes[order - 1 - i]);
+    EXPECT_GT(rule.weights[i], 0.0);
+    weight_sum += rule.weights[i];
+  }
+  EXPECT_NEAR(weight_sum, 2.0, 1e-14);
 }
 
 TEST_P(GaussLegendreOrderTest, SineIntegral) {
@@ -73,11 +59,12 @@ TEST(CompositeGaussLegendreTest, MatchesAnalyticGammaDensityIntegral) {
   EXPECT_NEAR(integral, 1.0, 1e-9);
 }
 
-TEST(CompositeGaussLegendreTest, AgreesWithAdaptiveSimpson) {
+TEST(CompositeGaussLegendreTest, MatchesClosedFormDampedCosine) {
+  // ∫_0^8 e^{-x} cos 3x dx = (1 + e^{-8}(3 sin 24 - cos 24)) / 10.
   const auto f = [](double x) { return std::exp(-x) * std::cos(3.0 * x); };
-  const double composite = CompositeGaussLegendre(f, 0.0, 8.0, 16);
-  const double simpson = AdaptiveSimpson(f, 0.0, 8.0).value;
-  EXPECT_NEAR(composite, simpson, 1e-9);
+  const double exact =
+      (1.0 + std::exp(-8.0) * (3.0 * std::sin(24.0) - std::cos(24.0))) / 10.0;
+  EXPECT_NEAR(CompositeGaussLegendre(f, 0.0, 8.0, 16), exact, 1e-13);
 }
 
 }  // namespace

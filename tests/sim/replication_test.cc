@@ -106,41 +106,6 @@ TEST(ReplicationTest, ServiceTimeStatsBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(parallel->count(), reference->count());
 }
 
-TEST(ReplicationTest, MixedRunBitIdenticalAcrossThreadCounts) {
-  common::ThreadPool one(1);
-  MixedSimulatorConfig config;
-  config.round_length_s = 1.0;
-  config.discrete_arrival_rate_hz = 5.0;
-  ReplicationOptions options;
-  options.replications = 10;
-  options.pool = &one;
-  const auto reference = RunMixedReplicated(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 20,
-      TestSizes(), TestSizes(), config, /*rounds_per_replication=*/20,
-      options);
-  ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(reference->rounds, int64_t{10} * 20);
-
-  common::ThreadPool eight(8);
-  options.pool = &eight;
-  const auto parallel = RunMixedReplicated(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 20,
-      TestSizes(), TestSizes(), config, 20, options);
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ(parallel->rounds, reference->rounds);
-  EXPECT_EQ(parallel->continuous_requests, reference->continuous_requests);
-  EXPECT_EQ(parallel->continuous_glitches, reference->continuous_glitches);
-  EXPECT_EQ(parallel->continuous_glitch_rate,
-            reference->continuous_glitch_rate);
-  EXPECT_EQ(parallel->discrete_arrivals, reference->discrete_arrivals);
-  EXPECT_EQ(parallel->discrete_completed, reference->discrete_completed);
-  EXPECT_EQ(parallel->mean_discrete_per_round,
-            reference->mean_discrete_per_round);
-  EXPECT_EQ(parallel->mean_response_time_s, reference->mean_response_time_s);
-  EXPECT_EQ(parallel->p95_response_time_s, reference->p95_response_time_s);
-  EXPECT_EQ(parallel->max_queue_depth, reference->max_queue_depth);
-}
-
 TEST(ReplicationTest, DistinctSubstreamsProduceDistinctSamplePaths) {
   // Replications must not accidentally share a seed. If substream 1
   // duplicated substream 0, the two-replication pooled mean would equal
