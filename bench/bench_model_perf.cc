@@ -26,6 +26,7 @@
 #include "core/exact_tail.h"
 #include "core/glitch_model.h"
 #include "core/snc.h"
+#include "disk/position_sampler.h"
 #include "fault/fault_model.h"
 #include "numeric/special_functions.h"
 #include "obs/metrics.h"
@@ -166,9 +167,10 @@ void BM_SimulatedRoundScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatedRoundScalar)->Arg(26);
 
-// One O(1) alias-table zone draw on the Table 1 geometry (the batched
-// kernel's inner sampler; compare with the binary-search draw inside
-// BM_SimulatedRoundScalar's position sampling).
+// One scalar O(1) alias-table zone draw on the Table 1 geometry. No round
+// kernel runs it: they draw whole batches (BM_ZonePositionSample below).
+// Compare with the binary-search draw inside BM_SimulatedRoundScalar's
+// position sampling.
 void BM_ZoneSampleAlias(benchmark::State& state) {
   const disk::DiskGeometry geometry = disk::QuantumViking2100();
   numeric::Rng rng(1);
@@ -177,6 +179,27 @@ void BM_ZoneSampleAlias(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ZoneSampleAlias);
+
+// One round's worth (arg) of fragment positions with their zone rates
+// through the batched sampler, the call every round executor makes on
+// its two uniform batches; reported per batch.
+void BM_ZonePositionSample(benchmark::State& state) {
+  const disk::DiskGeometry geometry = disk::QuantumViking2100();
+  const disk::ZonePositionSampler sampler(geometry);
+  const size_t n = static_cast<size_t>(state.range(0));
+  numeric::Rng rng(1);
+  std::vector<double> u(2 * n);
+  rng.FillUniform01(u.data(), u.size());
+  std::vector<int> zone(n);
+  std::vector<int> cylinder(n);
+  std::vector<double> rate(n);
+  for (auto _ : state) {
+    sampler.Sample(u.data(), u.data() + n, n, zone.data(), cylinder.data(),
+                   rate.data());
+    benchmark::DoNotOptimize(rate.data());
+  }
+}
+BENCHMARK(BM_ZonePositionSample)->Arg(26);
 
 // One round's worth (arg) of Gamma fragment sizes through the cached
 // Marsaglia–Tsang batch sampler; reported per batch.

@@ -1,5 +1,6 @@
 #include "core/exact_tail.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -43,6 +44,23 @@ void IrwinHallPieces(int n, double s, double* density) {
   }
 }
 
+double IrwinHallPiece(int n, double s, int piece, double* density) {
+  // IrwinHallPieces' updates, restricted to the entries M_n(piece + s)
+  // depends on: at level k, j in [piece − (n − k), piece].
+  density[0] = 1.0;
+  for (int j = 1; j <= piece; ++j) density[j] = 0.0;
+  for (int k = 2; k <= n; ++k) {
+    const double inverse = 1.0 / (k - 1);
+    const int lowest = piece - (n - k);
+    for (int j = std::min(k - 1, piece); j >= std::max(lowest, 1); --j) {
+      density[j] =
+          ((j + s) * density[j] + (k - j - s) * density[j - 1]) * inverse;
+    }
+    if (lowest <= 0) density[0] *= s * inverse;
+  }
+  return density[piece];
+}
+
 common::StatusOr<double> ExactLateProbability(const ServiceTimeModel& model,
                                               int n, double t) {
   if (n <= 0) {
@@ -83,11 +101,12 @@ common::StatusOr<double> ExactLateProbability(const ServiceTimeModel& model,
     for (int i = 0; i < kOrder; ++i) {
       const double s = 0.5 + 0.5 * rule.nodes[i];
       const double weight = 0.5 * rule.weights[i];
-      IrwinHallPieces(n, below * s, density.data());
-      tail += below * weight * density[kink_piece] *
+      tail += below * weight *
+              IrwinHallPiece(n, below * s, kink_piece, density.data()) *
               transfer_tail(kink_piece + below * s);
-      IrwinHallPieces(n, below + (1.0 - below) * s, density.data());
-      tail += (1.0 - below) * weight * density[kink_piece];
+      tail += (1.0 - below) * weight *
+              IrwinHallPiece(n, below + (1.0 - below) * s, kink_piece,
+                             density.data());
     }
   }
   // The rule's mass error (below 1e-13) can lift a certain tail past 1.

@@ -6,10 +6,12 @@
 // batched kernel, the ImportanceSampler (on a tilted zone law for its
 // measured round), MixedRoundSimulator's continuous sweep and MediaServer —
 // so the draw lives here once. The alias table and the zone table are
-// copied into structure-of-arrays columns at construction. On the AVX-512
-// tier (numeric/simd.h) zone choice and cylinder offset become per-lane
-// gathers and blends instead of a data-dependent branch per request; the
-// AVX2 tier runs the scalar loop, which beat a 4-lane gather kernel about
+// copied into structure-of-arrays columns at construction, padded to 32
+// entries. On the AVX-512 tier (numeric/simd.h) a law of at most 32 zones
+// (every preset has at most 30) keeps each column in registers, and zone
+// choice and cylinder offset become per-lane permutes and blends instead
+// of a data-dependent branch per request. Laws with more zones, and the
+// AVX2 tier, run the scalar loop, which beat a 4-lane gather kernel about
 // 3× (docs/PERFORMANCE.md). Both reproduce the scalar expressions of
 // AliasTable::Sample and the offset clamp bit for bit
 // (tests/disk/position_sampler_test.cc).
@@ -48,10 +50,11 @@ class ZonePositionSampler {
               int* zone, int* cylinder, double* rate_bps) const;
 
  private:
-  // Alias buckets.
+  size_t zones_ = 0;
+  // Alias buckets, then zones; each column is padded with unused entries
+  // to the AVX-512 tier's register tables (position_sampler.cc).
   std::vector<double> threshold_;
   std::vector<int32_t> alias_;
-  // Zones.
   std::vector<int32_t> first_cylinder_;
   std::vector<int32_t> last_offset_;  // cylinders - 1
   std::vector<double> cylinders_;

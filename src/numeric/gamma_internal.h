@@ -4,6 +4,12 @@
 // back to the EXACT scalar routines — lane deviations must consume the
 // engine word-for-word like the scalar path, or the sequences diverge.
 //
+// Both routines are templates over a word source: anything whose
+// operator() yields the next raw 64-bit engine word. The scalar loop
+// passes the engine itself (Mt19937_64); the wide sampler passes its
+// window of peeked words, so a deviating lane's redraw reads the same
+// words in the same order through the one scalar routine.
+//
 // Everything here is an implementation detail of GammaBatchSampler; do
 // not call it directly.
 #ifndef ZONESTREAM_NUMERIC_GAMMA_INTERNAL_H_
@@ -11,8 +17,6 @@
 
 #include <cmath>
 #include <cstdint>
-
-#include "numeric/random.h"
 
 namespace zonestream::numeric::internal {
 
@@ -29,9 +33,15 @@ struct ZigguratTables {
 
 const ZigguratTables& NormalZiggurat();
 
-inline double ZigguratNormal(Rng* rng, const ZigguratTables& t) {
+// Rng::Uniform01's conversion of one engine word to [0, 1).
+inline double UniformFromWord(uint64_t word) {
+  return static_cast<double>(word >> 11) * 0x1.0p-53;
+}
+
+template <typename Words>
+inline double ZigguratNormal(Words& words, const ZigguratTables& t) {
   for (;;) {
-    const uint64_t bits = rng->engine()();
+    const uint64_t bits = words();
     const int i = static_cast<int>(bits & 127u);
     // Signed uniform in [-1, 1) from the high 53 bits (disjoint from the
     // layer bits).
@@ -45,13 +55,13 @@ inline double ZigguratNormal(Rng* rng, const ZigguratTables& t) {
       double xx;
       double yy;
       do {
-        xx = -std::log(rng->Uniform01()) / r;
-        yy = -std::log(rng->Uniform01());
+        xx = -std::log(UniformFromWord(words())) / r;
+        yy = -std::log(UniformFromWord(words()));
       } while (yy + yy < xx * xx);
       return u < 0.0 ? -(r + xx) : r + xx;
     }
     // Wedge between the layer cap and the density.
-    if (t.f[i] + rng->Uniform01() * (t.f[i + 1] - t.f[i]) <
+    if (t.f[i] + UniformFromWord(words()) * (t.f[i + 1] - t.f[i]) <
         std::exp(-0.5 * x * x)) {
       return x;
     }
@@ -59,17 +69,18 @@ inline double ZigguratNormal(Rng* rng, const ZigguratTables& t) {
 }
 
 // One Marsaglia–Tsang Gamma(d + 1/3, 1) draw given cached (d, c).
-inline double MarsagliaTsangDraw(Rng* rng, const ZigguratTables& t, double d,
-                                 double c) {
+template <typename Words>
+inline double MarsagliaTsangDraw(Words& words, const ZigguratTables& t,
+                                 double d, double c) {
   for (;;) {
     double x;
     double v;
     do {
-      x = ZigguratNormal(rng, t);
+      x = ZigguratNormal(words, t);
       v = 1.0 + c * x;
     } while (v <= 0.0);
     v = v * v * v;
-    const double u = rng->Uniform01();
+    const double u = UniformFromWord(words());
     const double x2 = x * x;
     // Cheap squeeze first, exact log acceptance second.
     if (u < 1.0 - 0.0331 * x2 * x2) return d * v;

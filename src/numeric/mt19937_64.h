@@ -16,14 +16,16 @@
 //    compiler can vectorize.
 //
 //  * PeekRaw()/AdvanceRaw(): bounded lookahead with exact replay. The
-//    speculative SIMD Gamma sampler (numeric/random_simd.h) evaluates
-//    eight rejection-sampling candidates at once; candidates past the
-//    first rejection must NOT consume engine words, or the sequence
-//    would diverge from the scalar sampler. PeekRaw exposes the next k
-//    words without committing; AdvanceRaw commits exactly the words the
-//    accepted prefix used. Lookahead across the 312-word block boundary
-//    is served from a lazily twisted shadow block, so peeking never
-//    perturbs the committed stream position.
+//    speculative SIMD Gamma sampler (numeric/random_simd.h) is the one
+//    caller: it peeks a window of 2n + 16 words for a batch of n draws,
+//    at most kMaxPeek, evaluates rejection-sampling candidates on it
+//    speculatively, and words past what the walk actually read must NOT
+//    be consumed, or the sequence would diverge from the scalar sampler.
+//    PeekRaw exposes the next k words without committing; AdvanceRaw
+//    commits exactly the words the walk read, once per window. Lookahead
+//    across the 312-word block boundary is served from a lazily twisted
+//    shadow block, so peeking never perturbs the committed stream
+//    position.
 #ifndef ZONESTREAM_NUMERIC_MT19937_64_H_
 #define ZONESTREAM_NUMERIC_MT19937_64_H_
 

@@ -186,12 +186,14 @@ void GammaBatchSampler::Fill(Rng* rng, double* out, size_t n) const {
       return;
     }
     for (size_t i = 0; i < n; ++i) {
-      out[i] = scale_ * internal::MarsagliaTsangDraw(rng, tables, d_, c_);
+      out[i] = scale_ *
+               internal::MarsagliaTsangDraw(rng->engine(), tables, d_, c_);
     }
   } else {
     // shape < 1: Gamma(shape) = Gamma(shape + 1) * U^{1/shape}.
     for (size_t i = 0; i < n; ++i) {
-      const double g = internal::MarsagliaTsangDraw(rng, tables, d_, c_);
+      const double g =
+          internal::MarsagliaTsangDraw(rng->engine(), tables, d_, c_);
       out[i] = scale_ * g * std::pow(rng->Uniform01(), inv_shape_);
     }
   }

@@ -14,11 +14,17 @@ namespace zonestream::numeric::internal {
 
 namespace {
 
-// Shortest batch the wide tiers take. Below it the block setup (a peek,
-// the table gathers, the verdict masks) costs more than the scalar draws
-// it replaces: the media server's per-stream size runs are often a single
-// draw, and `BM_DegradedRound/13` slowed ~40% when they went wide.
+// Shortest batch the wide tiers take. Below it the setup (the window's
+// peek and commit, the table gathers, the verdict masks) costs more than
+// the scalar draws it replaces: the media server's per-stream size runs
+// are often a single draw, and `BM_DegradedRound/13` slowed ~40% when
+// they went wide.
 constexpr size_t kMinWideBatch = 8;
+
+// Words a batch's window holds beyond the nominal two per draw: room for
+// the extra words a few rejections read (about 0.06 per draw at shape 4)
+// before the walk has to peek a second window.
+constexpr size_t kWindowSlack = 16;
 
 // Squeeze 2's per-call constants.
 //
@@ -70,39 +76,119 @@ struct Squeeze2 {
   double d_quintic;  // d * 6/5, applied to min(y, 0)
 };
 
-// Finishes one block after the vector stage found a deviation (or a
-// squeeze miss needing the exact log test). Lane j's nominal words are
-// buf[2j] (ziggurat) and buf[2j+1] (squeeze uniform); an accepted lane
-// consumed exactly those two. Returns the number of draws produced into
-// out (accepted prefix, plus the deviating draw re-run through the exact
-// scalar routine).
-//
-// The acceptance tests replay the scalar routine's arithmetic on the
-// lane values the vector stage computed (bit-identical by construction):
-// zig/vpos/squeeze are the vector verdicts, v3/u2/x2 the lane scalars.
-inline size_t CommitLanes(Rng* rng, const ZigguratTables& t, double d,
-                          double c, double scale, double* out, unsigned zig,
-                          unsigned vpos, unsigned squeeze, const double* v3,
-                          const double* u2, const double* x2, size_t lanes) {
-  size_t j = 0;
-  for (; j < lanes; ++j) {
-    const unsigned bit = 1u << j;
-    if ((zig & bit) && (vpos & bit)) {
-      if ((squeeze & bit) ||
-          std::log(u2[j]) < 0.5 * x2[j] + d * (1.0 - v3[j] + std::log(v3[j]))) {
-        out[j] = scale * (d * v3[j]);
-        continue;
-      }
-    }
-    break;  // lane j deviates from the nominal two-word path
+// The batch's engine words, peeked in one window (Mt19937_64::PeekRaw
+// consumes nothing). The wide walk evaluates blocks at whatever offset it
+// has reached; a deviating lane's exact scalar redraw reads on word by
+// word through operator(), the word source of numeric/gamma_internal.h;
+// Commit then advances the engine past exactly the words read. A walk
+// that outruns the window (more rejections than the slack, or a batch
+// longer than kMaxPeek words) commits what it read and peeks the next.
+class WordWindow {
+ public:
+  WordWindow(Mt19937_64* engine, size_t words)
+      : engine_(engine),
+        size_(words < Mt19937_64::kMaxPeek ? words : Mt19937_64::kMaxPeek) {
+    engine_->PeekRaw(words_, size_);
+    // A block loads a whole block of words even when fewer lanes are
+    // live; past the window's end those loads read this zero pad.
+    for (size_t i = 0; i < kPad; ++i) words_[size_ + i] = 0;
   }
-  rng->engine().AdvanceRaw(2 * j);
-  if (j == lanes) return lanes;
-  // The engine now sits exactly where the scalar walk would read lane
-  // j's first word; the scalar routine consumes whatever the rejection
-  // path needs.
-  out[j] = scale * MarsagliaTsangDraw(rng, t, d, c);
-  return j + 1;
+
+  uint64_t operator()() {
+    if (pos_ == size_) Refill();
+    return words_[pos_++];
+  }
+
+  // The walk's position, with at least k <= 2 * 8 words read ahead.
+  const uint64_t* Reserve(size_t k) {
+    if (size_ - pos_ < k) Refill();
+    return words_ + pos_;
+  }
+
+  void Consume(size_t k) { pos_ += k; }
+
+  void Commit() { engine_->AdvanceRaw(pos_); }
+
+ private:
+  static constexpr size_t kPad = 16;  // one 8-lane block's words
+
+  void Refill() {
+    engine_->AdvanceRaw(pos_);
+    engine_->PeekRaw(words_, size_);
+    pos_ = 0;
+  }
+
+  Mt19937_64* engine_;
+  size_t size_;
+  size_t pos_ = 0;
+  alignas(64) uint64_t words_[Mt19937_64::kMaxPeek + kPad];
+};
+
+// The sampler constants every block reads.
+struct GammaConstants {
+  const ZigguratTables& t;
+  double d;
+  double c;
+  double scale;
+  Squeeze2 s2;
+};
+
+// A block whose live lanes did not all accept on their first try, spilled
+// for the walk. Lane j's nominal draw read words 2j (ziggurat) and 2j + 1
+// (squeeze uniform); `nominal` marks lanes inside their ziggurat layer
+// with v > 0, `squeeze` lanes either squeeze accepts.
+struct SpilledLanes {
+  unsigned nominal;
+  unsigned squeeze;
+  alignas(64) double v3[8];
+  alignas(64) double u2[8];
+  alignas(64) double x2[8];
+
+  // Whether lane j accepts on its two nominal words: the scalar routine's
+  // tests replayed on the lane values the vector stage computed
+  // (bit-identical by construction).
+  bool Accepts(size_t j, double d) const {
+    const unsigned bit = 1u << j;
+    if ((nominal & bit) == 0) return false;
+    return (squeeze & bit) != 0 ||
+           std::log(u2[j]) < 0.5 * x2[j] + d * (1.0 - v3[j] + std::log(v3[j]));
+  }
+};
+
+// The speculative walk, shared by the tiers. Block::Try evaluates
+// Block::kLanes candidate draws on the words at the walk's position;
+// when every live lane accepts on its first try it stores their values
+// and the walk moves past their words. Otherwise the accepted prefix
+// commits and the first deviating draw re-runs through the exact scalar
+// routine from the word the scalar walk would read there.
+// always_inline: the walk must sit inside its tier's target function so
+// Block::Try (compiled for that tier) can inline into it.
+template <class Block>
+__attribute__((always_inline)) inline void GammaWalk(
+    Rng* rng, const GammaConstants& k, double* out, size_t n) {
+  WordWindow words(&rng->engine(), 2 * n + kWindowSlack);
+  SpilledLanes spilled;
+  size_t produced = 0;
+  while (produced < n) {
+    const size_t live =
+        n - produced < Block::kLanes ? n - produced : Block::kLanes;
+    if (Block::Try(k, words.Reserve(2 * live), live, out + produced,
+                   &spilled)) {
+      words.Consume(2 * live);
+      produced += live;
+      continue;
+    }
+    size_t j = 0;
+    for (; j < live && spilled.Accepts(j, k.d); ++j) {
+      out[produced + j] = k.scale * (k.d * spilled.v3[j]);
+    }
+    words.Consume(2 * j);
+    produced += j;
+    if (j < live) {
+      out[produced++] = k.scale * MarsagliaTsangDraw(words, k.t, k.d, k.c);
+    }
+  }
+  words.Commit();
 }
 
 #ifdef ZS_SIMD_X86
@@ -134,82 +220,65 @@ inline __mmask8 SqueezesAvx512(const Squeeze2& s2, __m512d x, __m512d y,
          (in_range & _mm512_cmp_pd_mask(u2, bound2, _CMP_LT_OQ));
 }
 
-// Every block is eight lanes wide; the batch's last, partial block runs
-// with its missing lanes masked off (peeking only the words its live
-// lanes own).
-__attribute__((target("avx512f,avx512dq")))
-size_t GammaFillAvx512(Rng* rng, const ZigguratTables& t, double d, double c,
-                       double scale, double* out, size_t n) {
-  const __m512i idx_even =
-      _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
-  const __m512i idx_odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
-  const __m512i k127 = _mm512_set1_epi64(127);
-  const __m512i kOne64 = _mm512_set1_epi64(1);
-  const __m512d kScale52 = _mm512_set1_pd(0x1.0p-52);
-  const __m512d kScale53 = _mm512_set1_pd(0x1.0p-53);
-  const __m512d kOne = _mm512_set1_pd(1.0);
-  const __m512d kC = _mm512_set1_pd(c);
-  const __m512d kAbsMask =
-      _mm512_castsi512_pd(_mm512_set1_epi64(0x7fffffffffffffffll));
-  const __m512d kD = _mm512_set1_pd(d);
-  const __m512d kOut = _mm512_set1_pd(scale);
-  const Squeeze2 s2(d, c);
+struct Avx512Block {
+  static constexpr size_t kLanes = 8;
 
-  size_t produced = 0;
-  // Lanes past a partial block's live ones read whatever the previous
-  // block left here; their verdicts are masked off. The first block is
-  // always full (n >= kMinWideBatch), so nothing is read uninitialized.
-  alignas(64) uint64_t buf[16];
-  alignas(64) double v3a[8];
-  alignas(64) double u2a[8];
-  alignas(64) double x2a[8];
-  while (produced < n) {
-    const size_t lanes = n - produced < 8 ? n - produced : 8;
-    const __mmask8 live = static_cast<__mmask8>((1u << lanes) - 1u);
-    rng->engine().PeekRaw(buf, 2 * lanes);
-    const __m512i w0 = _mm512_load_si512(buf);
-    const __m512i w1 = _mm512_load_si512(buf + 8);
-    const __m512i bits = _mm512_permutex2var_epi64(w0, idx_even, w1);
-    const __m512i uw = _mm512_permutex2var_epi64(w0, idx_odd, w1);
+  __attribute__((target("avx512f,avx512dq"))) static bool Try(
+      const GammaConstants& k, const uint64_t* w, size_t live, double* out,
+      SpilledLanes* spilled) {
+    const __mmask8 mask = static_cast<__mmask8>((1u << live) - 1u);
+    const __m512i w0 = _mm512_loadu_si512(w);
+    const __m512i w1 = _mm512_loadu_si512(w + 8);
+    const __m512i bits = _mm512_permutex2var_epi64(
+        w0, _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14), w1);
+    const __m512i uw = _mm512_permutex2var_epi64(
+        w0, _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15), w1);
+    const __m512d one = _mm512_set1_pd(1.0);
 
     // Ziggurat candidate: layer i from the low 7 bits, position uniform
     // from the high 53 (exactly the scalar expressions).
-    const __m512i iv = _mm512_and_si512(bits, k127);
-    const __m512d xi = _mm512_i64gather_pd(iv, t.x, 8);
-    const __m512d xi1 =
-        _mm512_i64gather_pd(_mm512_add_epi64(iv, kOne64), t.x, 8);
+    const __m512i iv = _mm512_and_si512(bits, _mm512_set1_epi64(127));
+    const __m512d xi = _mm512_i64gather_pd(iv, k.t.x, 8);
+    const __m512d xi1 = _mm512_i64gather_pd(
+        _mm512_add_epi64(iv, _mm512_set1_epi64(1)), k.t.x, 8);
     const __m512d ud = _mm512_cvtepu64_pd(_mm512_srli_epi64(bits, 11));
-    const __m512d u = _mm512_sub_pd(_mm512_mul_pd(ud, kScale52), kOne);
+    const __m512d u =
+        _mm512_sub_pd(_mm512_mul_pd(ud, _mm512_set1_pd(0x1.0p-52)), one);
     const __m512d x = _mm512_mul_pd(u, xi);
-    const __mmask8 zig = _mm512_cmp_pd_mask(_mm512_and_pd(x, kAbsMask), xi1,
-                                            _CMP_LT_OQ);
+    const __mmask8 zig = _mm512_cmp_pd_mask(
+        _mm512_abs_pd(x), xi1, _CMP_LT_OQ);
 
     // Marsaglia–Tsang candidate: v = (1 + c x)^3, squeezed against the
     // second word's uniform.
-    const __m512d y = _mm512_mul_pd(kC, x);
-    const __m512d v = _mm512_add_pd(kOne, y);
+    const __m512d y = _mm512_mul_pd(_mm512_set1_pd(k.c), x);
+    const __m512d v = _mm512_add_pd(one, y);
     const __mmask8 vpos =
         _mm512_cmp_pd_mask(v, _mm512_setzero_pd(), _CMP_GT_OQ);
     const __m512d v3 = _mm512_mul_pd(_mm512_mul_pd(v, v), v);
     const __m512d u2 =
         _mm512_mul_pd(_mm512_cvtepu64_pd(_mm512_srli_epi64(uw, 11)),
-                      kScale53);
-    const __mmask8 squeeze = SqueezesAvx512(s2, x, y, u2);
+                      _mm512_set1_pd(0x1.0p-53));
+    const __mmask8 squeeze = SqueezesAvx512(k.s2, x, y, u2);
 
-    if ((zig & vpos & squeeze & live) == live) {
-      _mm512_mask_storeu_pd(out + produced, live,
-                            _mm512_mul_pd(kOut, _mm512_mul_pd(kD, v3)));
-      rng->engine().AdvanceRaw(2 * lanes);
-      produced += lanes;
-      continue;
+    if ((zig & vpos & squeeze & mask) == mask) {
+      _mm512_mask_storeu_pd(
+          out, mask,
+          _mm512_mul_pd(_mm512_set1_pd(k.scale),
+                        _mm512_mul_pd(_mm512_set1_pd(k.d), v3)));
+      return true;
     }
-    _mm512_store_pd(v3a, v3);
-    _mm512_store_pd(u2a, u2);
-    _mm512_store_pd(x2a, _mm512_mul_pd(x, x));
-    produced += CommitLanes(rng, t, d, c, scale, out + produced, zig, vpos,
-                            squeeze, v3a, u2a, x2a, lanes);
+    spilled->nominal = zig & vpos;
+    spilled->squeeze = squeeze;
+    _mm512_store_pd(spilled->v3, v3);
+    _mm512_store_pd(spilled->u2, u2);
+    _mm512_store_pd(spilled->x2, _mm512_mul_pd(x, x));
+    return false;
   }
-  return produced;
+};
+
+__attribute__((target("avx512f,avx512dq"))) void GammaFillAvx512(
+    Rng* rng, const GammaConstants& k, double* out, size_t n) {
+  GammaWalk<Avx512Block>(rng, k, out, n);
 }
 
 // ------------------------------- AVX2 --------------------------------
@@ -256,76 +325,68 @@ inline unsigned SqueezesAvx2(const Squeeze2& s2, __m256d x, __m256d y,
   return static_cast<unsigned>(_mm256_movemask_pd(accept));
 }
 
-__attribute__((target("avx2")))
-size_t GammaFillAvx2(Rng* rng, const ZigguratTables& t, double d, double c,
-                     double scale, double* out, size_t n) {
-  const __m256i k127 = _mm256_set1_epi64x(127);
-  const __m256i kOne64 = _mm256_set1_epi64x(1);
-  const __m256d kScale52 = _mm256_set1_pd(0x1.0p-52);
-  const __m256d kScale53 = _mm256_set1_pd(0x1.0p-53);
-  const __m256d kOne = _mm256_set1_pd(1.0);
-  const __m256d kC = _mm256_set1_pd(c);
-  const __m256d kAbsMask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffll));
-  const __m256d kD = _mm256_set1_pd(d);
-  const __m256d kOut = _mm256_set1_pd(scale);
-  const Squeeze2 s2(d, c);
+struct Avx2Block {
+  static constexpr size_t kLanes = 4;
 
-  size_t produced = 0;
-  alignas(32) uint64_t buf[8];
-  alignas(32) uint64_t bits_a[4];
-  alignas(32) uint64_t uw_a[4];
-  alignas(32) double v3a[4];
-  alignas(32) double u2a[4];
-  alignas(32) double x2a[4];
-  while (n - produced >= 4) {
-    rng->engine().PeekRaw(buf, 8);
-    bits_a[0] = buf[0];
-    bits_a[1] = buf[2];
-    bits_a[2] = buf[4];
-    bits_a[3] = buf[6];
-    uw_a[0] = buf[1];
-    uw_a[1] = buf[3];
-    uw_a[2] = buf[5];
-    uw_a[3] = buf[7];
-    const __m256i bits = _mm256_load_si256((const __m256i*)bits_a);
-    const __m256i uw = _mm256_load_si256((const __m256i*)uw_a);
+  __attribute__((target("avx2"))) static bool Try(
+      const GammaConstants& k, const uint64_t* w, size_t live, double* out,
+      SpilledLanes* spilled) {
+    // Lane j's words 2j and 2j + 1: the unpacks pair words (0, 4, 2, 6)
+    // and (1, 5, 3, 7), and the permute restores lane order.
+    const __m256i w0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
+    const __m256i w1 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + 4));
+    const __m256i bits = _mm256_permute4x64_epi64(
+        _mm256_unpacklo_epi64(w0, w1), _MM_SHUFFLE(3, 1, 2, 0));
+    const __m256i uw = _mm256_permute4x64_epi64(
+        _mm256_unpackhi_epi64(w0, w1), _MM_SHUFFLE(3, 1, 2, 0));
+    const __m256d one = _mm256_set1_pd(1.0);
 
-    const __m256i iv = _mm256_and_si256(bits, k127);
-    const __m256d xi = _mm256_i64gather_pd(t.x, iv, 8);
-    const __m256d xi1 =
-        _mm256_i64gather_pd(t.x, _mm256_add_epi64(iv, kOne64), 8);
+    const __m256i iv = _mm256_and_si256(bits, _mm256_set1_epi64x(127));
+    const __m256d xi = _mm256_i64gather_pd(k.t.x, iv, 8);
+    const __m256d xi1 = _mm256_i64gather_pd(
+        k.t.x, _mm256_add_epi64(iv, _mm256_set1_epi64x(1)), 8);
     const __m256d ud = CvtU53ToPd(_mm256_srli_epi64(bits, 11));
-    const __m256d u = _mm256_sub_pd(_mm256_mul_pd(ud, kScale52), kOne);
+    const __m256d u =
+        _mm256_sub_pd(_mm256_mul_pd(ud, _mm256_set1_pd(0x1.0p-52)), one);
     const __m256d x = _mm256_mul_pd(u, xi);
-    const __m256d zig_v =
-        _mm256_cmp_pd(_mm256_and_pd(x, kAbsMask), xi1, _CMP_LT_OQ);
+    const __m256d abs_x = _mm256_and_pd(
+        x, _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffll)));
+    const unsigned zig = static_cast<unsigned>(
+        _mm256_movemask_pd(_mm256_cmp_pd(abs_x, xi1, _CMP_LT_OQ)));
 
-    const __m256d y = _mm256_mul_pd(kC, x);
-    const __m256d v = _mm256_add_pd(kOne, y);
-    const __m256d vpos_v =
-        _mm256_cmp_pd(v, _mm256_setzero_pd(), _CMP_GT_OQ);
+    const __m256d y = _mm256_mul_pd(_mm256_set1_pd(k.c), x);
+    const __m256d v = _mm256_add_pd(one, y);
+    const unsigned vpos = static_cast<unsigned>(_mm256_movemask_pd(
+        _mm256_cmp_pd(v, _mm256_setzero_pd(), _CMP_GT_OQ)));
     const __m256d v3 = _mm256_mul_pd(_mm256_mul_pd(v, v), v);
-    const __m256d u2 =
-        _mm256_mul_pd(CvtU53ToPd(_mm256_srli_epi64(uw, 11)), kScale53);
+    const __m256d u2 = _mm256_mul_pd(CvtU53ToPd(_mm256_srli_epi64(uw, 11)),
+                                     _mm256_set1_pd(0x1.0p-53));
+    const unsigned squeeze = SqueezesAvx2(k.s2, x, y, u2);
 
-    const unsigned zig = (unsigned)_mm256_movemask_pd(zig_v);
-    const unsigned vpos = (unsigned)_mm256_movemask_pd(vpos_v);
-    const unsigned squeeze = SqueezesAvx2(s2, x, y, u2);
-    if ((zig & vpos & squeeze) == 0xfu) {
-      _mm256_storeu_pd(out + produced,
-                       _mm256_mul_pd(kOut, _mm256_mul_pd(kD, v3)));
-      rng->engine().AdvanceRaw(8);
-      produced += 4;
-      continue;
+    const unsigned mask = (1u << live) - 1u;
+    if ((zig & vpos & squeeze & mask) == mask) {
+      const __m256i live_lanes =
+          _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<int64_t>(live)),
+                             _mm256_setr_epi64x(0, 1, 2, 3));
+      _mm256_maskstore_pd(
+          out, live_lanes,
+          _mm256_mul_pd(_mm256_set1_pd(k.scale),
+                        _mm256_mul_pd(_mm256_set1_pd(k.d), v3)));
+      return true;
     }
-    _mm256_store_pd(v3a, v3);
-    _mm256_store_pd(u2a, u2);
-    _mm256_store_pd(x2a, _mm256_mul_pd(x, x));
-    produced += CommitLanes(rng, t, d, c, scale, out + produced, zig, vpos,
-                            squeeze, v3a, u2a, x2a, 4);
+    spilled->nominal = zig & vpos;
+    spilled->squeeze = squeeze;
+    _mm256_store_pd(spilled->v3, v3);
+    _mm256_store_pd(spilled->u2, u2);
+    _mm256_store_pd(spilled->x2, _mm256_mul_pd(x, x));
+    return false;
   }
-  return produced;
+};
+
+__attribute__((target("avx2"))) void GammaFillAvx2(
+    Rng* rng, const GammaConstants& k, double* out, size_t n) {
+  GammaWalk<Avx2Block>(rng, k, out, n);
 }
 
 // The squeeze verdicts alone, for GammaSqueezeWide.
@@ -438,24 +499,18 @@ bool GammaFillWide(Rng* rng, const ZigguratTables& t, double d, double c,
                    double scale, double* out, size_t n) {
 #ifdef ZS_SIMD_X86
   if (n < kMinWideBatch) return false;
-  size_t produced;
+  const GammaConstants k{t, d, c, scale, Squeeze2(d, c)};
   switch (ActiveSimdTier()) {
     case SimdTier::kAvx512:
-      produced = GammaFillAvx512(rng, t, d, c, scale, out, n);
-      break;
+      GammaFillAvx512(rng, k, out, n);
+      return true;
     case SimdTier::kAvx2:
-      produced = GammaFillAvx2(rng, t, d, c, scale, out, n);
-      break;
+      GammaFillAvx2(rng, k, out, n);
+      return true;
     case SimdTier::kScalar:
     default:
       return false;
   }
-  // AVX2's tail shorter than a block: plain scalar draws (identical
-  // consumption). AVX-512 leaves none.
-  for (; produced < n; ++produced) {
-    out[produced] = scale * MarsagliaTsangDraw(rng, t, d, c);
-  }
-  return true;
 #else
   (void)rng;
   (void)t;

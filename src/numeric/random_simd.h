@@ -3,18 +3,22 @@
 // The scalar batched sampler's rejection walk is inherently serial: how
 // many engine words draw k consumes depends on whether draw k-1's
 // candidates were accepted. The wide sampler breaks the dependence by
-// SPECULATING: it peeks the next 16 engine words (Mt19937_64::PeekRaw —
-// nothing is consumed), evaluates eight candidate draws at once assuming
-// each accepts on its first try with the nominal two words (ziggurat
-// normal + squeeze uniform), and validates the assumption with vector
-// compares: the scalar routine's squeeze plus a shape-aware second one
-// proven to accept only what the exact log test accepts
-// (random_simd.cc). The all-accept case (~84% of blocks at shape 4, up
-// from ~46% on the first squeeze alone) commits all eight draws and 16
-// words in one step; otherwise the accepted prefix commits and the first
-// deviating draw re-runs through the EXACT scalar routine from the exact
-// engine position the scalar code would see. On AVX-512 a batch's last,
-// partial block runs the same way with its missing lanes masked off.
+// SPECULATING: it peeks one window of engine words for the whole batch
+// (Mt19937_64::PeekRaw — nothing is consumed; 2n + 16 words for n draws,
+// at most kMaxPeek), evaluates eight (AVX-512) or four (AVX2) candidate
+// draws at a time at whatever window offset the walk has reached,
+// assuming each accepts on its first try with the nominal two words
+// (ziggurat normal + squeeze uniform), and validates the assumption with
+// vector compares: the scalar routine's squeeze plus a shape-aware second
+// one proven to accept only what the exact log test accepts
+// (random_simd.cc). A block whose live lanes all accept (~84% of 8-lane
+// blocks at shape 4, up from ~46% on the first squeeze alone) stores its
+// draws and moves past its words; otherwise the accepted prefix commits
+// and the first deviating draw re-runs through the EXACT scalar routine
+// (numeric/gamma_internal.h), reading the same window from the word the
+// scalar walk would read. One AdvanceRaw at the end commits the words the
+// walk read; a walk that outruns its window commits and peeks the next.
+// A batch's last, partial block runs with its missing lanes masked off.
 //
 // The result is bit-identical to GammaBatchSampler::Fill's scalar loop —
 // same values, same engine consumption — at any SIMD tier, because every

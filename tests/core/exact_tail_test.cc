@@ -67,6 +67,24 @@ TEST(IrwinHallPiecesTest, SymmetricAboutHalfTheSummands) {
   }
 }
 
+TEST(IrwinHallPiecesTest, OnePieceEqualsTheFullPassEntryForEntry) {
+  // The kink piece's restricted pass must reproduce the full pass bit for
+  // bit at every piece, including pieces 0 and n − 1 and nodes at both
+  // ends of [0, 1).
+  const double below_one = 0x1.fffffffffffffp-1;
+  std::vector<double> full(300);
+  std::vector<double> scratch(300);
+  for (int n : {1, 2, 3, 5, 8, 13, 26, 31, 32, 33, 64, 100, 299, 300}) {
+    for (double s : {0.0, 0.0198550717512319, 0.3, 0.5, 0.9, below_one}) {
+      IrwinHallPieces(n, s, full.data());
+      for (int piece = 0; piece < n; ++piece) {
+        ASSERT_EQ(IrwinHallPiece(n, s, piece, scratch.data()), full[piece])
+            << "n=" << n << " s=" << s << " piece=" << piece;
+      }
+    }
+  }
+}
+
 ServiceTimeModel Table1Model() {
   auto model = ServiceTimeModel::ForMultiZoneDisk(
       disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 200e3, 1e10);

@@ -2,15 +2,18 @@
 // SIMD tier the host supports (numeric::ForceSimdTier caps at the detected
 // tier), each draw must equal AliasTable::Sample on the zone uniform plus
 // the clamped cylinder offset within the zone — at every batch length
-// around the 4- and 8-lane blocks and at both ends of [0, 1).
+// around the 4- and 8-lane blocks, at both ends of [0, 1), and on zone
+// counts on both sides of the AVX-512 tier's 32-entry register tables.
 #include "disk/position_sampler.h"
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "disk/alias_table.h"
 #include "disk/disk_geometry.h"
 #include "disk/presets.h"
@@ -109,10 +112,38 @@ void ExpectMatchesDefinition(const DiskGeometry& geometry,
   }
 }
 
+// A geometry of `zones` zones whose every column differs from zone to
+// zone.
+DiskGeometry SyntheticZones(int zones) {
+  std::vector<ZoneSpec> table;
+  for (int z = 0; z < zones; ++z) {
+    table.push_back({100 + 7 * z, 40e3 + 1e3 * z});
+  }
+  auto geometry = DiskGeometry::CreateFromZoneTable(table, 0.0111);
+  ZS_CHECK(geometry.ok());
+  return *std::move(geometry);
+}
+
+// Every preset, and the AVX-512 tier's register limit: 32 zones fill its
+// tables, 33 take the scalar loop there.
 TEST(ZonePositionSamplerTest, MatchesAliasSampleAndClampOnEveryTier) {
-  const DiskGeometry geometry = QuantumViking2100();
-  ExpectMatchesDefinition(geometry, geometry.zone_alias(), "nominal");
-  ExpectMatchesDefinition(geometry, TiltedLaw(geometry), "tilted");
+  const std::vector<std::pair<std::string, DiskGeometry>> geometries = {
+      {"single-zone", SingleZoneViking()},
+      {"small", SyntheticSmallDisk()},
+      {"viking", QuantumViking2100()},
+      {"fast", SyntheticFastDisk()},
+      {"32-zone", SyntheticZones(32)},
+      {"33-zone", SyntheticZones(33)},
+  };
+  for (const auto& [name, geometry] : geometries) {
+    ExpectMatchesDefinition(geometry, geometry.zone_alias(),
+                            name + " nominal");
+    ExpectMatchesDefinition(geometry, TiltedLaw(geometry), name + " tilted");
+  }
+  EXPECT_EQ(SingleZoneViking().num_zones(), 1);
+  EXPECT_EQ(SyntheticSmallDisk().num_zones(), 4);
+  EXPECT_EQ(QuantumViking2100().num_zones(), 15);
+  EXPECT_EQ(SyntheticFastDisk().num_zones(), 30);
 }
 
 TEST(ZonePositionSamplerTest, DefaultLawIsTheGeometrysAliasTable) {

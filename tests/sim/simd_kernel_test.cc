@@ -203,6 +203,147 @@ TEST(SimdKernelTest, GammaFillBitIdenticalAcrossTiers) {
   }
 }
 
+// Reads the engine like the wide sampler's window does, so a test can
+// replay GammaBatchSampler::Fill's scalar walk one draw at a time and
+// count each draw's words.
+struct CountingWords {
+  numeric::Mt19937_64* engine;
+  size_t count = 0;
+  uint64_t operator()() {
+    ++count;
+    return (*engine)();
+  }
+};
+
+// The scalar draws of a batch: values (unscaled) and words per draw.
+void ScalarDraws(uint64_t seed, double shape, size_t n,
+                 std::vector<size_t>* words) {
+  const double d = shape - 1.0 / 3.0;
+  const double c = 1.0 / std::sqrt(9.0 * d);
+  numeric::Mt19937_64 engine(seed);
+  CountingWords source{&engine};
+  words->clear();
+  for (size_t i = 0; i < n; ++i) {
+    const size_t before = source.count;
+    numeric::internal::MarsagliaTsangDraw(
+        source, numeric::internal::NormalZiggurat(), d, c);
+    words->push_back(source.count - before);
+  }
+}
+
+// Whether the wide walk's first window (min(2n + 16, 312) words, as
+// random_simd.cc sizes it) ends inside a deviating lane's scalar redraw
+// on a tier of `lanes` lanes. A draw that reads exactly its two nominal
+// words is one the block accepts on its first try; the walk peeks a new
+// window before a block whose live lanes' words do not fit.
+bool RedrawCrossesFirstWindow(const std::vector<size_t>& words,
+                              size_t lanes) {
+  const size_t n = words.size();
+  const size_t window = std::min<size_t>(2 * n + 16, 312);
+  size_t pos = 0;
+  size_t i = 0;
+  while (i < n) {
+    const size_t live = std::min(n - i, lanes);
+    if (window - pos < 2 * live) return false;
+    size_t j = 0;
+    while (j < live && words[i + j] == 2) ++j;
+    pos += 2 * j;
+    i += j;
+    if (j == live) continue;
+    if (pos + words[i] > window) return true;
+    pos += words[i];
+    ++i;
+  }
+  return false;
+}
+
+// Compares each tier's Fill of n draws against the scalar tier's, values
+// and the next draw, on an engine `skip` words past `seed`'s start.
+void ExpectGammaFillMatchesScalar(double shape, uint64_t seed, size_t skip,
+                                  size_t n) {
+  const numeric::GammaBatchSampler sampler(shape, 50e3);
+  std::vector<double> reference(n);
+  double reference_next = 0.0;
+  {
+    ScopedTier forced(SimdTier::kScalar);
+    numeric::Rng rng(seed);
+    rng.engine().AdvanceRaw(skip);
+    sampler.Fill(&rng, reference.data(), n);
+    reference_next = rng.Uniform01();
+  }
+  for (SimdTier tier : AllTiers()) {
+    ScopedTier forced(tier);
+    numeric::Rng rng(seed);
+    rng.engine().AdvanceRaw(skip);
+    std::vector<double> got(n);
+    sampler.Fill(&rng, got.data(), n);
+    EXPECT_EQ(got, reference) << numeric::SimdTierName(tier)
+                              << " shape=" << shape << " seed=" << seed
+                              << " skip=" << skip << " n=" << n;
+    EXPECT_EQ(rng.Uniform01(), reference_next)
+        << numeric::SimdTierName(tier) << " shape=" << shape
+        << " seed=" << seed << " skip=" << skip << " n=" << n;
+  }
+}
+
+// The wide walk's window at its edges: windows that straddle the
+// engine's 312-word block boundary, fills back to back on one Rng, and
+// batches whose first window ends inside a deviating lane's redraw.
+TEST(SimdKernelTest, GammaFillWindowEdgesBitIdenticalAcrossTiers) {
+  std::vector<size_t> skips = {0, 155};
+  for (size_t k = 280; k <= 311; ++k) skips.push_back(k);
+  for (const double shape : {1.0, 4.0, 4.43}) {
+    for (const size_t skip : skips) {
+      for (const size_t n : {8, 26, 30, 60, 160}) {
+        ExpectGammaFillMatchesScalar(shape, 77 + n, skip, n);
+      }
+    }
+  }
+
+  // Back to back: each fill's window starts where the last one's walk
+  // stopped.
+  const std::vector<size_t> run = {26, 8, 60, 9, 13, 200, 30, 1, 512, 26};
+  for (const double shape : {1.0, 4.0}) {
+    const numeric::GammaBatchSampler sampler(shape, 50e3);
+    std::vector<std::vector<double>> reference;
+    double reference_next = 0.0;
+    {
+      ScopedTier forced(SimdTier::kScalar);
+      numeric::Rng rng(4040);
+      for (const size_t n : run) {
+        reference.emplace_back(n);
+        sampler.Fill(&rng, reference.back().data(), n);
+      }
+      reference_next = rng.Uniform01();
+    }
+    for (SimdTier tier : AllTiers()) {
+      ScopedTier forced(tier);
+      numeric::Rng rng(4040);
+      for (size_t r = 0; r < run.size(); ++r) {
+        std::vector<double> got(run[r]);
+        sampler.Fill(&rng, got.data(), got.size());
+        EXPECT_EQ(got, reference[r]) << numeric::SimdTierName(tier)
+                                     << " shape=" << shape << " fill=" << r;
+      }
+      EXPECT_EQ(rng.Uniform01(), reference_next)
+          << numeric::SimdTierName(tier) << " shape=" << shape;
+    }
+  }
+
+  // A redraw past the first window's end, for 8- and 4-lane blocks.
+  for (const size_t lanes : {8, 4}) {
+    size_t found = 0;
+    std::vector<size_t> words;
+    for (uint64_t seed = 1; seed < 3000 && found < 4; ++seed) {
+      ScalarDraws(seed, 1.0, 160, &words);
+      if (!RedrawCrossesFirstWindow(words, lanes)) continue;
+      ++found;
+      ExpectGammaFillMatchesScalar(1.0, seed, 0, 160);
+    }
+    EXPECT_EQ(found, 4u) << lanes << " lanes";
+  }
+}
+
 // The wide tiers accept a lane on first try when either squeeze does;
 // the second, shape-aware squeeze must never accept a pair the scalar
 // routine rejects (numeric/gamma_internal.h), or the tiers' draws and
