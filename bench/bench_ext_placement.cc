@@ -38,10 +38,7 @@ double SimulatedPlate(const disk::PlacementModel& placement, int n,
   sim::SimulatorConfig config;
   config.round_length_s = bench::kRoundLengthS;
   config.seed = seed;
-  config.position_sampler = [&placement](const disk::DiskGeometry& geometry,
-                                         numeric::Rng* rng) {
-    return placement.SamplePosition(geometry, rng);
-  };
+  config.placement = placement.config();
   auto simulator = sim::RoundSimulator::Create(
       disk::QuantumViking2100(), disk::QuantumViking2100Seek(), n,
       sim::RoundSimulator::IidFactory(bench::Table1Sizes()), config);

@@ -26,7 +26,7 @@
 #include "core/exact_tail.h"
 #include "core/glitch_model.h"
 #include "core/snc.h"
-#include "disk/position_sampler.h"
+#include "disk/zone_position_sampler.h"
 #include "fault/fault_model.h"
 #include "numeric/special_functions.h"
 #include "obs/metrics.h"
@@ -149,28 +149,9 @@ void BM_LatenessRound(benchmark::State& state) {
 }
 BENCHMARK(BM_LatenessRound)->Arg(26);
 
-// The scalar reference kernel on the same Table 1 round as
-// BM_SimulatedRound (which runs the default, batched kernel): the explicit
-// flag pins it regardless of the default.
-void BM_SimulatedRoundScalar(benchmark::State& state) {
-  sim::SimulatorConfig config;
-  config.round_length_s = bench::kRoundLengthS;
-  config.seed = 1;
-  config.batched_kernel = false;
-  auto simulator = sim::RoundSimulator::Create(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(),
-      static_cast<int>(state.range(0)),
-      sim::RoundSimulator::IidFactory(bench::Table1Sizes()), config);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simulator->RunRound().total_service_time_s);
-  }
-}
-BENCHMARK(BM_SimulatedRoundScalar)->Arg(26);
-
 // One scalar O(1) alias-table zone draw on the Table 1 geometry. No round
-// kernel runs it: they draw whole batches (BM_ZonePositionSample below).
-// Compare with the binary-search draw inside BM_SimulatedRoundScalar's
-// position sampling.
+// executor runs it: they draw whole batches (BM_ZonePositionSample
+// below), whose scalar tier repeats this expression per lane.
 void BM_ZoneSampleAlias(benchmark::State& state) {
   const disk::DiskGeometry geometry = disk::QuantumViking2100();
   numeric::Rng rng(1);

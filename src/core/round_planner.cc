@@ -60,45 +60,6 @@ common::StatusOr<RoundPlan> EvaluateRoundLength(
   return plan;
 }
 
-common::StatusOr<RoundPlan> MinimalRoundLengthForCapacity(
-    const disk::DiskGeometry& geometry, const disk::SeekTimeModel& seek,
-    const PlannedStream& stream, const PlannerQos& qos,
-    int target_streams_per_disk, double t_lo, double t_hi,
-    double tolerance_s) {
-  ZS_RETURN_IF_ERROR(ValidateInputs(stream, qos));
-  if (target_streams_per_disk <= 0) {
-    return common::Status::InvalidArgument("target must be positive");
-  }
-  if (!(t_lo > 0.0 && t_lo < t_hi)) {
-    return common::Status::InvalidArgument("need 0 < t_lo < t_hi");
-  }
-  const auto capacity_at = [&](double t) -> int {
-    auto plan = EvaluateRoundLength(geometry, seek, stream, qos, t);
-    ZS_CHECK(plan.ok());
-    return plan->streams_per_disk;
-  };
-  if (capacity_at(t_hi) < target_streams_per_disk) {
-    return common::Status::OutOfRange(
-        "target capacity unreachable within the round-length search range");
-  }
-  if (capacity_at(t_lo) >= target_streams_per_disk) {
-    return EvaluateRoundLength(geometry, seek, stream, qos, t_lo);
-  }
-  // Bisection: capacity is non-decreasing in t (longer rounds amortize
-  // the per-request overhead better).
-  double lo = t_lo;
-  double hi = t_hi;
-  while (hi - lo > tolerance_s) {
-    const double mid = 0.5 * (lo + hi);
-    if (capacity_at(mid) >= target_streams_per_disk) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  return EvaluateRoundLength(geometry, seek, stream, qos, hi);
-}
-
 common::StatusOr<std::vector<RoundPlan>> SweepRoundLengths(
     const disk::DiskGeometry& geometry, const disk::SeekTimeModel& seek,
     const PlannedStream& stream, const PlannerQos& qos,

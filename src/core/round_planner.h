@@ -4,10 +4,10 @@
 //
 // Longer rounds amortize seek and rotational overhead (more streams per
 // disk) but increase startup latency and client buffer demand linearly.
-// This module searches the round length for a target capacity and reports
-// the full trade-off curve, using the fact that for a fixed stream
-// bandwidth the fragment moments scale with t (fragments hold one round
-// of display time).
+// This module evaluates a round length and sweeps the full trade-off
+// curve (examples/capacity_planning.cpp prints it), using the fact that
+// for a fixed stream bandwidth the fragment moments scale with t
+// (fragments hold one round of display time).
 #ifndef ZONESTREAM_CORE_ROUND_PLANNER_H_
 #define ZONESTREAM_CORE_ROUND_PLANNER_H_
 
@@ -48,16 +48,6 @@ struct RoundPlan {
 common::StatusOr<RoundPlan> EvaluateRoundLength(
     const disk::DiskGeometry& geometry, const disk::SeekTimeModel& seek,
     const PlannedStream& stream, const PlannerQos& qos, double round_length_s);
-
-// Smallest round length (within [t_lo, t_hi], to `tolerance_s`) whose
-// per-disk capacity reaches `target_streams_per_disk`. Capacity is
-// non-decreasing in t, so a bisection applies. Returns OutOfRange if even
-// t_hi cannot reach the target.
-common::StatusOr<RoundPlan> MinimalRoundLengthForCapacity(
-    const disk::DiskGeometry& geometry, const disk::SeekTimeModel& seek,
-    const PlannedStream& stream, const PlannerQos& qos,
-    int target_streams_per_disk, double t_lo = 0.1, double t_hi = 16.0,
-    double tolerance_s = 0.01);
 
 // Full sweep over a list of round lengths (for tables and plots).
 common::StatusOr<std::vector<RoundPlan>> SweepRoundLengths(

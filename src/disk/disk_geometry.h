@@ -120,7 +120,7 @@ class DiskGeometry {
   // precomputed alias table (replaces the per-sample CDF binary search).
   // One uniform in, a 0-based zone index out. The round executors draw
   // whole batches of zones and cylinders through disk::ZonePositionSampler
-  // (disk/position_sampler.h), built from this table.
+  // (disk/zone_position_sampler.h), built from this table.
   int SampleZoneAlias(double u01) const { return zone_alias_.Sample(u01); }
 
   // The zone-hit alias table itself (built once at geometry creation).

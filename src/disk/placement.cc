@@ -1,31 +1,33 @@
 #include "disk/placement.h"
 
-#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 
 namespace zonestream::disk {
 
-PlacementModel::PlacementModel(const PlacementConfig& config,
+PlacementModel::PlacementModel(const DiskGeometry& geometry,
+                               const PlacementConfig& config,
                                std::vector<double> probabilities,
                                std::vector<double> rates,
-                               std::vector<int> component_zones,
+                               const std::vector<int>& component_zones,
                                double usable_capacity_fraction)
     : config_(config),
       probabilities_(std::move(probabilities)),
       rates_(std::move(rates)),
-      component_zones_(std::move(component_zones)),
+      zone_weights_(geometry.zones().size(), 0.0),
       usable_capacity_fraction_(usable_capacity_fraction) {
-  cumulative_.resize(probabilities_.size());
   double sum = 0.0;
-  for (size_t i = 0; i < probabilities_.size(); ++i) {
-    sum += probabilities_[i];
-    cumulative_[i] = sum;
-  }
+  for (double p : probabilities_) sum += p;
   ZS_CHECK(std::fabs(sum - 1.0) < 1e-9);
-  cumulative_.back() = 1.0;
-  component_alias_ = AliasTable::Build(probabilities_);
+  for (const ZoneInfo& zone : geometry.zones()) {
+    zone_rates_.push_back(zone.transfer_rate_bps);
+  }
+  for (size_t i = 0; i < probabilities_.size(); ++i) {
+    zone_weights_[component_zones[i]] = probabilities_[i];
+    zone_rates_[component_zones[i]] = rates_[i];
+  }
 }
 
 common::StatusOr<PlacementModel> PlacementModel::Create(
@@ -98,8 +100,8 @@ common::StatusOr<PlacementModel> PlacementModel::Create(
       break;
     }
   }
-  return PlacementModel(config, std::move(probabilities), std::move(rates),
-                        std::move(component_zones), usable);
+  return PlacementModel(geometry, config, std::move(probabilities),
+                        std::move(rates), component_zones, usable);
 }
 
 double PlacementModel::InverseRateMoment(int k) const {
@@ -109,24 +111,6 @@ double PlacementModel::InverseRateMoment(int k) const {
     moment += probabilities_[i] * std::pow(rates_[i], -static_cast<double>(k));
   }
   return moment;
-}
-
-DiskPosition PlacementModel::SamplePosition(const DiskGeometry& geometry,
-                                            numeric::Rng* rng) const {
-  ZS_CHECK(rng != nullptr);
-  const double u = rng->Uniform01();
-  auto it = std::lower_bound(cumulative_.begin(), cumulative_.end(), u);
-  size_t component = static_cast<size_t>(it - cumulative_.begin());
-  component = std::min(component, cumulative_.size() - 1);
-
-  const ZoneInfo& zone = geometry.zone(component_zones_[component]);
-  DiskPosition position;
-  position.zone = zone.index;
-  position.cylinder =
-      zone.first_cylinder +
-      static_cast<int>(rng->UniformIndex(zone.num_cylinders));
-  position.transfer_rate_bps = rates_[component];
-  return position;
 }
 
 }  // namespace zonestream::disk

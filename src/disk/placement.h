@@ -17,17 +17,15 @@
 //    bound of the technique's benefit.
 //
 // A PlacementModel exposes the induced discrete transfer-rate mixture
-// (for the analytic transform) and a position sampler (for the
-// simulator).
+// (for the analytic transform) and the same mixture as a law over the
+// disk's zones, which disk::ZonePositionSampler draws for the simulators.
 #ifndef ZONESTREAM_DISK_PLACEMENT_H_
 #define ZONESTREAM_DISK_PLACEMENT_H_
 
 #include <vector>
 
 #include "common/status.h"
-#include "disk/alias_table.h"
 #include "disk/disk_geometry.h"
-#include "numeric/random.h"
 
 namespace zonestream::disk {
 
@@ -66,38 +64,27 @@ class PlacementModel {
     return usable_capacity_fraction_;
   }
 
-  // Samples a position for one fragment under this placement. For track
-  // pairing the reported cylinder is the first half's location and the
-  // reported transfer rate is the pair-effective (harmonic mean) rate.
-  DiskPosition SamplePosition(const DiskGeometry& geometry,
-                              numeric::Rng* rng) const;
-
-  // O(1) component draw over the mixture probabilities (the batched
-  // kernel's sampler; same distribution as SamplePosition's CDF binary
-  // search but one multiply + compare per draw).
-  int SampleComponentAlias(double u01) const {
-    return component_alias_.Sample(u01);
-  }
-
-  // Zone hosting component i's (first) half, and the component's
-  // effective transfer rate — the batched kernel resolves a sampled
-  // component to (cylinder, rate) through these.
-  int ComponentZone(int component) const { return component_zones_[component]; }
-  double ComponentRate(int component) const { return rates_[component]; }
+  // The mixture as a law over the geometry's zones, one entry per zone:
+  // component i's probability on the zone that hosts it (for track
+  // pairing, the pair's first half) and zero on every other zone, and
+  // each zone's transfer rate: component i's rate on its zone (a track
+  // pair's harmonic-mean rate is no single zone's own), the zone's own
+  // rate where no component sits. Under uniform placement both are the
+  // geometry's own columns, double for double.
+  const std::vector<double>& zone_weights() const { return zone_weights_; }
+  const std::vector<double>& zone_rates() const { return zone_rates_; }
 
  private:
-  PlacementModel(const PlacementConfig& config,
+  PlacementModel(const DiskGeometry& geometry, const PlacementConfig& config,
                  std::vector<double> probabilities, std::vector<double> rates,
-                 std::vector<int> component_zones,
+                 const std::vector<int>& component_zones,
                  double usable_capacity_fraction);
 
   PlacementConfig config_;
   std::vector<double> probabilities_;
   std::vector<double> rates_;
-  std::vector<double> cumulative_;
-  AliasTable component_alias_;  // O(1) mixture-component sampling
-  // Zone whose cylinder span hosts component i's (first) half.
-  std::vector<int> component_zones_;
+  std::vector<double> zone_weights_;
+  std::vector<double> zone_rates_;
   double usable_capacity_fraction_;
 };
 

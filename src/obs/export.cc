@@ -1,6 +1,5 @@
 #include "obs/export.h"
 
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 
@@ -64,19 +63,6 @@ std::string HistogramJson(const HistogramSnapshot& h) {
   return out;
 }
 
-common::Status WriteFile(const std::string& path, const std::string& content) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return common::Status::InvalidArgument("cannot open for writing: " + path);
-  }
-  const size_t written = std::fwrite(content.data(), 1, content.size(), file);
-  const bool close_ok = std::fclose(file) == 0;
-  if (written != content.size() || !close_ok) {
-    return common::Status::Internal("short write: " + path);
-  }
-  return common::Status::Ok();
-}
-
 }  // namespace
 
 std::string RegistryToJson(const RegistrySnapshot& snapshot) {
@@ -100,88 +86,6 @@ std::string RegistryToJson(const RegistrySnapshot& snapshot) {
   }
   out += "}}";
   return out;
-}
-
-std::string TraceEventToJson(const RoundTraceEvent& event) {
-  std::string out = "{";
-  out += "\"round\":" + std::to_string(event.round);
-  out += ",\"source_id\":" + std::to_string(event.source_id);
-  out += ",\"num_requests\":" + std::to_string(event.num_requests);
-  out += ",\"service_time_s\":" + JsonDouble(event.service_time_s);
-  out += ",\"seek_s\":" + JsonDouble(event.seek_s);
-  out += ",\"rotation_s\":" + JsonDouble(event.rotation_s);
-  out += ",\"transfer_s\":" + JsonDouble(event.transfer_s);
-  out += ",\"disturbance_delay_s\":" + JsonDouble(event.disturbance_delay_s);
-  out += ",\"disturbances\":" + std::to_string(event.disturbances);
-  out += ",\"fault_delay_s\":" + JsonDouble(event.fault_delay_s);
-  out += ",\"faulted_requests\":" + std::to_string(event.faulted_requests);
-  out += ",\"glitches\":" + std::to_string(event.glitches);
-  out += std::string(",\"overran\":") + (event.overran ? "true" : "false");
-  out += std::string(",\"disk_failed\":") +
-         (event.disk_failed ? "true" : "false");
-  out += ",\"truncated_requests\":" + std::to_string(event.truncated_requests);
-  out += ",\"leftover_s\":" + JsonDouble(event.leftover_s);
-  out += ",\"zone_hits\":[";
-  for (size_t z = 0; z < event.zone_hits.size(); ++z) {
-    if (z > 0) out += ",";
-    out += std::to_string(event.zone_hits[z]);
-  }
-  out += "]}";
-  return out;
-}
-
-common::Status WriteTraceJsonLines(const std::vector<RoundTraceEvent>& events,
-                                   const std::string& path) {
-  std::string content;
-  for (const RoundTraceEvent& event : events) {
-    content += TraceEventToJson(event);
-    content += '\n';
-  }
-  return WriteFile(path, content);
-}
-
-std::string TraceCsvHeader() {
-  return "round,source_id,num_requests,service_time_s,seek_s,rotation_s,"
-         "transfer_s,disturbance_delay_s,disturbances,fault_delay_s,"
-         "faulted_requests,glitches,overran,disk_failed,truncated_requests,"
-         "leftover_s,zone_hits";
-}
-
-std::string TraceEventToCsvRow(const RoundTraceEvent& event) {
-  std::string out;
-  out += std::to_string(event.round);
-  out += ',' + std::to_string(event.source_id);
-  out += ',' + std::to_string(event.num_requests);
-  out += ',' + JsonDouble(event.service_time_s);
-  out += ',' + JsonDouble(event.seek_s);
-  out += ',' + JsonDouble(event.rotation_s);
-  out += ',' + JsonDouble(event.transfer_s);
-  out += ',' + JsonDouble(event.disturbance_delay_s);
-  out += ',' + std::to_string(event.disturbances);
-  out += ',' + JsonDouble(event.fault_delay_s);
-  out += ',' + std::to_string(event.faulted_requests);
-  out += ',' + std::to_string(event.glitches);
-  out += event.overran ? ",1" : ",0";
-  out += event.disk_failed ? ",1" : ",0";
-  out += ',' + std::to_string(event.truncated_requests);
-  out += ',' + JsonDouble(event.leftover_s);
-  out += ',';
-  for (size_t z = 0; z < event.zone_hits.size(); ++z) {
-    if (z > 0) out += ';';
-    out += std::to_string(event.zone_hits[z]);
-  }
-  return out;
-}
-
-common::Status WriteTraceCsv(const std::vector<RoundTraceEvent>& events,
-                             const std::string& path) {
-  std::string content = TraceCsvHeader();
-  content += '\n';
-  for (const RoundTraceEvent& event : events) {
-    content += TraceEventToCsvRow(event);
-    content += '\n';
-  }
-  return WriteFile(path, content);
 }
 
 std::string RegistryToText(const RegistrySnapshot& snapshot) {

@@ -1,22 +1,17 @@
 // Exporters for the observability subsystem: registry snapshots as JSON
-// or aligned text (TablePrinter), round traces as JSON-lines or CSV.
+// or aligned text (TablePrinter).
 //
 // Formats (documented in docs/OBSERVABILITY.md):
 //   * RegistryToJson: one JSON object {"counters": {...}, "gauges": {...},
 //     "histograms": {name: {count, sum, mean, min, max, p50, p95, p99}}}.
-//   * Trace JSON-lines: one JSON object per event per line.
-//   * Trace CSV: fixed header; zone_hits flattened as "z0;z1;...".
 // Doubles are serialized with %.17g, so every finite value round-trips.
 #ifndef ZONESTREAM_OBS_EXPORT_H_
 #define ZONESTREAM_OBS_EXPORT_H_
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
-#include "common/status.h"
 #include "obs/metrics.h"
-#include "obs/round_trace.h"
 
 namespace zonestream::obs {
 
@@ -24,25 +19,6 @@ namespace zonestream::obs {
 
 // Serializes a registry snapshot as a single JSON object.
 std::string RegistryToJson(const RegistrySnapshot& snapshot);
-
-// Serializes one trace event as a single-line JSON object (no newline).
-std::string TraceEventToJson(const RoundTraceEvent& event);
-
-// Writes one JSON object per line. Overwrites `path`.
-common::Status WriteTraceJsonLines(const std::vector<RoundTraceEvent>& events,
-                                   const std::string& path);
-
-// --- CSV -------------------------------------------------------------------
-
-// Header row matching TraceEventToCsvRow (no newline).
-std::string TraceCsvHeader();
-
-// One CSV data row (no newline).
-std::string TraceEventToCsvRow(const RoundTraceEvent& event);
-
-// Writes header + one row per event. Overwrites `path`.
-common::Status WriteTraceCsv(const std::vector<RoundTraceEvent>& events,
-                             const std::string& path);
 
 // --- Text ------------------------------------------------------------------
 

@@ -14,7 +14,7 @@
 // zone, then cylinder offset), the fresh fragment sizes (one FillSamples
 // per run of consecutive streams on one distribution; a retried fragment
 // draws nothing), then R rotational latencies. The R positions are drawn
-// in issue order (disk/position_sampler.h) and gathered per disk; each
+// in issue order (disk/zone_position_sampler.h) and gathered per disk; each
 // disk's sched::Arm serves its batch in one SCAN sweep. A one-disk server
 // with N streams on one distribution is therefore the batched simulator
 // with the same seed, round for round.
@@ -34,8 +34,8 @@
 #include "core/admission.h"
 #include "core/multiclass.h"
 #include "disk/disk_geometry.h"
-#include "disk/position_sampler.h"
 #include "disk/seek_model.h"
+#include "disk/zone_position_sampler.h"
 #include "fault/degradation.h"
 #include "fault/fault_model.h"
 #include "numeric/random.h"

@@ -38,11 +38,6 @@ common::Status ValidateConfig(const SimulatorConfig& config,
   if (config.round_length_s <= 0.0) {
     return common::Status::InvalidArgument("round length must be positive");
   }
-  if (config.position_sampler != nullptr) {
-    return common::Status::InvalidArgument(
-        "importance sampling requires the default uniform-over-capacity "
-        "placement (the zone tilt owns the position law)");
-  }
   if (!config.faults.empty()) {
     return common::Status::InvalidArgument(
         "importance sampling does not support structured fault injection");
@@ -74,6 +69,13 @@ const workload::GammaSizeDistribution* AsGamma(
   return dynamic_cast<const workload::GammaSizeDistribution*>(sizes);
 }
 
+// The slowest rate the placement draws; the tilt's pole is this rate over
+// the Gamma scale. Under uniform placement it is the innermost zone's.
+double MinPlacedRate(const disk::PlacementModel& placement) {
+  return *std::min_element(placement.rates().begin(),
+                           placement.rates().end());
+}
+
 }  // namespace
 
 common::StatusOr<double> AutoTiltParameter(
@@ -102,6 +104,7 @@ ImportanceSampler::ImportanceSampler(const disk::DiskGeometry& geometry,
                                      const disk::SeekTimeModel& seek,
                                      int num_streams, double shape,
                                      double scale,
+                                     const disk::PlacementModel& placement,
                                      const SimulatorConfig& config,
                                      const ImportanceSamplingOptions& options)
     : geometry_(geometry),
@@ -116,30 +119,39 @@ ImportanceSampler::ImportanceSampler(const disk::DiskGeometry& geometry,
           numeric::SubstreamSeed(config.seed, kDisturbanceSubstream)),
       unit_gamma_(shape, 1.0) {
   theta_ = options.theta;
-  theta_max_ = geometry_.MinTransferRate() / scale_;
+  theta_max_ = MinPlacedRate(placement) / scale_;
+  // The nominal law, the tilted one and both time-scale columns all read
+  // the placement's zone law: weight p_z and rate R_z per zone, s_z =
+  // s / R_z the zone's transfer-time Gamma scale.
+  const std::vector<double>& weights = placement.zone_weights();
+  const std::vector<double>& rates = placement.zone_rates();
   const int zones = geometry_.num_zones();
-  tilted_time_scale_.resize(zones);
+  nominal_time_scale_.resize(zones);
+  for (int z = 0; z < zones; ++z) nominal_time_scale_[z] = scale_ / rates[z];
+  nominal_positions_ = disk::ZonePositionSampler(
+      geometry_, disk::AliasTable::Build(weights), rates);
   if (theta_ > 0.0) {
     rot_expm1_ = std::expm1(theta_ * geometry_.rotation_time());
     log_mgf_rot_ = UniformLogMgf(theta_, geometry_.rotation_time());
-    // M_trans(theta) = sum_z p_z (1 - theta s_z)^{-k} with s_z = s / R_z
-    // the zone's transfer-time Gamma scale; the tilted zone law weights
-    // each zone by its own MGF factor.
-    std::vector<double> tilted_weights(zones);
+    // M_trans(theta) = sum_z p_z (1 - theta s_z)^{-k}; the tilted zone law
+    // weights each zone by its own MGF factor. A zone the placement never
+    // draws keeps weight 0 and its nominal scale (its pole may lie below
+    // theta).
+    std::vector<double> tilted_weights(zones, 0.0);
+    tilted_time_scale_ = nominal_time_scale_;
     double mgf_trans = 0.0;
     for (int z = 0; z < zones; ++z) {
-      const disk::ZoneInfo& zi = geometry_.zone(z);
-      const double s_z = scale_ / zi.transfer_rate_bps;
+      if (weights[z] == 0.0) continue;
+      const double s_z = nominal_time_scale_[z];
       const double pole = 1.0 - theta_ * s_z;
       ZS_CHECK_GT(pole, 0.0);
-      const double mgf_z = std::pow(pole, -shape_);
-      tilted_weights[z] = zi.hit_probability * mgf_z;
+      tilted_weights[z] = weights[z] * std::pow(pole, -shape_);
       mgf_trans += tilted_weights[z];
       tilted_time_scale_[z] = s_z / pole;
     }
     log_mgf_trans_ = std::log(mgf_trans);
     tilted_positions_ = disk::ZonePositionSampler(
-        geometry_, disk::AliasTable::Build(tilted_weights));
+        geometry_, disk::AliasTable::Build(tilted_weights), rates);
     const DisturbanceConfig& disturbance = config_.disturbance;
     tilt_disturbance_ =
         options_.tilt_disturbance && disturbance.probability > 0.0;
@@ -156,17 +168,10 @@ ImportanceSampler::ImportanceSampler(const disk::DiskGeometry& geometry,
       dist_expm1_ = std::expm1(theta_ * (b - a));
     }
   } else {
-    // theta == 0: the untilted model — unit weights, the geometry's own
-    // zone law, the nominal Gamma scale.
-    for (int z = 0; z < zones; ++z) {
-      tilted_time_scale_[z] = scale_ / geometry_.zone(z).transfer_rate_bps;
-    }
-    tilted_positions_ = disk::ZonePositionSampler(geometry_);
-  }
-  nominal_positions_ = disk::ZonePositionSampler(geometry_);
-  nominal_time_scale_.resize(zones);
-  for (int z = 0; z < zones; ++z) {
-    nominal_time_scale_[z] = scale_ / geometry_.zone(z).transfer_rate_bps;
+    // theta == 0: the untilted model — unit weights, the nominal zone law
+    // and Gamma scales.
+    tilted_time_scale_ = nominal_time_scale_;
+    tilted_positions_ = nominal_positions_;
   }
   psi_ = log_mgf_rot_ + log_mgf_trans_ + log_mgf_dist_;
 
@@ -206,14 +211,14 @@ common::StatusOr<ImportanceSampler> ImportanceSampler::Create(
         "importance sampling requires Gamma fragment sizes (the exponential "
         "tilt of the zone mixture is closed-form only for the Gamma family)");
   }
-  const double exact_theta_max =
-      geometry.MinTransferRate() / gamma->scale();
-  if (options.theta >= exact_theta_max) {
+  auto placement = disk::PlacementModel::Create(geometry, config.placement);
+  if (!placement.ok()) return placement.status();
+  if (options.theta >= MinPlacedRate(*placement) / gamma->scale()) {
     return common::Status::InvalidArgument(
         "theta is at or beyond the transfer MGF pole min_z R_z / scale");
   }
   return ImportanceSampler(geometry, seek, num_streams, gamma->shape(),
-                           gamma->scale(), config, options);
+                           gamma->scale(), *placement, config, options);
 }
 
 void ImportanceSampler::ResetForReplication(uint64_t seed) {

@@ -3,7 +3,7 @@
 // The validation experiments need tail probabilities down to p ~ 1e-6
 // (Table 2's deep rows); naive Monte Carlo needs >= 100/p rounds for a
 // usable confidence interval, which is ~1e8 rounds at 1e-6. This module
-// simulates the same round model as RoundSimulator's batched kernel, but
+// simulates the same round model as RoundSimulator, but
 // under an exponentially tilted measure that makes late rounds common,
 // and corrects each round with its exact likelihood ratio:
 //
@@ -13,7 +13,8 @@
 //     numeric::Log1p (numeric/log1p.h: fdlibm's algorithm, bit-identical
 //     on every SIMD tier, within 1 ulp of libm's), not std::log1p.
 //   - The (zone, transfer) pair is tilted jointly: zones are drawn from
-//     p~_z ∝ p_z (1 - theta s_z)^{-k} (a one-time tilted alias table,
+//     p~_z ∝ p_z (1 - theta s_z)^{-k} (a one-time tilted alias table over
+//     the placement's zone law: p_z its weight and R_z its rate on zone z,
 //     s_z = scale/R_z the zone's transfer-time Gamma scale) and the
 //     transfer time given zone z from Gamma(k, s_z / (1 - theta s_z)).
 //     The joint likelihood ratio collapses to M_trans(theta) e^{-theta T}
@@ -61,8 +62,9 @@
 #include "common/thread_pool.h"
 #include "disk/alias_table.h"
 #include "disk/disk_geometry.h"
-#include "disk/position_sampler.h"
+#include "disk/placement.h"
 #include "disk/seek_model.h"
+#include "disk/zone_position_sampler.h"
 #include "numeric/random.h"
 #include "sched/ordering.h"
 #include "sched/scan_kernel.h"
@@ -159,19 +161,22 @@ common::StatusOr<double> AutoTiltParameter(
     int num_streams, const workload::SizeDistribution& sizes,
     double round_length_s);
 
-// Tilted mirror of RoundSimulator's batched kernel. Not thread-safe; use
-// one per thread (ReplicatedIS* below shard exactly like replication.h).
+// Tilted mirror of RoundSimulator's round. Not thread-safe; use one per
+// thread (ReplicatedIS* below shard exactly like replication.h).
 //
-// Any service policy: the order is a function of the weighted draws.
-// Restrictions (InvalidArgument otherwise): Gamma fragment sizes (the
-// closed-form tilt needs the Gamma family), the default
-// uniform-over-capacity position sampler, and no structured faults. The
-// estimators below also reject the auto tilt (theta == 0) under FCFS:
-// AutoTiltParameter models SCAN's service time, whose tail is far deeper
-// than FCFS's. At N = 26 its tilt gave FCFS a confidence interval no
-// narrower than naive sampling's, and the weights' ESS, which does not
-// depend on the policy, read the same as under SCAN, so nothing showed
-// it. FCFS needs an explicit, smaller theta.
+// Any service policy and any placement (config.placement): the order is a
+// function of the weighted draws, and the tilt reweights the placement's
+// zone law. Restrictions (InvalidArgument otherwise): Gamma fragment
+// sizes (the closed-form tilt needs the Gamma family), a valid placement,
+// and no structured faults. AutoTiltParameter models the uniform
+// placement, so its tilt stays admissible (below the innermost zone's
+// pole) but is not tuned to another placement; pass an explicit theta
+// there. The estimators below also reject the auto tilt (theta == 0)
+// under FCFS: AutoTiltParameter models SCAN's service time, whose tail is
+// far deeper than FCFS's. At N = 26 its tilt gave FCFS a confidence
+// interval no narrower than naive sampling's, and the weights' ESS, which
+// does not depend on the policy, read the same as under SCAN, so nothing
+// showed it. FCFS needs an explicit, smaller theta.
 class ImportanceSampler {
  public:
   static common::StatusOr<ImportanceSampler> Create(
@@ -193,8 +198,8 @@ class ImportanceSampler {
   // RoundSimulator::ResetForReplication).
   void ResetForReplication(uint64_t seed);
 
-  // Supremum of the admissible tilt: min_z R_z / scale, the smallest
-  // zone's Gamma-MGF pole (1/seconds).
+  // Supremum of the admissible tilt: min_z R_z / scale over the zones the
+  // placement draws, the slowest one's Gamma-MGF pole (1/seconds).
   double theta_max() const { return theta_max_; }
   double theta() const { return theta_; }
   int num_streams() const { return num_streams_; }
@@ -205,7 +210,9 @@ class ImportanceSampler {
  private:
   ImportanceSampler(const disk::DiskGeometry& geometry,
                     const disk::SeekTimeModel& seek, int num_streams,
-                    double shape, double scale, const SimulatorConfig& config,
+                    double shape, double scale,
+                    const disk::PlacementModel& placement,
+                    const SimulatorConfig& config,
                     const ImportanceSamplingOptions& options);
 
   // u -> 1-u clamped into [0, 1) (antithetic reflection; 1-u can hit 1.0
@@ -246,12 +253,13 @@ class ImportanceSampler {
   bool tilt_disturbance_ = false;
   double tilted_dist_probability_ = 0.0;
   double dist_expm1_ = 0.0;     // expm1(theta * (max - min)) for delays
-  // Position draws under the nominal zone law (warm-up rounds) and the
-  // tilted one (measured rounds).
+  // Position draws under the placement's zone law (warm-up rounds) and
+  // the tilted one (measured rounds).
   disk::ZonePositionSampler nominal_positions_;
   disk::ZonePositionSampler tilted_positions_;
   // Per-zone transfer-time Gamma scales multiplied onto unit Gamma(k, 1)
-  // draws: nominal s_z = s/R_z (warm-up rounds) and tilted
+  // draws: nominal s_z = s/R_z at the placement's zone rates (warm-up
+  // rounds) and tilted
   // s_z / (1 - theta s_z) (measured rounds).
   std::vector<double> nominal_time_scale_;
   std::vector<double> tilted_time_scale_;

@@ -26,6 +26,23 @@ MixedRoundSimulator::MixedRoundSimulator(
       discrete_sizes_(std::move(discrete_sizes)),
       config_(config),
       rng_(config.seed) {
+  if (config_.metrics != nullptr) {
+    obs::Registry* registry = config_.metrics;
+    Metrics metrics;
+    metrics.rounds = registry->GetCounter("mixed.rounds");
+    metrics.continuous_requests =
+        registry->GetCounter("mixed.continuous_requests");
+    metrics.continuous_glitches =
+        registry->GetCounter("mixed.continuous_glitches");
+    metrics.discrete_completed =
+        registry->GetCounter("mixed.discrete_completed");
+    metrics.continuous_service_s =
+        registry->GetHistogram("mixed.round.continuous_service_s");
+    metrics.leftover_s = registry->GetHistogram("mixed.round.leftover_s");
+    metrics.response_time_s = registry->GetHistogram("mixed.response_time_s");
+    metrics.queue_depth = registry->GetGauge("mixed.queue_depth");
+    metrics_ = metrics;
+  }
   const size_t n = static_cast<size_t>(num_continuous_);
   scratch_.u_pos.resize(2 * n);
   scratch_.cylinder.resize(n);
@@ -133,10 +150,7 @@ MixedRunResult MixedRoundSimulator::Run(int rounds) {
       const double response = completion_wallclock - request.arrival_time_s;
       response_times.Add(response);
       response_samples.push_back(response);
-      if (config_.metrics != nullptr) {
-        config_.metrics->GetHistogram("mixed.response_time_s")
-            ->Record(response);
-      }
+      if (metrics_.has_value()) metrics_->response_time_s->Record(response);
       queue_.pop_front();
       ++served_this_round;
     }
@@ -146,7 +160,7 @@ MixedRunResult MixedRoundSimulator::Run(int rounds) {
     // Observability: one trace event per round for the continuous sweep
     // plus the discrete-side tallies of its leftover window. Zone tallies
     // were left in scratch_.zone_hits by the sweep.
-    if (config_.trace != nullptr || config_.metrics != nullptr) {
+    if (config_.trace != nullptr || metrics_.has_value()) {
       const double leftover_s =
           std::fmax(0.0, config_.round_length_s - sweep.total_service_s);
       if (config_.trace != nullptr) {
@@ -165,20 +179,14 @@ MixedRunResult MixedRoundSimulator::Run(int rounds) {
                                scratch_.zone_hits.end());
         config_.trace->Record(std::move(event));
       }
-      if (config_.metrics != nullptr) {
-        obs::Registry* registry = config_.metrics;
-        registry->GetCounter("mixed.rounds")->Increment();
-        registry->GetCounter("mixed.continuous_requests")
-            ->Increment(num_continuous_);
-        registry->GetCounter("mixed.continuous_glitches")
-            ->Increment(sweep.glitches);
-        registry->GetCounter("mixed.discrete_completed")
-            ->Increment(served_this_round);
-        registry->GetHistogram("mixed.round.continuous_service_s")
-            ->Record(sweep.total_service_s);
-        registry->GetHistogram("mixed.round.leftover_s")->Record(leftover_s);
-        registry->GetGauge("mixed.queue_depth")
-            ->Set(static_cast<double>(queue_.size()));
+      if (metrics_.has_value()) {
+        metrics_->rounds->Increment();
+        metrics_->continuous_requests->Increment(num_continuous_);
+        metrics_->continuous_glitches->Increment(sweep.glitches);
+        metrics_->discrete_completed->Increment(served_this_round);
+        metrics_->continuous_service_s->Record(sweep.total_service_s);
+        metrics_->leftover_s->Record(leftover_s);
+        metrics_->queue_depth->Set(static_cast<double>(queue_.size()));
       }
     }
     ++rounds_run_;

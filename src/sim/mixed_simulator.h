@@ -13,12 +13,13 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
 #include "disk/disk_geometry.h"
-#include "disk/position_sampler.h"
 #include "disk/seek_model.h"
+#include "disk/zone_position_sampler.h"
 #include "numeric/random.h"
 #include "numeric/statistics.h"
 #include "sched/ordering.h"
@@ -26,6 +27,9 @@
 #include "workload/size_distribution.h"
 
 namespace zonestream::obs {
+class Counter;
+class Gauge;
+class Histogram;
 class Registry;
 class RoundTraceRecorder;
 }  // namespace zonestream::obs
@@ -92,6 +96,19 @@ class MixedRoundSimulator {
     double bytes = 0.0;
   };
 
+  // "mixed.*" metric handles resolved once at construction (see
+  // docs/OBSERVABILITY.md for the name schema).
+  struct Metrics {
+    obs::Counter* rounds = nullptr;
+    obs::Counter* continuous_requests = nullptr;
+    obs::Counter* continuous_glitches = nullptr;
+    obs::Counter* discrete_completed = nullptr;
+    obs::Histogram* continuous_service_s = nullptr;
+    obs::Histogram* leftover_s = nullptr;
+    obs::Histogram* response_time_s = nullptr;
+    obs::Gauge* queue_depth = nullptr;
+  };
+
   // Result of one continuous SCAN sweep. The phase sums and the zone
   // tallies (left in scratch_.zone_hits) are filled only when tracing.
   struct ContinuousSweep {
@@ -132,6 +149,7 @@ class MixedRoundSimulator {
   std::deque<DiscreteRequest> queue_;
   double next_arrival_s_ = 0.0;
   int64_t rounds_run_ = 0;  // across Run() calls; indexes trace events
+  std::optional<Metrics> metrics_;
   RoundScratch scratch_;
 };
 

@@ -9,14 +9,10 @@
 // fixed, the aggregate statistics are bit-identical at every thread count
 // (see replication_test.cc), while the wall time scales with the pool.
 //
-// Determinism contract with the batched kernel: the across-thread
-// bit-identity above holds for BOTH kernels, because the kernel choice is
-// part of the per-replication sample path, not of the scheduling. For a
-// fixed SimulatorConfig::batched_kernel value, (base_seed, r) fully
-// determines every replication's draws; flipping batched_kernel changes
-// the main-stream draw order and therefore the individual sample paths,
-// but not their distribution (tests/sim/batch_kernel_test.cc pins the
-// two kernels' estimates to statistical agreement).
+// Determinism contract: a replication's draws (the round's batches from
+// the main stream, the disturbance and fault substreams, positions under
+// the zone law of SimulatorConfig::placement) depend only on the config
+// and (base_seed, r), never on which thread runs it or when.
 //
 // Observability: any obs::Registry / obs::RoundTraceRecorder set on the
 // simulator config is shared by all replications (both are thread-safe);

@@ -26,9 +26,10 @@ RoundSimulator::RoundSimulator(
     int num_streams,
     std::vector<std::unique_ptr<workload::FragmentSource>> sources,
     std::unique_ptr<fault::FaultInjector> fault_injector,
-    const SimulatorConfig& config)
+    const disk::PlacementModel& placement, const SimulatorConfig& config)
     : geometry_(geometry),
-      positions_(geometry_),
+      positions_(geometry_, disk::AliasTable::Build(placement.zone_weights()),
+                 placement.zone_rates()),
       seek_(seek),
       num_streams_(num_streams),
       sources_(std::move(sources)),
@@ -59,7 +60,7 @@ RoundSimulator::RoundSimulator(
   }
   // Batched size draws need every stream on one shared i.i.d.
   // distribution; anything else (per-stream families, AR(1) state) falls
-  // back to per-stream draws inside the batched kernel.
+  // back to per-stream draws.
   shared_iid_ = sources_.front()->iid_distribution();
   for (const auto& source : sources_) {
     if (source->iid_distribution() != shared_iid_) {
@@ -98,6 +99,8 @@ common::StatusOr<RoundSimulator> RoundSimulator::Create(
   if (source_factory == nullptr) {
     return common::Status::InvalidArgument("source factory is null");
   }
+  auto placement = disk::PlacementModel::Create(geometry, config.placement);
+  if (!placement.ok()) return placement.status();
   std::vector<std::unique_ptr<workload::FragmentSource>> sources;
   sources.reserve(num_streams);
   for (int i = 0; i < num_streams; ++i) {
@@ -116,7 +119,7 @@ common::StatusOr<RoundSimulator> RoundSimulator::Create(
     injector = *std::move(created);
   }
   return RoundSimulator(geometry, seek, num_streams, std::move(sources),
-                        std::move(injector), config);
+                        std::move(injector), *placement, config);
 }
 
 FragmentSourceFactory RoundSimulator::IidFactory(
@@ -131,179 +134,24 @@ RoundOutcome RoundSimulator::RunRound() {
   // The fault models advance at the round boundary, before any request is
   // drawn; a failed disk still draws its round (see FinishDiskFailedRound).
   if (fault_injector_ != nullptr) fault_injector_->BeginRound(num_streams_);
-  return config_.batched_kernel ? RunRoundBatched() : RunRoundScalar();
-}
-
-RoundOutcome RoundSimulator::RunRoundScalar() {
-  const bool disk_failed =
-      fault_injector_ != nullptr && fault_injector_->disk_failed();
-  const bool track_delays = config_.truncate_at_deadline;
-  if (track_delays) {
-    scratch_.dist_delay_s.assign(num_streams_, 0.0);
-    scratch_.fault_delay_s.assign(num_streams_, 0.0);
-  }
-  // Issue one request per stream at a uniform-over-capacity position.
-  std::vector<sched::DiskRequest> requests;
-  requests.reserve(num_streams_);
-  int disturbances = 0;
-  double disturbance_delay_s = 0.0;
-  double fault_delay_s = 0.0;
-  int faulted_requests = 0;
-  for (int stream = 0; stream < num_streams_; ++stream) {
-    const disk::DiskPosition position =
-        config_.position_sampler
-            ? config_.position_sampler(geometry_, &rng_)
-            : geometry_.SampleUniformPosition(&rng_);
-    sched::DiskRequest request;
-    request.stream_id = stream;
-    request.cylinder = position.cylinder;
-    request.zone = position.zone;
-    request.transfer_rate_bps = position.transfer_rate_bps;
-    request.bytes = sources_[stream]->NextFragmentBytes(&rng_);
-    request.rotational_latency_s =
-        rng_.Uniform(0.0, geometry_.rotation_time());
-    // Failure injection: sporadic extra delay, charged with the rotational
-    // latency (any additive slot in the per-request service works). Drawn
-    // from the dedicated substream so the main stream is undisturbed.
-    const DisturbanceConfig& disturbance = config_.disturbance;
-    if (disturbance.probability > 0.0 &&
-        disturbance_rng_.Uniform01() < disturbance.probability) {
-      const double delay = disturbance_rng_.Uniform(disturbance.delay_min_s,
-                                                    disturbance.delay_max_s);
-      request.rotational_latency_s += delay;
-      ++disturbances;
-      disturbance_delay_s += delay;
-      if (track_delays) scratch_.dist_delay_s[stream] = delay;
-    }
-    // Structured faults, same additive slot, consulted in issue order so
-    // both kernels consume the fault substreams identically. A failed
-    // disk serves nothing, so no per-request fault draws happen there.
-    if (fault_injector_ != nullptr && !disk_failed) {
-      const fault::RequestFaultContext context{stream, stream, request.zone,
-                                               request.cylinder};
-      const double delay = fault_injector_->DelayFor(context);
-      if (delay > 0.0) {
-        request.rotational_latency_s += delay;
-        ++faulted_requests;
-        fault_delay_s += delay;
-        if (track_delays) scratch_.fault_delay_s[stream] = delay;
-      }
-      request.transfer_rate_bps *=
-          fault_injector_->RateMultiplier(request.zone);
-    }
-    requests.push_back(request);
-  }
-  if (disk_failed) {
-    std::fill(scratch_.zone_hits.begin(), scratch_.zone_hits.end(), 0);
-    for (const sched::DiskRequest& request : requests) {
-      ++scratch_.zone_hits[request.zone];
-    }
-    return FinishDiskFailedRound();
-  }
-
-  // Arm policy, spelled out over the request structs as the reference
-  // for sched::Arm. C-SCAN must return the arm to cylinder 0 between
-  // rounds; that return sweep is disk time like any other seek, so it is
-  // charged to this round's service time.
-  int arm = arm_.cylinder();
-  double return_seek_s = 0.0;
-  sched::SweepDirection direction = sched::SweepDirection::kAscending;
-  if (config_.policy == sched::ServicePolicy::kCScan) {
-    if (arm != 0) return_seek_s = seek_.SeekTime(arm);
-    arm = 0;
-  } else if (!arm_.ascending()) {
-    direction = sched::SweepDirection::kDescending;
-  }
-  sched::OrderRequests(&requests, config_.policy, arm, direction);
-  const sched::RoundTiming timing =
-      sched::ExecuteScanRound(seek_, requests, arm);
-
-  RoundOutcome outcome;
-  outcome.total_service_time_s =
-      return_seek_s + timing.total_service_time_s;
-  outcome.overran = outcome.total_service_time_s > config_.round_length_s;
-  int last_on_time_cylinder = arm;
-  for (size_t i = 0; i < timing.per_request.size(); ++i) {
-    if (return_seek_s + timing.per_request[i].completion_s >
-        config_.round_length_s) {
-      outcome.glitched_streams.push_back(timing.per_request[i].stream_id);
-    } else {
-      last_on_time_cylinder = requests[i].cylinder;
-    }
-  }
-  // Unfinished transfers are dropped at the deadline: the arm ends at the
-  // last request it fully served (or at the aborted request's cylinder,
-  // which for SCAN is adjacent — the difference is below seek resolution).
-  arm_.Reset(outcome.glitched_streams.empty() ? timing.final_arm_cylinder
-                                               : last_on_time_cylinder,
-             !arm_.ascending());
-
-  // Observability: per-round decomposition into the trace sink and the
-  // metric registry. The injected disturbance and fault delays ride in
-  // the rotation slot of the per-request timings, so they are subtracted
-  // back out to keep seek + rotation + transfer + disturbance + fault ==
-  // service time.
-  if (config_.trace != nullptr || metrics_.has_value()) {
-    RoundBreakdown breakdown;
-    breakdown.seek_s = return_seek_s;
-    for (const sched::RequestTiming& rt : timing.per_request) {
-      breakdown.seek_s += rt.seek_s;
-      breakdown.rotation_s += rt.rotation_s;
-      breakdown.transfer_s += rt.transfer_s;
-    }
-    breakdown.rotation_s -= disturbance_delay_s + fault_delay_s;
-    breakdown.disturbance_delay_s = disturbance_delay_s;
-    breakdown.disturbances = disturbances;
-    breakdown.fault_delay_s = fault_delay_s;
-    breakdown.faulted_requests = faulted_requests;
-    breakdown.service_time_s = outcome.total_service_time_s;
-    if (config_.truncate_at_deadline && outcome.overran) {
-      const size_t n = timing.per_request.size();
-      std::vector<int> order(n);
-      std::vector<double> seek_by_pos(n);
-      std::vector<double> rotation_by_pos(n);
-      std::vector<double> transfer_by_pos(n);
-      for (size_t i = 0; i < n; ++i) {
-        order[i] = requests[i].stream_id;
-        seek_by_pos[i] = timing.per_request[i].seek_s;
-        rotation_by_pos[i] = timing.per_request[i].rotation_s;
-        transfer_by_pos[i] = timing.per_request[i].transfer_s;
-      }
-      TruncateBreakdown(&breakdown, order.data(), seek_by_pos.data(),
-                        rotation_by_pos.data(), transfer_by_pos.data(), n,
-                        return_seek_s);
-    }
-    std::fill(scratch_.zone_hits.begin(), scratch_.zone_hits.end(), 0);
-    for (const sched::DiskRequest& request : requests) {
-      ++scratch_.zone_hits[request.zone];
-    }
-    EmitRoundObservability(outcome, breakdown);
-  }
-  ++rounds_run_;
-  return outcome;
-}
-
-RoundOutcome RoundSimulator::RunRoundBatched() {
-  return ServeRoundBatched(DrawRoundBatched());
+  return ServeRound(DrawRound());
 }
 
 RoundLateness RoundSimulator::RunRoundLateness() {
   // The certificate skips the sweep, whose per-request timings the
-  // observability hooks read; the scalar reference kernel keeps its own
-  // draw order. (Under SSTF and FCFS the certificate always declines.)
-  const bool certifiable = config_.batched_kernel &&
-                           config_.trace == nullptr && !metrics_.has_value();
+  // observability hooks read. (Under SSTF and FCFS the certificate always
+  // declines.)
   RoundOutcome outcome;
-  if (certifiable) {
+  if (config_.trace == nullptr && !metrics_.has_value()) {
     if (fault_injector_ != nullptr) fault_injector_->BeginRound(num_streams_);
-    const DrawnRound drawn = DrawRoundBatched();
+    const DrawnRound drawn = DrawRound();
     if (!drawn.disk_failed &&
         arm_.ServeCertified(seek_, ScratchBatch(), config_.policy,
                             config_.round_length_s)) {
       ++rounds_run_;
       return RoundLateness{};
     }
-    outcome = ServeRoundBatched(drawn);
+    outcome = ServeRound(drawn);
   } else {
     outcome = RunRound();
   }
@@ -317,7 +165,7 @@ sched::ScanBatch RoundSimulator::ScratchBatch() const {
                           s.bytes.data(), s.rate_bps.data()};
 }
 
-RoundSimulator::DrawnRound RoundSimulator::DrawRoundBatched() {
+RoundSimulator::DrawnRound RoundSimulator::DrawRound() {
   const int n = num_streams_;
   RoundScratch& s = scratch_;
   DrawnRound drawn;
@@ -329,24 +177,13 @@ RoundSimulator::DrawnRound RoundSimulator::DrawRoundBatched() {
     s.fault_delay_s.assign(static_cast<size_t>(n), 0.0);
   }
 
-  // Positions. The default placement needs two uniforms per request —
-  // zone through the geometry's alias table, cylinder within the zone —
-  // drawn as two whole-round batches (disk/position_sampler.h). A custom
-  // sampler is an opaque callback and falls back to per-stream calls.
-  if (!config_.position_sampler) {
-    rng_.FillUniform01(s.u_pos.data(), 2 * static_cast<size_t>(n));
-    positions_.Sample(s.u_pos.data(), s.u_pos.data() + n,
-                      static_cast<size_t>(n), s.zone.data(),
-                      s.cylinder.data(), s.rate_bps.data());
-  } else {
-    for (int i = 0; i < n; ++i) {
-      const disk::DiskPosition position =
-          config_.position_sampler(geometry_, &rng_);
-      s.zone[i] = position.zone;
-      s.cylinder[i] = position.cylinder;
-      s.rate_bps[i] = position.transfer_rate_bps;
-    }
-  }
+  // Positions: two uniforms per request — zone through the placement's
+  // zone law, cylinder within the zone — drawn as two whole-round batches
+  // (disk/zone_position_sampler.h).
+  rng_.FillUniform01(s.u_pos.data(), 2 * static_cast<size_t>(n));
+  positions_.Sample(s.u_pos.data(), s.u_pos.data() + n,
+                    static_cast<size_t>(n), s.zone.data(), s.cylinder.data(),
+                    s.rate_bps.data());
 
   // Sizes: one batched fill when every stream shares one i.i.d.
   // distribution (the Marsaglia–Tsang constants are then reused across
@@ -362,8 +199,7 @@ RoundSimulator::DrawnRound RoundSimulator::DrawRoundBatched() {
   // Rotational latencies in one batch.
   rng_.FillUniform(0.0, geometry_.rotation_time(), s.rotation_s.data(), n);
 
-  // Failure injection, bit-identical to the scalar kernel: the dedicated
-  // substream is consumed in the same per-request order.
+  // Failure injection from the dedicated substream, in issue order.
   const DisturbanceConfig& disturbance = config_.disturbance;
   if (disturbance.probability > 0.0) {
     for (int i = 0; i < n; ++i) {
@@ -378,8 +214,8 @@ RoundSimulator::DrawnRound RoundSimulator::DrawRoundBatched() {
     }
   }
 
-  // Structured faults, consumed in the same issue order as the scalar
-  // kernel so the fault substream positions match across kernels.
+  // Structured faults, consulted in issue order. A failed disk serves
+  // nothing, so no per-request fault draws happen there.
   if (fault_injector_ != nullptr && !drawn.disk_failed) {
     for (int i = 0; i < n; ++i) {
       const fault::RequestFaultContext context{i, i, s.zone[i],
@@ -397,7 +233,7 @@ RoundSimulator::DrawnRound RoundSimulator::DrawRoundBatched() {
   return drawn;
 }
 
-RoundOutcome RoundSimulator::ServeRoundBatched(const DrawnRound& drawn) {
+RoundOutcome RoundSimulator::ServeRound(const DrawnRound& drawn) {
   const int n = num_streams_;
   RoundScratch& s = scratch_;
   if (drawn.disk_failed) {

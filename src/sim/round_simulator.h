@@ -3,10 +3,11 @@
 // This is the validation substrate: every round, each of the N streams
 // requests one fragment at a position sampled uniformly over the disk's
 // stored bytes (zone with probability C_i/C, cylinder uniform within the
-// zone), with a uniform rotational latency and a zone-rate transfer. The
-// requests are served in one sweep of the disk arm (sched::Arm) in the
-// configured service order — SCAN, the paper's, by default; fragments that
-// would complete after the round deadline are glitches for their streams.
+// zone) or under another configured placement, with a uniform rotational
+// latency and a zone-rate transfer. The requests are served in one sweep
+// of the disk arm (sched::Arm) in the configured service order — SCAN,
+// the paper's, by default; fragments that would complete after the round
+// deadline are glitches for their streams.
 #ifndef ZONESTREAM_SIM_ROUND_SIMULATOR_H_
 #define ZONESTREAM_SIM_ROUND_SIMULATOR_H_
 
@@ -19,12 +20,12 @@
 
 #include "common/status.h"
 #include "disk/disk_geometry.h"
-#include "disk/position_sampler.h"
+#include "disk/placement.h"
 #include "disk/seek_model.h"
+#include "disk/zone_position_sampler.h"
 #include "fault/fault_model.h"
 #include "numeric/statistics.h"
 #include "sched/ordering.h"
-#include "sched/scan.h"
 #include "sched/scan_kernel.h"
 #include "workload/fragment_source.h"
 #include "workload/size_distribution.h"
@@ -42,13 +43,6 @@ namespace zonestream::sim {
 // simulator construction. Stream ids are 0-based.
 using FragmentSourceFactory =
     std::function<std::unique_ptr<workload::FragmentSource>(int stream_id)>;
-
-// Samples the disk position of one fragment. The default (null) sampler is
-// uniform-over-capacity on the geometry (the paper's placement); the
-// zone-aware strategies in disk/placement.h provide alternatives.
-using PositionSampler =
-    std::function<disk::DiskPosition(const disk::DiskGeometry&,
-                                     numeric::Rng*)>;
 
 // Failure injection: with `probability` per request, an extra service
 // delay uniform in [delay_min_s, delay_max_s] is added — modeling the
@@ -77,8 +71,11 @@ struct SimulatorConfig {
   // Service order and arm policy (the paper uses SCAN; C-SCAN, SSTF and
   // FCFS support the scheduling ablation).
   sched::ServicePolicy policy = sched::ServicePolicy::kScan;
-  PositionSampler position_sampler;  // null = uniform over capacity
-  DisturbanceConfig disturbance;     // default: none
+  // Where fragments are stored (disk/placement.h): uniform over capacity,
+  // the paper's placement, by default; outer zones only or Birk's track
+  // pairs otherwise. Create rejects one PlacementModel::Create rejects.
+  disk::PlacementConfig placement;
+  DisturbanceConfig disturbance;  // default: none
 
   // Structured fault injection (fault/fault_model.h): Markov-modulated
   // slowdown epochs, zone dropouts with remapped rates, correlated
@@ -105,20 +102,6 @@ struct SimulatorConfig {
   // hypothetical sweep time, so enabling this changes trace accounting
   // only. Default off, preserving the historical trace values.
   bool truncate_at_deadline = false;
-
-  // Use the batched structure-of-arrays round kernel (default): per-round
-  // variates are drawn in batches (all positions, then all sizes, then
-  // all rotational latencies), zones come from the geometry's O(1) alias
-  // table, and all per-round state lives in scratch buffers reused across
-  // rounds — no allocation on the hot path. The batched and scalar
-  // kernels simulate the same model and are statistically
-  // indistinguishable (tests/sim/batch_kernel_test.cc), but they consume
-  // the main RNG stream in different orders, so individual sample paths
-  // differ for the same seed. Set false for the scalar reference kernel,
-  // which preserves today's bit-exact per-seed outputs (A/B ablation and
-  // golden-value regressions). Disturbance draws use a dedicated
-  // substream consumed identically by both kernels.
-  bool batched_kernel = true;
 
   // Optional observability hooks (not owned; null = disabled). `metrics`
   // receives counters/histograms under the "sim." prefix and `trace` one
@@ -158,7 +141,7 @@ struct ProbabilityEstimate {
 // the arm state, the round counter, and each stream source's cross-round
 // state. Restoring it onto a simulator freshly Created with the same
 // (geometry, seek, num_streams, factory, config) continues the run
-// bit-identically under either kernel.
+// bit-identically.
 struct RoundSimulatorState {
   std::string rng_state;              // numeric::Rng::SaveState
   std::string disturbance_rng_state;  // ditto, dedicated substream
@@ -172,6 +155,13 @@ struct RoundSimulatorState {
 
 // Single-disk round simulator. Not thread-safe; use one per thread with
 // distinct seeds.
+//
+// A round draws in whole-round batches from the main stream — the 2n
+// position uniforms (zones through the placement's zone law, then
+// cylinders within the zone; disk/zone_position_sampler.h), the n sizes, then
+// the n rotational latencies — into structure-of-arrays scratch reused
+// across rounds, and serves them through sched::Arm on sched::ScanKernel.
+// Disturbance and fault draws use dedicated substreams.
 class RoundSimulator {
  public:
   // `num_streams` streams draw sizes from `source_factory` (pass
@@ -194,8 +184,8 @@ class RoundSimulator {
   // sort and the sweep of a round that sched::Arm::ServeCertified proves
   // on time (a concave bound on the sweep's seeks), which then has no T_N
   // to report. It runs RunRound's full path with metrics or trace hooks
-  // attached (they need the breakdown), on the scalar reference kernel,
-  // under SSTF or FCFS, and whenever the bound fails.
+  // attached (they need the breakdown), under SSTF or FCFS, and whenever
+  // the bound fails.
   RoundLateness RunRoundLateness();
 
   // Estimates p_late = P[T_N >= t] over `rounds` simulated rounds
@@ -266,11 +256,9 @@ class RoundSimulator {
     std::vector<obs::Counter*> zone_hits;
   };
 
-  // Structure-of-arrays scratch for the batched kernel, sized once at
+  // Structure-of-arrays scratch for the round, sized once at
   // construction and reused every round. zone_hits doubles as the
-  // preallocated per-round zone tally for the observability hooks (both
-  // kernels), replacing the old per-request counter increments and the
-  // per-round vector growth.
+  // preallocated per-round zone tally for the observability hooks.
   struct RoundScratch {
     // Position-draw uniforms, one contiguous block of 2n so the round
     // fills them with a single engine pass: zone draws in [0, n),
@@ -312,9 +300,10 @@ class RoundSimulator {
                  const disk::SeekTimeModel& seek, int num_streams,
                  std::vector<std::unique_ptr<workload::FragmentSource>> sources,
                  std::unique_ptr<fault::FaultInjector> fault_injector,
+                 const disk::PlacementModel& placement,
                  const SimulatorConfig& config);
 
-  // What the batched kernel's draws tally for the observability hooks.
+  // What a round's draws tally for the observability hooks.
   struct DrawnRound {
     bool disk_failed = false;
     int disturbances = 0;
@@ -323,13 +312,11 @@ class RoundSimulator {
     double fault_delay_s = 0.0;
   };
 
-  RoundOutcome RunRoundScalar();
-  RoundOutcome RunRoundBatched();
-  // The batched round in two halves: every draw of the round into
-  // scratch_, then its service (sweep, outcome, observability). Faults
-  // must have begun the round.
-  DrawnRound DrawRoundBatched();
-  RoundOutcome ServeRoundBatched(const DrawnRound& drawn);
+  // The round in two halves: every draw of the round into scratch_, then
+  // its service (sweep, outcome, observability). Faults must have begun
+  // the round.
+  DrawnRound DrawRound();
+  RoundOutcome ServeRound(const DrawnRound& drawn);
   // The drawn round as the SCAN kernel's batch.
   sched::ScanBatch ScratchBatch() const;
 
@@ -354,7 +341,7 @@ class RoundSimulator {
                               const RoundBreakdown& breakdown);
 
   disk::DiskGeometry geometry_;
-  // The default placement's batched draw over geometry_'s zone law.
+  // The batched position draw over config_.placement's zone law.
   disk::ZonePositionSampler positions_;
   disk::SeekTimeModel seek_;
   int num_streams_;
@@ -368,8 +355,7 @@ class RoundSimulator {
   int64_t rounds_run_ = 0;
   std::optional<Metrics> metrics_;
   // Non-null iff every stream draws i.i.d. from this one distribution, in
-  // which case the batched kernel pulls a round's sizes in one
-  // FillSamples() call.
+  // which case a round pulls its sizes in one FillSamples() call.
   const workload::SizeDistribution* shared_iid_ = nullptr;
   RoundScratch scratch_;
 };

@@ -1,7 +1,7 @@
 // Placement strategies through the full analytic + simulation pipeline:
 // the rate mixtures from disk::PlacementModel feed the transfer transform
-// and the position sampler, and the capacity ordering predicted by the
-// model must hold in simulation.
+// and, as SimulatorConfig::placement, the simulator's position draw, and
+// the capacity ordering predicted by the model must hold in simulation.
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -103,16 +103,8 @@ TEST(PlacementIntegrationTest, SimulationConfirmsOuterZoneGain) {
   const double uniform_plate =
       uniform_sim->EstimateLateProbability(20000).point;
 
-  disk::PlacementConfig outer;
-  outer.strategy = disk::PlacementStrategy::kOuterZones;
-  outer.outer_zone_count = 5;
-  auto placement = disk::PlacementModel::Create(viking, outer);
-  ASSERT_TRUE(placement.ok());
-  config.position_sampler =
-      [placement_model = *std::move(placement)](
-          const disk::DiskGeometry& geometry, numeric::Rng* rng) {
-        return placement_model.SamplePosition(geometry, rng);
-      };
+  config.placement.strategy = disk::PlacementStrategy::kOuterZones;
+  config.placement.outer_zone_count = 5;
   auto outer_sim = sim::RoundSimulator::Create(
       viking, disk::QuantumViking2100Seek(), 28,
       sim::RoundSimulator::IidFactory(sizes), config);

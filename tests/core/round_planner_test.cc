@@ -29,9 +29,6 @@ TEST(RoundPlannerTest, Validation) {
   EXPECT_FALSE(
       EvaluateRoundLength(viking, seek, VideoStream(), DefaultQos(), 0.0)
           .ok());
-  EXPECT_FALSE(MinimalRoundLengthForCapacity(viking, seek, VideoStream(),
-                                             DefaultQos(), 0)
-                   .ok());
   EXPECT_FALSE(
       SweepRoundLengths(viking, seek, VideoStream(), DefaultQos(), {}).ok());
 }
@@ -64,52 +61,6 @@ TEST(RoundPlannerTest, CapacityNonDecreasingInRoundLength) {
     EXPECT_GT((*plans)[i].client_buffer_bytes,
               (*plans)[i - 1].client_buffer_bytes);
   }
-}
-
-TEST(RoundPlannerTest, MinimalRoundLengthHitsTarget) {
-  const disk::DiskGeometry viking = disk::QuantumViking2100();
-  const disk::SeekTimeModel seek = disk::QuantumViking2100Seek();
-  const int target = 25;
-  const auto plan = MinimalRoundLengthForCapacity(viking, seek, VideoStream(),
-                                                  DefaultQos(), target);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_GE(plan->streams_per_disk, target);
-  // Minimality: a slightly shorter round must miss the target.
-  const auto shorter = EvaluateRoundLength(viking, seek, VideoStream(),
-                                           DefaultQos(),
-                                           plan->round_length_s - 0.05);
-  ASSERT_TRUE(shorter.ok());
-  EXPECT_LT(shorter->streams_per_disk, target);
-}
-
-TEST(RoundPlannerTest, UnreachableTargetRejected) {
-  const auto plan = MinimalRoundLengthForCapacity(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), VideoStream(),
-      DefaultQos(), /*target=*/10000);
-  EXPECT_FALSE(plan.ok());
-  EXPECT_EQ(plan.status().code(), common::StatusCode::kOutOfRange);
-}
-
-TEST(RoundPlannerTest, AlreadyReachableAtLowerEdge) {
-  const auto plan = MinimalRoundLengthForCapacity(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), VideoStream(),
-      DefaultQos(), /*target=*/1, /*t_lo=*/0.5, /*t_hi=*/4.0);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_DOUBLE_EQ(plan->round_length_s, 0.5);
-}
-
-TEST(RoundPlannerTest, HigherBandwidthNeedsLongerRounds) {
-  const disk::DiskGeometry viking = disk::QuantumViking2100();
-  const disk::SeekTimeModel seek = disk::QuantumViking2100Seek();
-  PlannedStream heavy = VideoStream();
-  heavy.bandwidth_bps = 400e3;
-  const auto light_plan = MinimalRoundLengthForCapacity(
-      viking, seek, VideoStream(), DefaultQos(), 12);
-  const auto heavy_plan =
-      MinimalRoundLengthForCapacity(viking, seek, heavy, DefaultQos(), 12);
-  ASSERT_TRUE(light_plan.ok());
-  ASSERT_TRUE(heavy_plan.ok());
-  EXPECT_GT(heavy_plan->round_length_s, light_plan->round_length_s);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "disk/alias_table.h"
 #include "disk/presets.h"
+#include "disk/zone_position_sampler.h"
 #include "numeric/random.h"
 
 namespace zonestream::disk {
@@ -36,6 +38,20 @@ TEST(PlacementTest, UniformMatchesGeometry) {
   EXPECT_NEAR(placement->InverseRateMoment(1), viking.InverseRateMoment(1),
               1e-18);
   EXPECT_DOUBLE_EQ(placement->usable_capacity_fraction(), 1.0);
+  // The zone law is the geometry's own, double for double, so its alias
+  // table is the geometry's and every default-placement draw is unchanged.
+  ASSERT_EQ(placement->zone_weights().size(), 15u);
+  ASSERT_EQ(placement->zone_rates().size(), 15u);
+  for (int i = 0; i < 15; ++i) {
+    EXPECT_EQ(placement->zone_weights()[i], viking.zone(i).hit_probability);
+    EXPECT_EQ(placement->zone_rates()[i], viking.TransferRate(i));
+  }
+  const AliasTable law = AliasTable::Build(placement->zone_weights());
+  ASSERT_EQ(law.size(), viking.zone_alias().size());
+  for (size_t b = 0; b < law.size(); ++b) {
+    EXPECT_EQ(law.threshold(b), viking.zone_alias().threshold(b));
+    EXPECT_EQ(law.alias(b), viking.zone_alias().alias(b));
+  }
 }
 
 TEST(PlacementTest, OuterZonesRestrictsSupportAndRaisesRate) {
@@ -95,21 +111,35 @@ TEST(PlacementTest, TrackPairingEffectiveRatesAreHarmonicMeans) {
 }
 
 TEST(PlacementTest, SamplePositionsFollowTheMixture) {
+  // The outer-3 placement's zone law through the batched position
+  // sampler: only zones 12-14, each at its component's share and rate.
   const DiskGeometry viking = QuantumViking2100();
   PlacementConfig config;
   config.strategy = PlacementStrategy::kOuterZones;
   config.outer_zone_count = 3;
   auto placement = PlacementModel::Create(viking, config);
   ASSERT_TRUE(placement.ok());
+  const ZonePositionSampler sampler(
+      viking, AliasTable::Build(placement->zone_weights()),
+      placement->zone_rates());
+  constexpr size_t kSamples = 60000;
   numeric::Rng rng(8);
+  std::vector<double> u(2 * kSamples);
+  rng.FillUniform01(u.data(), u.size());
+  std::vector<int> zone(kSamples);
+  std::vector<int> cylinder(kSamples);
+  std::vector<double> rate(kSamples);
+  sampler.Sample(u.data(), u.data() + kSamples, kSamples, zone.data(),
+                 cylinder.data(), rate.data());
   std::vector<int> counts(3, 0);
-  constexpr int kSamples = 60000;
-  for (int i = 0; i < kSamples; ++i) {
-    const DiskPosition position = placement->SamplePosition(viking, &rng);
-    ASSERT_GE(position.zone, 12);
-    ASSERT_LT(position.zone, 15);
-    ASSERT_GE(position.cylinder, viking.zone(12).first_cylinder);
-    ++counts[position.zone - 12];
+  for (size_t i = 0; i < kSamples; ++i) {
+    ASSERT_GE(zone[i], 12);
+    ASSERT_LT(zone[i], 15);
+    const ZoneInfo& zi = viking.zone(zone[i]);
+    ASSERT_GE(cylinder[i], zi.first_cylinder);
+    ASSERT_LT(cylinder[i], zi.first_cylinder + zi.num_cylinders);
+    ASSERT_EQ(rate[i], placement->rates()[zone[i] - 12]);
+    ++counts[zone[i] - 12];
   }
   for (int i = 0; i < 3; ++i) {
     EXPECT_NEAR(static_cast<double>(counts[i]) / kSamples,
@@ -118,29 +148,42 @@ TEST(PlacementTest, SamplePositionsFollowTheMixture) {
 }
 
 TEST(PlacementTest, ComponentAliasMatchesMixtureProbabilities) {
+  // Track pairing's zone law: pair i's probability and harmonic-mean rate
+  // on zone i, zero weight on the 7 zones that host no pair's first half
+  // (they keep their own rates), and an alias table over it that draws
+  // each pair at its probability and never a zero-weight zone.
   const DiskGeometry viking = QuantumViking2100();
   PlacementConfig config;
   config.strategy = PlacementStrategy::kTrackPairing;
   auto placement = PlacementModel::Create(viking, config);
   ASSERT_TRUE(placement.ok());
   const std::vector<double>& probabilities = placement->probabilities();
-  numeric::Rng rng(9);
-  std::vector<int> counts(probabilities.size(), 0);
-  constexpr int kSamples = 60000;
-  for (int i = 0; i < kSamples; ++i) {
-    const int component = placement->SampleComponentAlias(rng.Uniform01());
-    ASSERT_GE(component, 0);
-    ASSERT_LT(component, static_cast<int>(probabilities.size()));
-    ++counts[component];
+  const std::vector<double>& weights = placement->zone_weights();
+  const std::vector<double>& rates = placement->zone_rates();
+  ASSERT_EQ(probabilities.size(), 8u);
+  ASSERT_EQ(weights.size(), 15u);
+  ASSERT_EQ(rates.size(), 15u);
+  for (int z = 0; z < 15; ++z) {
+    if (z < 8) {
+      EXPECT_EQ(weights[z], probabilities[z]);
+      EXPECT_EQ(rates[z], placement->rates()[z]);
+    } else {
+      EXPECT_EQ(weights[z], 0.0);
+      EXPECT_EQ(rates[z], viking.TransferRate(z));
+    }
   }
-  for (size_t i = 0; i < probabilities.size(); ++i) {
-    EXPECT_NEAR(static_cast<double>(counts[i]) / kSamples, probabilities[i],
-                0.01);
-    const int zone = placement->ComponentZone(static_cast<int>(i));
-    ASSERT_GE(zone, 0);
-    ASSERT_LT(zone, viking.num_zones());
-    EXPECT_DOUBLE_EQ(placement->ComponentRate(static_cast<int>(i)),
-                     placement->rates()[i]);
+  const AliasTable law = AliasTable::Build(weights);
+  numeric::Rng rng(9);
+  std::vector<int> counts(15, 0);
+  constexpr int kSamples = 60000;
+  for (int i = 0; i < kSamples; ++i) ++counts[law.Sample(rng.Uniform01())];
+  for (int z = 0; z < 15; ++z) {
+    if (z < 8) {
+      EXPECT_NEAR(static_cast<double>(counts[z]) / kSamples, probabilities[z],
+                  0.01);
+    } else {
+      EXPECT_EQ(counts[z], 0) << "zone " << z;
+    }
   }
 }
 

@@ -2,22 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <vector>
 
 namespace zonestream::obs {
 namespace {
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
 
 // Minimal structural JSON validity check: quotes pair up and brackets
 // balance outside strings. Catches malformed emitter output (unescaped
@@ -46,28 +35,6 @@ bool JsonLooksValid(const std::string& json) {
     }
   }
   return depth == 0 && !in_string;
-}
-
-RoundTraceEvent MakeEvent() {
-  RoundTraceEvent event;
-  event.round = 12;
-  event.source_id = 2;
-  event.num_requests = 20;
-  event.service_time_s = 0.75;
-  event.seek_s = 0.25;
-  event.rotation_s = 0.125;
-  event.transfer_s = 0.375;
-  event.disturbance_delay_s = 0.0;
-  event.disturbances = 0;
-  event.fault_delay_s = 0.0625;
-  event.faulted_requests = 3;
-  event.glitches = 1;
-  event.overran = true;
-  event.disk_failed = false;
-  event.truncated_requests = 2;
-  event.leftover_s = 0.25;
-  event.zone_hits = {7, 13};
-  return event;
 }
 
 TEST(ExportJsonTest, RegistryToJsonIsValidAndComplete) {
@@ -108,78 +75,6 @@ TEST(ExportJsonTest, DoublesRoundTripExactly) {
   EXPECT_EQ(parsed, value);  // bit-exact
 }
 
-TEST(ExportJsonTest, TraceEventToJsonIsValidAndComplete) {
-  const std::string json = TraceEventToJson(MakeEvent());
-  EXPECT_TRUE(JsonLooksValid(json)) << json;
-  EXPECT_NE(json.find("\"round\":12"), std::string::npos);
-  EXPECT_NE(json.find("\"source_id\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"num_requests\":20"), std::string::npos);
-  EXPECT_NE(json.find("\"service_time_s\":0.75"), std::string::npos);
-  EXPECT_NE(json.find("\"fault_delay_s\":0.0625"), std::string::npos);
-  EXPECT_NE(json.find("\"faulted_requests\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"glitches\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"overran\":true"), std::string::npos);
-  EXPECT_NE(json.find("\"disk_failed\":false"), std::string::npos);
-  EXPECT_NE(json.find("\"truncated_requests\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"zone_hits\":[7,13]"), std::string::npos);
-  EXPECT_EQ(json.find('\n'), std::string::npos);  // single line
-}
-
-TEST(ExportJsonTest, TraceEventToJsonSerializesDiskFailure) {
-  RoundTraceEvent event = MakeEvent();
-  event.disk_failed = true;
-  const std::string json = TraceEventToJson(event);
-  EXPECT_TRUE(JsonLooksValid(json)) << json;
-  EXPECT_NE(json.find("\"disk_failed\":true"), std::string::npos);
-}
-
-TEST(ExportJsonTest, WriteTraceJsonLinesWritesOneObjectPerLine) {
-  const std::string path = testing::TempDir() + "/trace.jsonl";
-  std::vector<RoundTraceEvent> events = {MakeEvent(), MakeEvent()};
-  events[1].round = 13;
-  ASSERT_TRUE(WriteTraceJsonLines(events, path).ok());
-  std::ifstream in(path);
-  std::string line;
-  int lines = 0;
-  while (std::getline(in, line)) {
-    EXPECT_TRUE(JsonLooksValid(line)) << line;
-    ++lines;
-  }
-  EXPECT_EQ(lines, 2);
-  std::remove(path.c_str());
-}
-
-TEST(ExportCsvTest, HeaderAndRowsHaveMatchingColumns) {
-  const std::string header = TraceCsvHeader();
-  const std::string row = TraceEventToCsvRow(MakeEvent());
-  const auto count_commas = [](const std::string& s) {
-    int commas = 0;
-    for (char c : s) commas += c == ',';
-    return commas;
-  };
-  EXPECT_EQ(count_commas(header), count_commas(row));
-  EXPECT_EQ(header.substr(0, 6), "round,");
-  EXPECT_NE(header.find(",fault_delay_s,faulted_requests,"),
-            std::string::npos);
-  EXPECT_NE(header.find(",disk_failed,truncated_requests,"),
-            std::string::npos);
-  // zone_hits flattened with ';' so it stays one CSV column.
-  EXPECT_NE(row.find("7;13"), std::string::npos);
-}
-
-TEST(ExportCsvTest, WriteTraceCsvWritesHeaderPlusRows) {
-  const std::string path = testing::TempDir() + "/trace.csv";
-  std::vector<RoundTraceEvent> events = {MakeEvent(), MakeEvent(),
-                                         MakeEvent()};
-  ASSERT_TRUE(WriteTraceCsv(events, path).ok());
-  const std::string content = ReadFile(path);
-  int lines = 0;
-  for (char c : content) lines += c == '\n';
-  EXPECT_EQ(lines, 4);  // header + 3 rows
-  EXPECT_EQ(content.substr(0, 6), "round,");
-  std::remove(path.c_str());
-}
-
 TEST(ExportTextTest, RegistryToTextRendersTables) {
   Registry registry;
   registry.GetCounter("sim.rounds")->Increment(100);
@@ -189,13 +84,6 @@ TEST(ExportTextTest, RegistryToTextRendersTables) {
   EXPECT_NE(text.find("Histograms"), std::string::npos);
   EXPECT_NE(text.find("sim.rounds"), std::string::npos);
   EXPECT_NE(text.find("sim.round.service_time_s"), std::string::npos);
-}
-
-TEST(ExportTextTest, WriteFailsOnUnwritablePath) {
-  EXPECT_FALSE(
-      WriteTraceCsv({}, "/nonexistent-dir/trace.csv").ok());
-  EXPECT_FALSE(
-      WriteTraceJsonLines({}, "/nonexistent-dir/trace.jsonl").ok());
 }
 
 }  // namespace

@@ -432,13 +432,12 @@ TEST(CheckpointTest, AllSnapshotsCorruptIsInvalidArgument) {
   EXPECT_EQ(loaded.status().code(), common::StatusCode::kInvalidArgument);
 }
 
-// --- RoundSimulator bit-identical resume (both kernels) -----------------
+// --- RoundSimulator bit-identical resume ----------------------------------
 
-void SimulatorResumeBitIdentical(bool batched_kernel) {
+TEST(SimulatorResumeTest, BatchedKernelBitIdentical) {
   sim::SimulatorConfig config;
   config.round_length_s = 1.0;
   config.seed = 1234;
-  config.batched_kernel = batched_kernel;
   config.disturbance.probability = 0.3;
   config.disturbance.delay_min_s = 0.001;
   config.disturbance.delay_max_s = 0.004;
@@ -484,14 +483,6 @@ void SimulatorResumeBitIdentical(bool batched_kernel) {
       all.begin() + static_cast<ptrdiff_t>(tail_start), all.end());
   const auto status = CompareTraces(expected, resumed_trace.Snapshot());
   EXPECT_TRUE(status.ok()) << status.ToString();
-}
-
-TEST(SimulatorResumeTest, BatchedKernelBitIdentical) {
-  SimulatorResumeBitIdentical(/*batched_kernel=*/true);
-}
-
-TEST(SimulatorResumeTest, ScalarKernelBitIdentical) {
-  SimulatorResumeBitIdentical(/*batched_kernel=*/false);
 }
 
 TEST(SimulatorResumeTest, ImportRejectsMismatchedShape) {

@@ -57,7 +57,6 @@ std::vector<obs::RoundTraceEvent> SimulatorRounds(
   config.round_length_s = 1.0;
   config.seed = kSeed;
   config.policy = sched::ServicePolicy::kScan;
-  config.batched_kernel = true;
   config.trace = &trace;
   auto simulator = sim::RoundSimulator::Create(
       disk::QuantumViking2100(), disk::QuantumViking2100Seek(), streams,

@@ -1,12 +1,13 @@
-// The batched/scalar kernel contract (SimulatorConfig::batched_kernel):
-//  - the scalar kernel preserves the pre-batching bit-exact sample paths
-//    (golden regression),
-//  - the batched kernel simulates the same model, so the two are
-//    statistically indistinguishable on Table 1 workloads,
-//  - replicated estimators under the batched kernel stay bit-identical
-//    across thread counts (the determinism contract of sim/replication.h),
-//  - the disturbance substream stays isolated in the batched kernel,
-//  - observability output obeys the same invariants for both kernels.
+// The batched round kernel's contract:
+//  - it simulates the paper's round model, so it is statistically
+//    indistinguishable from a reference SCAN round loop written out over
+//    the struct path (one request at a time, sorted and swept by
+//    sched::OrderRequests + sched::ExecuteScanRound) on Table 1 workloads,
+//  - replicated estimators stay bit-identical across thread counts (the
+//    determinism contract of sim/replication.h),
+//  - the disturbance substream stays isolated,
+//  - observability output obeys its invariants.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -19,6 +20,8 @@
 #include "disk/presets.h"
 #include "obs/metrics.h"
 #include "obs/round_trace.h"
+#include "sched/ordering.h"
+#include "sched/scan.h"
 #include "sim/replication.h"
 #include "sim/round_simulator.h"
 #include "workload/size_distribution.h"
@@ -32,14 +35,10 @@ std::shared_ptr<const workload::SizeDistribution> Table1Sizes() {
   return std::make_shared<workload::GammaSizeDistribution>(*sizes);
 }
 
-RoundSimulator MakeSimulator(
-    int n, uint64_t seed, bool batched,
-    sched::ServicePolicy policy = sched::ServicePolicy::kScan) {
+RoundSimulator MakeSimulator(int n, uint64_t seed) {
   SimulatorConfig config;
   config.round_length_s = 1.0;
   config.seed = seed;
-  config.batched_kernel = batched;
-  config.policy = policy;
   auto simulator = RoundSimulator::Create(
       disk::QuantumViking2100(), disk::QuantumViking2100Seek(), n,
       RoundSimulator::IidFactory(Table1Sizes()), config);
@@ -47,70 +46,104 @@ RoundSimulator MakeSimulator(
   return *std::move(simulator);
 }
 
-// --------------------------------------------------------------------------
-// Golden regression: the scalar reference kernel reproduces the exact
-// pre-batching sample paths.
+// The reference: the paper's SCAN round written out one request at a
+// time on the struct path. Each stream draws a uniform-over-capacity
+// position (DiskGeometry::SampleUniformPosition), a Table 1 size and a
+// uniform rotational latency, in issue order from one engine; the round
+// sweeps from where the arm rests in its current direction; a request is
+// on time when it completes by the deadline; the arm then rests on the
+// last on-time request (or stays put) and the direction flips — the arm
+// rules ArmTest checks sched::Arm against.
+class ReferenceScanRound {
+ public:
+  ReferenceScanRound(int n, uint64_t seed)
+      : n_(n),
+        rng_(seed),
+        geometry_(disk::QuantumViking2100()),
+        seek_(disk::QuantumViking2100Seek()),
+        sizes_(Table1Sizes()) {}
 
-// The golden sums were captured from the seed tree (before the batched
-// kernel existed) with seed 12345, N = 26 Table 1 streams, 300 rounds.
-// EXPECT_DOUBLE_EQ is deliberate: "bit-exact per-seed outputs" is the
-// documented contract of batched_kernel = false.
-TEST(BatchKernelTest, ScalarKernelPreservesGoldenSamplePaths) {
-  RoundSimulator alternate =
-      MakeSimulator(26, 12345, /*batched=*/false, sched::ServicePolicy::kScan);
-  double sum = 0.0;
-  int glitches = 0;
-  for (int r = 0; r < 300; ++r) {
-    const RoundOutcome outcome = alternate.RunRound();
-    sum += outcome.total_service_time_s;
-    glitches += static_cast<int>(outcome.glitched_streams.size());
+  RoundOutcome Run() {
+    std::vector<sched::DiskRequest> requests(static_cast<size_t>(n_));
+    for (int stream = 0; stream < n_; ++stream) {
+      const disk::DiskPosition position =
+          geometry_.SampleUniformPosition(&rng_);
+      sched::DiskRequest& request = requests[stream];
+      request.stream_id = stream;
+      request.cylinder = position.cylinder;
+      request.zone = position.zone;
+      request.transfer_rate_bps = position.transfer_rate_bps;
+      request.bytes = sizes_->Sample(&rng_);
+      request.rotational_latency_s =
+          rng_.Uniform(0.0, geometry_.rotation_time());
+    }
+    sched::OrderRequests(&requests, sched::ServicePolicy::kScan, arm_,
+                         ascending_ ? sched::SweepDirection::kAscending
+                                    : sched::SweepDirection::kDescending);
+    const sched::RoundTiming timing =
+        sched::ExecuteScanRound(seek_, requests, arm_);
+    RoundOutcome outcome;
+    outcome.total_service_time_s = timing.total_service_time_s;
+    outcome.overran = outcome.total_service_time_s > kRoundLength;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      if (timing.per_request[i].completion_s > kRoundLength) {
+        outcome.glitched_streams.push_back(requests[i].stream_id);
+      } else {
+        arm_ = requests[i].cylinder;
+      }
+    }
+    ascending_ = !ascending_;
+    return outcome;
   }
-  EXPECT_DOUBLE_EQ(sum, 229.03288474424664);
-  EXPECT_EQ(glitches, 0);
 
-  RoundSimulator reset = MakeSimulator(26, 12345, /*batched=*/false,
-                                       sched::ServicePolicy::kCScan);
-  double reset_sum = 0.0;
-  for (int r = 0; r < 300; ++r) {
-    reset_sum += reset.RunRound().total_service_time_s;
-  }
-  EXPECT_DOUBLE_EQ(reset_sum, 234.37167871077045);
-}
+ private:
+  static constexpr double kRoundLength = 1.0;
+  int n_;
+  numeric::Rng rng_;
+  disk::DiskGeometry geometry_;
+  disk::SeekTimeModel seek_;
+  std::shared_ptr<const workload::SizeDistribution> sizes_;
+  int arm_ = 0;
+  bool ascending_ = true;
+};
 
 // --------------------------------------------------------------------------
-// Statistical equivalence: the kernels draw the same distributions in a
-// different order, so sample paths differ but every statistic agrees.
+// Statistical equivalence: the kernel and the reference draw the same
+// distributions in a different order, so sample paths differ but every
+// statistic agrees.
 
 TEST(BatchKernelTest, KernelsAgreeOnMeanServiceTime) {
   const int rounds = 20000;
-  RoundSimulator batched = MakeSimulator(26, 101, /*batched=*/true);
-  RoundSimulator scalar = MakeSimulator(26, 202, /*batched=*/false);
+  RoundSimulator batched = MakeSimulator(26, 101);
+  ReferenceScanRound reference(26, 202);
   const numeric::RunningStats b = batched.SampleServiceTimes(rounds);
-  const numeric::RunningStats s = scalar.SampleServiceTimes(rounds);
+  numeric::RunningStats s;
+  for (int r = 0; r < rounds; ++r) {
+    s.Add(reference.Run().total_service_time_s);
+  }
   // 5-sigma on the difference of two independent sample means.
   const double se =
       std::sqrt(b.variance() / rounds + s.variance() / rounds);
   EXPECT_NEAR(b.mean(), s.mean(), 5.0 * se)
-      << "batched mean " << b.mean() << " scalar mean " << s.mean();
+      << "batched mean " << b.mean() << " reference mean " << s.mean();
   // Per-round spread must match too (same distribution, not just mean).
   EXPECT_NEAR(std::sqrt(b.variance()), std::sqrt(s.variance()),
               0.1 * std::sqrt(s.variance()));
 }
 
-// Two-sample Kolmogorov–Smirnov distance between the kernels' service
-// time distributions, against the asymptotic critical value
-// c(alpha) * sqrt((n + m) / (n * m)). This is the documented tolerance
-// of the batched/scalar equivalence: same distribution, different draw
-// order.
+// Two-sample Kolmogorov–Smirnov distance between the kernel's and the
+// reference's service time distributions, against the asymptotic
+// critical value c(alpha) * sqrt((n + m) / (n * m)): same distribution,
+// different draw order.
 TEST(BatchKernelTest, KernelsPassTwoSampleKolmogorovSmirnov) {
   const int rounds = 10000;
-  RoundSimulator batched = MakeSimulator(26, 111, /*batched=*/true);
-  RoundSimulator scalar = MakeSimulator(26, 222, /*batched=*/false);
+  RoundSimulator batched = MakeSimulator(26, 111);
+  ReferenceScanRound reference(26, 222);
   std::vector<double> b(rounds);
   std::vector<double> s(rounds);
   for (int r = 0; r < rounds; ++r) {
     b[r] = batched.RunRound().total_service_time_s;
-    s[r] = scalar.RunRound().total_service_time_s;
+    s[r] = reference.Run().total_service_time_s;
   }
   std::sort(b.begin(), b.end());
   std::sort(s.begin(), s.end());
@@ -139,16 +172,18 @@ TEST(BatchKernelTest, KernelsAgreeOnLateProbability) {
   // N = 30 sits near the deadline so p_late is comfortably in (0, 1) and
   // the comparison has statistical power.
   const int rounds = 20000;
-  RoundSimulator batched = MakeSimulator(30, 303, /*batched=*/true);
-  RoundSimulator scalar = MakeSimulator(30, 404, /*batched=*/false);
+  RoundSimulator batched = MakeSimulator(30, 303);
+  ReferenceScanRound reference(30, 404);
   const ProbabilityEstimate b = batched.EstimateLateProbability(rounds);
-  const ProbabilityEstimate s = scalar.EstimateLateProbability(rounds);
+  int late = 0;
+  for (int r = 0; r < rounds; ++r) late += reference.Run().overran ? 1 : 0;
+  const double s = static_cast<double>(late) / rounds;
   EXPECT_GT(b.point, 0.0);
   EXPECT_LT(b.point, 1.0);
-  const double pooled = 0.5 * (b.point + s.point);
+  const double pooled = 0.5 * (b.point + s);
   const double se = std::sqrt(2.0 * pooled * (1.0 - pooled) / rounds);
-  EXPECT_NEAR(b.point, s.point, 5.0 * se + 1e-6)
-      << "batched " << b.point << " scalar " << s.point;
+  EXPECT_NEAR(b.point, s, 5.0 * se + 1e-6)
+      << "batched " << b.point << " reference " << s;
 }
 
 // --------------------------------------------------------------------------
@@ -159,7 +194,6 @@ TEST(BatchKernelTest, BatchedReplicationBitIdenticalAcrossThreadCounts) {
   const auto factory = RoundSimulator::IidFactory(Table1Sizes());
   SimulatorConfig config;
   config.round_length_s = 1.0;
-  ASSERT_TRUE(config.batched_kernel);  // batched is the default
 
   common::ThreadPool one(1);
   ReplicationOptions options;
@@ -251,7 +285,6 @@ TEST(BatchKernelTest, BatchedObservabilityInvariantsHold) {
   SimulatorConfig config;
   config.round_length_s = 1.0;
   config.seed = 909;
-  config.batched_kernel = true;
   config.metrics = &registry;
   config.trace = &trace;
   config.trace_source_id = 4;

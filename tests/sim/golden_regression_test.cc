@@ -1,11 +1,11 @@
 // Clean-path golden regression: exact (bit-level) outputs of the round
-// kernels and replicated estimators for one pinned configuration.
+// kernel and replicated estimators for one pinned configuration.
 //
 // The fault-injection subsystem promises that a run with no fault models
 // configured is bit-identical to the pre-fault builds at any thread
 // count. These goldens pin that contract: the values below were produced
 // before src/fault/ existed and must never drift while the clean path is
-// untouched. A legitimate change to the kernels' draw order must update
+// untouched. A legitimate change to the kernel's draw order must update
 // them knowingly — EXPECT_EQ on doubles here is deliberate.
 #include <memory>
 
@@ -31,24 +31,6 @@ SimulatorConfig GoldenConfig() {
   return config;
 }
 
-TEST(CleanPathGoldenTest, ScalarKernelSamplePathIsPinned) {
-  SimulatorConfig config = GoldenConfig();
-  config.batched_kernel = false;
-  auto simulator = RoundSimulator::Create(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 27,
-      RoundSimulator::IidFactory(GoldenSizes()), config);
-  ASSERT_TRUE(simulator.ok());
-  double sum = 0.0;
-  int glitches = 0;
-  for (int r = 0; r < 300; ++r) {
-    const RoundOutcome outcome = simulator->RunRound();
-    sum += outcome.total_service_time_s;
-    glitches += static_cast<int>(outcome.glitched_streams.size());
-  }
-  EXPECT_EQ(sum, 236.94902292300938);
-  EXPECT_EQ(glitches, 2);
-}
-
 TEST(CleanPathGoldenTest, BatchedKernelSamplePathIsPinned) {
   // One row per service policy. The C-SCAN, SSTF and FCFS rows were
   // captured before the policies moved onto sched::Arm.
@@ -65,7 +47,6 @@ TEST(CleanPathGoldenTest, BatchedKernelSamplePathIsPinned) {
     SCOPED_TRACE(::testing::Message()
                  << "policy " << static_cast<int>(pinned.policy));
     SimulatorConfig config = GoldenConfig();
-    config.batched_kernel = true;
     config.policy = pinned.policy;
     auto simulator = RoundSimulator::Create(
         disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 27,

@@ -6,13 +6,15 @@
 // cases span each preset at loads where the seek bound certifies every
 // round, some of them, and almost none; SCAN and C-SCAN (and SSTF and
 // FCFS, where the certificate declines); and the draws that ride in the
-// batch (disturbances, structured faults, a custom position sampler).
+// batch (disturbances, structured faults, the outer-zone and
+// track-pairing placements).
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "disk/placement.h"
 #include "disk/presets.h"
 #include "fault/fault_spec.h"
 #include "numeric/statistics.h"
@@ -44,7 +46,13 @@ void ExpectSameState(const RoundSimulatorState& a, const RoundSimulatorState& b,
   EXPECT_EQ(a.source_states, b.source_states) << label;
 }
 
-enum class Variant { kPlain, kDisturbances, kFaults, kPositionCallback };
+enum class Variant {
+  kPlain,
+  kDisturbances,
+  kFaults,
+  kOuterZones,
+  kTrackPairing
+};
 
 SimulatorConfig ConfigFor(Variant variant, sched::ServicePolicy policy,
                           uint64_t seed) {
@@ -67,11 +75,12 @@ SimulatorConfig ConfigFor(Variant variant, sched::ServicePolicy policy,
       config.faults = *spec;
       break;
     }
-    case Variant::kPositionCallback:
-      config.position_sampler = [](const disk::DiskGeometry& geometry,
-                                   numeric::Rng* rng) {
-        return geometry.SampleUniformPosition(rng);
-      };
+    case Variant::kOuterZones:
+      // Every preset has at least three zones.
+      config.placement = {disk::PlacementStrategy::kOuterZones, 3};
+      break;
+    case Variant::kTrackPairing:
+      config.placement.strategy = disk::PlacementStrategy::kTrackPairing;
       break;
   }
   return config;
@@ -102,7 +111,7 @@ TEST(LatenessRoundTest, MatchesTheFullRoundAcrossPresetsLoadsAndDraws) {
             sched::ServicePolicy::kSstf, sched::ServicePolicy::kFcfs}) {
         for (const Variant variant :
              {Variant::kPlain, Variant::kDisturbances, Variant::kFaults,
-              Variant::kPositionCallback}) {
+              Variant::kOuterZones, Variant::kTrackPairing}) {
           const std::string label =
               std::string(disk.name) + " n=" + std::to_string(n) +
               " policy=" + std::to_string(static_cast<int>(policy)) +

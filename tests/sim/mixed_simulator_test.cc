@@ -8,6 +8,7 @@
 
 #include "core/mixed_workload.h"
 #include "disk/presets.h"
+#include "obs/metrics.h"
 #include "obs/round_trace.h"
 #include "sim/round_simulator.h"
 #include "workload/size_distribution.h"
@@ -231,6 +232,63 @@ TEST(MixedSimulatorTest, RunInPiecesIsOneRun) {
     EXPECT_EQ(a[r].leftover_s, b[r].leftover_s) << "round " << r;
     EXPECT_EQ(a[r].zone_hits, b[r].zone_hits) << "round " << r;
   }
+}
+
+TEST(MixedSimulatorTest, MetricsEqualTheRunResults) {
+  // A run with metrics attached: the "mixed.*" counters sum the run
+  // results of successive Run() calls, each round records one continuous
+  // service time and one leftover, each served discrete request one
+  // response time, and the hooks leave the sample path alone.
+  obs::Registry registry;
+  MixedSimulatorConfig config;
+  config.round_length_s = 1.0;
+  config.discrete_arrival_rate_hz = 20.0;
+  config.seed = 616;
+  auto plain = MixedRoundSimulator::Create(
+      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 28,
+      VideoSizes(), WebSizes(), config);
+  config.metrics = &registry;
+  auto hooked = MixedRoundSimulator::Create(
+      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 28,
+      VideoSizes(), WebSizes(), config);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(hooked.ok());
+  MixedRunResult total;
+  double response_sum = 0.0;
+  for (const int rounds : {300, 200}) {
+    const MixedRunResult expected = plain->Run(rounds);
+    const MixedRunResult result = hooked->Run(rounds);
+    EXPECT_EQ(result.continuous_glitches, expected.continuous_glitches);
+    EXPECT_EQ(result.discrete_completed, expected.discrete_completed);
+    EXPECT_EQ(result.mean_response_time_s, expected.mean_response_time_s);
+    total.rounds += result.rounds;
+    total.continuous_requests += result.continuous_requests;
+    total.continuous_glitches += result.continuous_glitches;
+    total.discrete_completed += result.discrete_completed;
+    response_sum += result.mean_response_time_s *
+                    static_cast<double>(result.discrete_completed);
+  }
+  EXPECT_GT(total.continuous_glitches, 0);
+  EXPECT_GT(total.discrete_completed, 0);
+
+  EXPECT_EQ(registry.GetCounter("mixed.rounds")->value(), total.rounds);
+  EXPECT_EQ(registry.GetCounter("mixed.continuous_requests")->value(),
+            total.continuous_requests);
+  EXPECT_EQ(registry.GetCounter("mixed.continuous_glitches")->value(),
+            total.continuous_glitches);
+  EXPECT_EQ(registry.GetCounter("mixed.discrete_completed")->value(),
+            total.discrete_completed);
+  EXPECT_EQ(
+      registry.GetHistogram("mixed.round.continuous_service_s")
+          ->Snapshot()
+          .count,
+      total.rounds);
+  EXPECT_EQ(registry.GetHistogram("mixed.round.leftover_s")->Snapshot().count,
+            total.rounds);
+  const obs::HistogramSnapshot responses =
+      registry.GetHistogram("mixed.response_time_s")->Snapshot();
+  EXPECT_EQ(responses.count, total.discrete_completed);
+  EXPECT_NEAR(responses.sum, response_sum, 1e-9 * response_sum);
 }
 
 TEST(MixedSimulatorTest, DiscreteSamplePathIsPinned) {

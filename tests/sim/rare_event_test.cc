@@ -29,6 +29,7 @@
 #include "core/glitch_model.h"
 #include "core/saddlepoint.h"
 #include "core/service_time_model.h"
+#include "disk/placement.h"
 #include "disk/presets.h"
 #include "obs/metrics.h"
 #include "sim/importance_sampling.h"
@@ -127,6 +128,16 @@ TEST(RareEventTest, CreateRejectsUnsupportedConfigurations) {
     EXPECT_FALSE(sampler.ok());
   }
   {
+    // A placement disk::PlacementModel rejects (outer zones need a count
+    // in [1, Z]).
+    SimulatorConfig config = BaseConfig();
+    config.placement = {disk::PlacementStrategy::kOuterZones, 0};
+    auto sampler = ImportanceSampler::Create(geometry, seek, 24, sizes,
+                                             config,
+                                             ImportanceSamplingOptions{});
+    EXPECT_FALSE(sampler.ok());
+  }
+  {
     // Non-Gamma sizes have no closed-form tilt.
     auto lognormal = workload::LognormalSizeDistribution::Create(
         kMeanSizeBytes, kVarSizeBytes2);
@@ -195,23 +206,35 @@ TEST(RareEventTest, MatchesNaiveEstimatorAtModerateProbability) {
   // estimators must agree within their joint uncertainty, IS must not be
   // wider, and its weights must not collapse. The auto tilt comes from
   // SCAN's model, whose tail at N = 26 is far deeper than FCFS's; there
-  // it leaves an ESS of a few dozen, so FCFS runs at half of it.
+  // it leaves an ESS of a few dozen, so FCFS runs at half of it. Track
+  // pairing tilts its own zone law (pairs at harmonic-mean rates, zero
+  // weight on the zones hosting no pair's first half); the auto tilt
+  // models the uniform placement, so it runs an explicit theta at N = 30,
+  // where its naive p_late is about 3.4%.
   struct Case {
     sched::ServicePolicy policy;
     int n;
-    double tilt_fraction;  // of AutoTiltParameter
+    double tilt_fraction;  // of AutoTiltParameter, when theta is 0
+    double theta = 0.0;    // explicit tilt (1/s)
+    disk::PlacementConfig placement = {};
   };
   const auto geometry = disk::QuantumViking2100();
   const auto seek = disk::QuantumViking2100Seek();
   const auto replication = BaseReplication();
-  for (const Case& c : {Case{sched::ServicePolicy::kScan, 30, 1.0},
-                        Case{sched::ServicePolicy::kCScan, 30, 1.0},
-                        Case{sched::ServicePolicy::kSstf, 30, 1.0},
-                        Case{sched::ServicePolicy::kFcfs, 26, 0.5}}) {
+  const disk::PlacementConfig pairing{disk::PlacementStrategy::kTrackPairing,
+                                      0};
+  for (const Case& c :
+       {Case{sched::ServicePolicy::kScan, 30, 1.0},
+        Case{sched::ServicePolicy::kCScan, 30, 1.0},
+        Case{sched::ServicePolicy::kSstf, 30, 1.0},
+        Case{sched::ServicePolicy::kFcfs, 26, 0.5},
+        Case{sched::ServicePolicy::kScan, 30, 0.0, 20.0, pairing}}) {
     SCOPED_TRACE(::testing::Message()
-                 << "policy " << static_cast<int>(c.policy));
+                 << "policy " << static_cast<int>(c.policy) << " placement "
+                 << static_cast<int>(c.placement.strategy));
     SimulatorConfig config = BaseConfig();
     config.policy = c.policy;
+    config.placement = c.placement;
     auto naive = EstimateLateProbabilityReplicated(
         geometry, seek, c.n, RoundSimulator::IidFactory(Table1Sizes()),
         config, 20000, replication);
@@ -220,7 +243,7 @@ TEST(RareEventTest, MatchesNaiveEstimatorAtModerateProbability) {
         AutoTiltParameter(geometry, seek, c.n, *Table1Sizes(), 1.0);
     ASSERT_TRUE(theta.ok());
     ImportanceSamplingOptions options;
-    options.theta = c.tilt_fraction * *theta;
+    options.theta = c.theta > 0.0 ? c.theta : c.tilt_fraction * *theta;
     auto is = EstimateLateProbabilityIS(geometry, seek, c.n, Table1Sizes(),
                                         config, 20000, replication, options);
     ASSERT_TRUE(is.ok());

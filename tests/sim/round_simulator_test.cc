@@ -70,6 +70,26 @@ TEST(RoundSimulatorTest, CreateValidation) {
                                       RoundSimulator::IidFactory(Table1Sizes()),
                                       config)
                    .ok());
+  // The placement must be one disk::PlacementModel accepts: outer zones
+  // need a count in [1, Z] (the Viking has 15 zones).
+  config.disturbance = DisturbanceConfig{};
+  config.placement.strategy = disk::PlacementStrategy::kOuterZones;
+  for (const int count : {0, 16}) {
+    config.placement.outer_zone_count = count;
+    EXPECT_FALSE(
+        RoundSimulator::Create(disk::QuantumViking2100(),
+                               disk::QuantumViking2100Seek(), 5,
+                               RoundSimulator::IidFactory(Table1Sizes()),
+                               config)
+            .ok())
+        << "outer_zone_count " << count;
+  }
+  config.placement.outer_zone_count = 15;
+  EXPECT_TRUE(RoundSimulator::Create(disk::QuantumViking2100(),
+                                     disk::QuantumViking2100Seek(), 5,
+                                     RoundSimulator::IidFactory(Table1Sizes()),
+                                     config)
+                  .ok());
 }
 
 TEST(RoundSimulatorTest, RoundOutcomeConsistency) {
@@ -577,11 +597,9 @@ TEST(ObservabilityTest, TraceDecompositionIdentityHolds) {
 // --------------------------------------------------------------------------
 // Structured fault injection
 
-// Every fault test runs under both round kernels.
-class FaultKernelTest : public ::testing::TestWithParam<bool> {
+class FaultKernelTest : public ::testing::Test {
  protected:
   RoundSimulator MakeFaulty(int n, SimulatorConfig config) {
-    config.batched_kernel = GetParam();
     auto simulator = RoundSimulator::Create(
         disk::QuantumViking2100(), disk::QuantumViking2100Seek(), n,
         RoundSimulator::IidFactory(Table1Sizes()), config);
@@ -590,9 +608,7 @@ class FaultKernelTest : public ::testing::TestWithParam<bool> {
   }
 };
 
-INSTANTIATE_TEST_SUITE_P(BothKernels, FaultKernelTest, ::testing::Bool());
-
-TEST_P(FaultKernelTest, InertFaultModelTraceBitIdenticalToClean) {
+TEST_F(FaultKernelTest, InertFaultModelTraceBitIdenticalToClean) {
   // A configured slowdown that never activates (enter probability 0) runs
   // the whole injection path — BeginRound, per-request DelayFor, rate
   // multipliers — yet must not perturb the main stream: full traces stay
@@ -634,7 +650,7 @@ TEST_P(FaultKernelTest, InertFaultModelTraceBitIdenticalToClean) {
   }
 }
 
-TEST_P(FaultKernelTest, ForcedSlowdownEpochShowsUpExactlyInTrace) {
+TEST_F(FaultKernelTest, ForcedSlowdownEpochShowsUpExactlyInTrace) {
   fault::MarkovSlowdownSpec slowdown;
   slowdown.per_request_probability = 1.0;
   slowdown.delay_min_s = 0.01;
@@ -690,7 +706,7 @@ TEST_P(FaultKernelTest, ForcedSlowdownEpochShowsUpExactlyInTrace) {
   }
 }
 
-TEST_P(FaultKernelTest, DiskFailedRoundsGlitchEveryStreamAndServeNothing) {
+TEST_F(FaultKernelTest, DiskFailedRoundsGlitchEveryStreamAndServeNothing) {
   fault::DiskFailureSpec failure;
   failure.fail_at_round = 5;
   failure.repair_after_rounds = 3;
@@ -742,12 +758,7 @@ TEST_P(FaultKernelTest, DiskFailedRoundsGlitchEveryStreamAndServeNothing) {
 // --------------------------------------------------------------------------
 // Deadline truncation accounting
 
-class TruncationKernelTest : public ::testing::TestWithParam<bool> {};
-
-INSTANTIATE_TEST_SUITE_P(BothKernels, TruncationKernelTest,
-                         ::testing::Bool());
-
-TEST_P(TruncationKernelTest, TruncatedTraceRespectsDeadlineAndInvariant) {
+TEST(TruncationKernelTest, TruncatedTraceRespectsDeadlineAndInvariant) {
   // Overloaded disk (far past the admissible limit) with disturbances and
   // a permanent slowdown, so the cut lands in varied phases.
   DisturbanceConfig tcal;
@@ -764,7 +775,6 @@ TEST_P(TruncationKernelTest, TruncatedTraceRespectsDeadlineAndInvariant) {
   obs::RoundTraceRecorder trace;
   SimulatorConfig config;
   config.seed = 101;
-  config.batched_kernel = GetParam();
   config.truncate_at_deadline = true;
   config.disturbance = tcal;
   config.faults.slowdowns.push_back(slowdown);
