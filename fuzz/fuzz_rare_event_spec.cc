@@ -26,8 +26,7 @@ int main(int argc, char** argv) {
   return zonestream::fuzz::RunStandaloneDriver(
       argc, argv,
       {"streams=30,rounds=20000,reps=8,seed=42,m=1200,g=12,theta=auto,"
-       "self_normalized=0,antithetic=1,strata=4,tilt_disturbance=on,"
-       "warmups=2,confidence=0.99",
+       "confidence=0.99",
        "theta=34.5,rounds=100,reps=2"});
 }
 #endif

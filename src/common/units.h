@@ -20,15 +20,10 @@ inline constexpr double kGigabyte = 1000.0 * 1000.0 * 1000.0;
 inline constexpr double kMillisecond = 1e-3;
 inline constexpr double kMicrosecond = 1e-6;
 
-// Converts a byte count to decimal kilobytes / megabytes.
-constexpr double BytesToKilobytes(double bytes) { return bytes / kKilobyte; }
-constexpr double BytesToMegabytes(double bytes) { return bytes / kMegabyte; }
-
-// Converts seconds to milliseconds and back.
+// Converts seconds to milliseconds.
 constexpr double SecondsToMillis(double seconds) {
   return seconds / kMillisecond;
 }
-constexpr double MillisToSeconds(double millis) { return millis * kMillisecond; }
 
 }  // namespace zonestream::common
 

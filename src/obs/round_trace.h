@@ -19,9 +19,10 @@ namespace zonestream::obs {
 // One disk sweep. The decomposition identity
 //   service_time_s == seek_s + rotation_s + transfer_s
 //                     + disturbance_delay_s + fault_delay_s
-// holds to floating-point roundoff for every event the simulators emit —
-// including deadline-truncated rounds, where every component is charged at
-// its truncated length (RoundTraceImbalance measures the residual).
+// holds to floating-point roundoff for every event the simulators emit,
+// overrun rounds included: every component is charged at its full length,
+// so an overrun row's service_time_s exceeds the round and its leftover_s
+// is 0 (RoundTraceImbalance measures the residual).
 struct RoundTraceEvent {
   int64_t round = 0;      // round index within the emitting source
   int32_t source_id = 0;  // disk index / replication id (emitter-defined)
@@ -37,7 +38,7 @@ struct RoundTraceEvent {
   int32_t glitches = 0;              // requests completing past the deadline
   bool overran = false;              // deadline missed (see emitter docs)
   bool disk_failed = false;          // whole-disk fault: nothing served
-  int32_t truncated_requests = 0;    // requests cut/skipped at the deadline
+  int32_t truncated_requests = 0;    // requests left unserved (failed disk)
   double leftover_s = 0.0;           // idle time until the round boundary
   std::vector<int32_t> zone_hits;    // requests per zone, indexed by zone id
 };

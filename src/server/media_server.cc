@@ -538,7 +538,7 @@ void MediaServer::RunRound() {
     }
   }
 
-  // The round's variates, in RoundSimulator::RunRoundBatched's order so a
+  // The round's variates, in RoundSimulator::DrawRound's order so a
   // one-disk server draws exactly what the simulator does: 2R position
   // uniforms, the fresh fragment sizes (one batch per run), R rotational
   // latencies.

@@ -16,7 +16,7 @@ namespace zonestream::sim {
 namespace {
 
 // Same disturbance substream index as RoundSimulator, so a theta == 0
-// sampler consumes both streams exactly like the batched kernel.
+// sampler consumes both streams exactly like the simulator's round.
 constexpr uint64_t kDisturbanceSubstream = 0x64697374;  // "dist"
 
 // Keep the tilt strictly inside the admissible domain: at theta ->
@@ -25,6 +25,16 @@ constexpr uint64_t kDisturbanceSubstream = 0x64697374;  // "dist"
 // the moment-matched model's pole can differ slightly from the exact
 // mixture's, so the clamp is a real guard, not just belt-and-braces.
 constexpr double kThetaMaxMargin = 0.95;
+
+// Untilted rounds run before each measured round to place the arm. Every
+// sample starts from the reset arm state (cylinder 0, ascending); after
+// one warm-up the estimand is the second round's tail, which matches the
+// free-running RoundSimulator's stationary path average, since the arm
+// chain mixes in essentially one sweep (the sweep's end cylinder is an
+// extreme of the round's own draws, nearly independent of where the arm
+// started). A warm-up carries no weight terms and costs one untilted
+// round. See the header on why samples must be i.i.d. at all.
+constexpr int kNominalWarmupRounds = 1;
 
 // log of the uniform-on-[0,len] MGF, log((e^{theta len} - 1)/(theta len)),
 // evaluated stably (len > 0, theta > 0).
@@ -44,13 +54,6 @@ common::Status ValidateConfig(const SimulatorConfig& config,
   }
   if (options.theta < 0.0) {
     return common::Status::InvalidArgument("theta must be non-negative");
-  }
-  if (options.strata < 1) {
-    return common::Status::InvalidArgument("strata must be >= 1");
-  }
-  if (options.nominal_warmup_rounds < 0) {
-    return common::Status::InvalidArgument(
-        "nominal_warmup_rounds must be >= 0");
   }
   if (options.confidence <= 0.0 || options.confidence >= 1.0) {
     return common::Status::InvalidArgument("confidence must be in (0, 1)");
@@ -106,19 +109,18 @@ ImportanceSampler::ImportanceSampler(const disk::DiskGeometry& geometry,
                                      double scale,
                                      const disk::PlacementModel& placement,
                                      const SimulatorConfig& config,
-                                     const ImportanceSamplingOptions& options)
+                                     double theta)
     : geometry_(geometry),
       seek_(seek),
       num_streams_(num_streams),
       shape_(shape),
       scale_(scale),
       config_(config),
-      options_(options),
       rng_(config.seed),
       disturbance_rng_(
           numeric::SubstreamSeed(config.seed, kDisturbanceSubstream)),
-      unit_gamma_(shape, 1.0) {
-  theta_ = options.theta;
+      unit_gamma_(shape, 1.0),
+      theta_(theta) {
   theta_max_ = MinPlacedRate(placement) / scale_;
   // The nominal law, the tilted one and both time-scale columns all read
   // the placement's zone law: weight p_z and rate R_z per zone, s_z =
@@ -153,9 +155,7 @@ ImportanceSampler::ImportanceSampler(const disk::DiskGeometry& geometry,
     tilted_positions_ = disk::ZonePositionSampler(
         geometry_, disk::AliasTable::Build(tilted_weights), rates);
     const DisturbanceConfig& disturbance = config_.disturbance;
-    tilt_disturbance_ =
-        options_.tilt_disturbance && disturbance.probability > 0.0;
-    if (tilt_disturbance_) {
+    if (disturbance.probability > 0.0) {
       const double a = disturbance.delay_min_s;
       const double b = disturbance.delay_max_s;
       const double mgf_u =
@@ -182,8 +182,7 @@ ImportanceSampler::ImportanceSampler(const disk::DiskGeometry& geometry,
   }
 
   const size_t n = static_cast<size_t>(num_streams_);
-  const size_t rounds_per_sample =
-      static_cast<size_t>(options_.nominal_warmup_rounds) + 1;
+  const size_t rounds_per_sample = kNominalWarmupRounds + 1;
   scratch_.u_all.resize(rounds_per_sample * 3 * n);
   scratch_.zone.resize(n);
   scratch_.cylinder.resize(n);
@@ -218,7 +217,7 @@ common::StatusOr<ImportanceSampler> ImportanceSampler::Create(
         "theta is at or beyond the transfer MGF pole min_z R_z / scale");
   }
   return ImportanceSampler(geometry, seek, num_streams, gamma->shape(),
-                           gamma->scale(), *placement, config, options);
+                           gamma->scale(), *placement, config, options.theta);
 }
 
 void ImportanceSampler::ResetForReplication(uint64_t seed) {
@@ -227,60 +226,32 @@ void ImportanceSampler::ResetForReplication(uint64_t seed) {
   disturbance_rng_ =
       numeric::Rng(numeric::SubstreamSeed(seed, kDisturbanceSubstream));
   arm_.Reset(0, true);
-  samples_run_ = 0;
-}
-
-double ImportanceSampler::Reflect(double u) {
-  const double reflected = 1.0 - u;
-  // 1 - 0.0 == 1.0 lies outside [0, 1); fold it to the largest double
-  // below 1 so the alias table and cylinder offsets stay in range.
-  return reflected < 1.0 ? reflected : 0x1.fffffffffffffp-1;
 }
 
 TiltedRoundOutcome ImportanceSampler::RunRound() {
   const int n = num_streams_;
   Scratch& s = scratch_;
-  const int warmups = options_.nominal_warmup_rounds;
   const size_t per_round = 3 * static_cast<size_t>(n);
-  const size_t total_u = (static_cast<size_t>(warmups) + 1) * per_round;
 
   // Uniform draws for the whole sample (warm-ups + measured round) in one
-  // engine pass. An antithetic odd sample reflects the previous sample's
-  // uniforms in place instead of consuming the engine; stratification of
-  // the measured round's leading rotation uniform happens on the fresh
-  // draw (the reflection then lands in the mirrored stratum, which over
-  // a full cycle covers the strata equally).
-  const bool fresh = !options_.antithetic || (samples_run_ % 2 == 0);
-  double* const u_measured_rot =
-      s.u_all.data() + static_cast<size_t>(warmups) * per_round + 2 * n;
-  if (fresh) {
-    rng_.FillUniform01(s.u_all.data(), total_u);
-    if (options_.strata > 1) {
-      const int64_t cycle =
-          options_.antithetic ? samples_run_ / 2 : samples_run_;
-      const double stratum = static_cast<double>(cycle % options_.strata);
-      u_measured_rot[0] =
-          (stratum + u_measured_rot[0]) / static_cast<double>(options_.strata);
-    }
-  } else {
-    for (size_t i = 0; i < total_u; ++i) s.u_all[i] = Reflect(s.u_all[i]);
-  }
+  // engine pass.
+  rng_.FillUniform01(s.u_all.data(), s.u_all.size());
 
   // The Gamma(k, 1) transfer draws of every round of the sample in one
   // batch: the engine reads its words in the order per-round batches
   // would.
   unit_gamma_.Fill(&rng_, s.unit_gamma.data(), s.unit_gamma.size());
 
-  // Every sample is i.i.d.: restart the arm, replay the nominal warm-up
+  // Every sample is i.i.d.: restart the arm, replay the untilted warm-up
   // rounds, then measure the tilted round.
   arm_.Reset(0, true);
   TiltedRoundOutcome outcome;
-  for (int w = 0; w <= warmups; ++w) {
+  for (int w = 0; w <= kNominalWarmupRounds; ++w) {
     const double* u_round =
         s.u_all.data() + static_cast<size_t>(w) * per_round;
     RunOneRound(u_round, u_round + 2 * n,
                 s.unit_gamma.data() + static_cast<size_t>(w) * n,
-                /*tilted=*/w == warmups, &outcome);
+                /*tilted=*/w == kNominalWarmupRounds, &outcome);
   }
 
   if (is_rounds_ != nullptr) {
@@ -288,7 +259,6 @@ TiltedRoundOutcome ImportanceSampler::RunRound() {
     if (outcome.overran) is_overruns_->Increment();
     is_log_weight_->Record(outcome.log_weight);
   }
-  ++samples_run_;
   return outcome;
 }
 
@@ -334,20 +304,19 @@ void ImportanceSampler::RunOneRound(const double* u_pos, const double* u_rot,
     for (int i = 0; i < n; ++i) s.rotation_s[i] = u_rot[i] * rotation_time;
   }
 
-  // Disturbances from the dedicated substream, tilted when configured
-  // (Bernoulli probability and uniform delay both shifted; one event
+  // Disturbances from the dedicated substream, tilted on the measured
+  // round (Bernoulli probability and uniform delay both shifted; one event
   // uniform + one delay uniform per firing, exactly the simulator's
   // consumption pattern).
   double tilted_dist_sum = 0.0;
   const DisturbanceConfig& disturbance = config_.disturbance;
   if (disturbance.probability > 0.0) {
-    const bool tilt_dist = tilt_active && tilt_disturbance_;
     const double event_p =
-        tilt_dist ? tilted_dist_probability_ : disturbance.probability;
+        tilt_active ? tilted_dist_probability_ : disturbance.probability;
     for (int i = 0; i < n; ++i) {
       if (disturbance_rng_.Uniform01() < event_p) {
         double delay;
-        if (tilt_dist && disturbance.delay_max_s > disturbance.delay_min_s) {
+        if (tilt_active && disturbance.delay_max_s > disturbance.delay_min_s) {
           const double u = disturbance_rng_.Uniform01();
           delay = disturbance.delay_min_s +
                   numeric::Log1p(u * dist_expm1_) / theta_;
@@ -356,13 +325,13 @@ void ImportanceSampler::RunOneRound(const double* u_pos, const double* u_rot,
                                            disturbance.delay_max_s);
         }
         s.rotation_s[i] += delay;
-        if (tilt_dist) tilted_dist_sum += delay;
+        if (tilt_active) tilted_dist_sum += delay;
       }
     }
   }
 
-  // Service order and sweep, exactly as RunRoundBatched. Seeks are
-  // untilted: their law is a deterministic function of the positions,
+  // Service order and sweep, exactly as RoundSimulator::ServeRound. Seeks
+  // are untilted: their law is a deterministic function of the positions,
   // already accounted by the zone tilt, and so is the service order.
   sched::ScanBatch batch;
   batch.n = static_cast<size_t>(n);
@@ -397,37 +366,24 @@ namespace {
 
 // Per-replication weighted tallies, reduced in replication order. With
 // v_r the round payload in [0, 1] (overrun indicator or glitch fraction)
-// and w_r the likelihood ratio, both estimators and their delta-method
-// variances are functions of these five sums.
+// and w_r the likelihood ratio, the estimate, its variance and the weight
+// diagnostics are functions of these four sums.
 struct WeightedTally {
   int64_t rounds = 0;
   double sum_w = 0.0;    // sum w
   double sum_w2 = 0.0;   // sum w^2
   double sum_y = 0.0;    // sum w v
   double sum_y2 = 0.0;   // sum (w v)^2
-  double sum_wy = 0.0;   // sum w^2 v (for the self-normalized variance)
 };
 
 common::Status ValidateISSharding(const ReplicationOptions& replication,
-                                  int rounds_per_replication,
-                                  const ImportanceSamplingOptions& options) {
+                                  int rounds_per_replication) {
   if (replication.replications <= 0) {
     return common::Status::InvalidArgument("replications must be positive");
   }
   if (rounds_per_replication <= 0) {
     return common::Status::InvalidArgument(
         "rounds_per_replication must be positive");
-  }
-  if (options.antithetic && rounds_per_replication % 2 != 0) {
-    return common::Status::InvalidArgument(
-        "antithetic sampling needs an even rounds_per_replication");
-  }
-  const int cycles = options.antithetic ? rounds_per_replication / 2
-                                        : rounds_per_replication;
-  if (options.strata > 1 && cycles % options.strata != 0) {
-    return common::Status::InvalidArgument(
-        "strata must divide the per-replication round (or antithetic pair) "
-        "count");
   }
   return common::Status::Ok();
 }
@@ -442,8 +398,7 @@ common::StatusOr<ImportanceSampleEstimate> RunReplicatedIS(
     const SimulatorConfig& config, int rounds_per_replication,
     const ReplicationOptions& replication,
     const ImportanceSamplingOptions& options, Payload&& payload) {
-  if (auto status =
-          ValidateISSharding(replication, rounds_per_replication, options);
+  if (auto status = ValidateISSharding(replication, rounds_per_replication);
       !status.ok()) {
     return status;
   }
@@ -486,7 +441,6 @@ common::StatusOr<ImportanceSampleEstimate> RunReplicatedIS(
             tally.sum_w2 += w * w;
             tally.sum_y += y;
             tally.sum_y2 += y * y;
-            tally.sum_wy += w * y;
           }
         }
       },
@@ -499,7 +453,6 @@ common::StatusOr<ImportanceSampleEstimate> RunReplicatedIS(
     total.sum_w2 += tally.sum_w2;
     total.sum_y += tally.sum_y;
     total.sum_y2 += tally.sum_y2;
-    total.sum_wy += tally.sum_wy;
   }
 
   const double count = static_cast<double>(total.rounds);
@@ -518,26 +471,14 @@ common::StatusOr<ImportanceSampleEstimate> RunReplicatedIS(
 
   const double z =
       numeric::NormalQuantile(0.5 + 0.5 * options.confidence);
-  double point;
-  double se;
-  if (options.self_normalized && total.sum_w > 0.0) {
-    // p = sum(w v) / sum(w); delta-method variance
-    // Var ~ sum(w (v - p))^2 / sum(w)^2 expanded in the tracked sums.
-    point = total.sum_y / total.sum_w;
-    const double resid = total.sum_y2 - 2.0 * point * total.sum_wy +
-                         point * point * total.sum_w2;
-    se = std::sqrt(std::max(0.0, resid)) / total.sum_w;
-  } else {
-    // Horvitz-Thompson: the i.i.d. sample is y_r = w_r v_r with mean p.
-    point = total.sum_y / count;
-    const double variance =
-        total.rounds > 1
-            ? std::max(0.0,
-                       (total.sum_y2 - total.sum_y * total.sum_y / count) /
-                           (count - 1.0))
-            : 0.0;
-    se = std::sqrt(variance / count);
-  }
+  // Horvitz-Thompson: the i.i.d. sample is y_r = w_r v_r with mean p.
+  const double point = total.sum_y / count;
+  const double variance =
+      total.rounds > 1
+          ? std::max(0.0, (total.sum_y2 - total.sum_y * total.sum_y / count) /
+                              (count - 1.0))
+          : 0.0;
+  const double se = std::sqrt(variance / count);
   estimate.point = point;
   estimate.ci_lower = std::max(0.0, point - z * se);
   estimate.ci_upper = std::min(1.0, point + z * se);

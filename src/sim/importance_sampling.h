@@ -25,8 +25,8 @@
 //     with psi(theta) = log M_rot(theta) + log M_trans(theta) the exact
 //     per-request cumulant generating function (cylinder-within-zone and
 //     seek times are untilted and cancel).
-//   - Optionally the sporadic-disturbance mixture is tilted the same way
-//     (Bernoulli probability and uniform delay both shifted), adding
+//   - When disturbances are configured, their mixture is tilted the same
+//     way (Bernoulli probability and uniform delay both shifted), adding
 //     n log M_dist(theta) - theta sum d_i to the weight.
 //
 // E[w I] under the tilted measure equals P[event] exactly, so the
@@ -44,13 +44,8 @@
 // round's weight cannot see (a few milliseconds of first-seek bias,
 // amplified by e^{theta dt}, was measurable as a theta-dependent drift).
 // Each RunRound() sample therefore restarts from the reset arm state and
-// optionally replays nominal_warmup_rounds untilted rounds to put the
-// arm in its free-running nominal distribution before the tilted round
-// is measured.
-//
-// Variance-reduction extras: antithetic pairing (odd rounds reuse the
-// even round's position/rotation uniforms reflected u -> 1-u) and
-// proportional stratification of the leading rotation uniform.
+// replays one untilted warm-up round to put the arm in its free-running
+// nominal distribution before the tilted round is measured.
 #ifndef ZONESTREAM_SIM_IMPORTANCE_SAMPLING_H_
 #define ZONESTREAM_SIM_IMPORTANCE_SAMPLING_H_
 
@@ -81,34 +76,6 @@ struct ImportanceSamplingOptions {
   // inside the estimators, which reject it under FCFS; negative is
   // invalid. Values at or above the sampler's theta_max() are rejected.
   double theta = 0.0;
-  // Report the self-normalized estimator sum(w I)/sum(w) instead of the
-  // unbiased Horvitz-Thompson mean (1/N) sum(w I). Self-normalization
-  // trades a O(1/N) bias for lower variance when weights are noisy.
-  bool self_normalized = false;
-  // Antithetic pairing: odd rounds reflect the previous round's position
-  // and rotation uniforms (u -> 1-u). Requires an even number of rounds
-  // per replication.
-  bool antithetic = false;
-  // Proportional stratification of the leading rotation uniform into this
-  // many equal strata, cycled deterministically across the rounds of a
-  // replication. Requires strata >= 1 and the per-replication round count
-  // (pair count when antithetic) to be a multiple of it.
-  int strata = 1;
-  // Tilt the disturbance mixture too (only meaningful when the simulator
-  // config enables disturbances). Off leaves disturbances at their
-  // nominal law — still correct, the likelihood ratio of an untilted
-  // component is 1 — but deep tails driven by disturbances then stay rare.
-  bool tilt_disturbance = true;
-  // Untilted rounds run before each measured round to place the arm.
-  // Every sample starts from the reset arm state (cylinder 0, ascending);
-  // with 0 warm-ups the estimand is the first-round-from-reset tail, with
-  // w >= 1 it is the (w+1)-th round's — which matches the free-running
-  // RoundSimulator's stationary path average, since the arm chain mixes
-  // in essentially one sweep (the sweep's end cylinder is an extreme of
-  // the round's own draws, nearly independent of where the arm started).
-  // Warm-up rounds carry no weight terms; they cost one untilted round
-  // each. See the file comment on why samples must be i.i.d. at all.
-  int nominal_warmup_rounds = 1;
   // Two-sided confidence level of the reported interval.
   double confidence = 0.95;
 };
@@ -186,8 +153,8 @@ class ImportanceSampler {
       const SimulatorConfig& config,
       const ImportanceSamplingOptions& options);
 
-  // Draws one i.i.d. sample: resets the arm, replays the configured
-  // nominal warm-up rounds, then simulates and returns the tilted
+  // Draws one i.i.d. sample: resets the arm, replays the untilted
+  // warm-up round, then simulates and returns the tilted
   // measured round with its likelihood ratio. E[exp(log_weight) * f] over
   // samples equals the nominal expectation of f for any per-round
   // statistic f, at every theta.
@@ -204,7 +171,7 @@ class ImportanceSampler {
   double theta() const { return theta_; }
   int num_streams() const { return num_streams_; }
   // Exact per-request log MGF psi(theta) at the configured tilt
-  // (rotation + zone/transfer + tilted disturbance when enabled).
+  // (rotation + zone/transfer + disturbance when configured).
   double per_request_log_mgf() const { return psi_; }
 
  private:
@@ -212,12 +179,7 @@ class ImportanceSampler {
                     const disk::SeekTimeModel& seek, int num_streams,
                     double shape, double scale,
                     const disk::PlacementModel& placement,
-                    const SimulatorConfig& config,
-                    const ImportanceSamplingOptions& options);
-
-  // u -> 1-u clamped into [0, 1) (antithetic reflection; 1-u can hit 1.0
-  // exactly, which the alias table and the cylinder offset must not see).
-  static double Reflect(double u);
+                    const SimulatorConfig& config, double theta);
 
   // Simulates one round from the current arm state using the uniforms at
   // u_pos[0..2n) / u_rot[0..n) and the Gamma(k, 1) draws at
@@ -238,7 +200,6 @@ class ImportanceSampler {
   double shape_;  // fragment-size Gamma shape k
   double scale_;  // fragment-size Gamma scale s (bytes)
   SimulatorConfig config_;
-  ImportanceSamplingOptions options_;
   numeric::Rng rng_;
   numeric::Rng disturbance_rng_;
   numeric::GammaBatchSampler unit_gamma_;  // Gamma(k, 1) batch source
@@ -250,7 +211,6 @@ class ImportanceSampler {
   double log_mgf_rot_ = 0.0;
   double log_mgf_trans_ = 0.0;
   double log_mgf_dist_ = 0.0;   // 0 unless disturbances are tilted
-  bool tilt_disturbance_ = false;
   double tilted_dist_probability_ = 0.0;
   double dist_expm1_ = 0.0;     // expm1(theta * (max - min)) for delays
   // Position draws under the placement's zone law (warm-up rounds) and
@@ -270,18 +230,16 @@ class ImportanceSampler {
   obs::Histogram* is_log_weight_ = nullptr;
 
   sched::Arm arm_;  // serves config_.policy; reset at each sample
-  int64_t samples_run_ = 0;
 
   // Per-round scratch, sized once.
   struct Scratch {
-    // (warmup + 1) * 3n uniforms, filled in one engine pass per fresh
+    // (warm-ups + 1) * 3n uniforms, filled in one engine pass per
     // sample; round r owns [r*3n, (r+1)*3n): 2n position draws (zones
-    // then cylinders) followed by n rotation draws. Antithetic odd
-    // samples reflect the whole block in place.
+    // then cylinders) followed by n rotation draws.
     std::vector<double> u_all;
     std::vector<int> zone;
     std::vector<int> cylinder;
-    // (warmup + 1) * n Gamma(k, 1) draws, filled in one batch per
+    // (warm-ups + 1) * n Gamma(k, 1) draws, filled in one batch per
     // sample right after the uniforms; round r owns [r*n, (r+1)*n).
     std::vector<double> unit_gamma;
     std::vector<double> rotation_s;  // tilted latency + disturbance delay

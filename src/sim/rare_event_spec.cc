@@ -122,24 +122,6 @@ common::Status TakeU64(std::map<std::string, std::string>* pairs,
   return common::Status::Ok();
 }
 
-common::Status TakeBool(std::map<std::string, std::string>* pairs,
-                        const std::string& key, bool* out) {
-  auto it = pairs->find(key);
-  if (it == pairs->end()) return common::Status::Ok();
-  const std::string& token = it->second;
-  if (token == "1" || token == "true" || token == "on") {
-    *out = true;
-  } else if (token == "0" || token == "false" || token == "off") {
-    *out = false;
-  } else {
-    return common::Status::InvalidArgument(
-        "rare-event spec: bad boolean for '" + key + "': '" + token +
-        "' (expected 0/1, true/false, or on/off)");
-  }
-  pairs->erase(it);
-  return common::Status::Ok();
-}
-
 std::string Num(double value) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%g", value);
@@ -171,21 +153,6 @@ common::StatusOr<RareEventSpec> ParseRareEventSpec(const std::string& text) {
     } else {
       status = TakeDouble(&*pairs, "theta", &spec.options.theta);
     }
-  }
-  if (status.ok()) {
-    status =
-        TakeBool(&*pairs, "self_normalized", &spec.options.self_normalized);
-  }
-  if (status.ok()) {
-    status = TakeBool(&*pairs, "antithetic", &spec.options.antithetic);
-  }
-  if (status.ok()) status = TakeInt(&*pairs, "strata", &spec.options.strata);
-  if (status.ok()) {
-    status =
-        TakeBool(&*pairs, "tilt_disturbance", &spec.options.tilt_disturbance);
-  }
-  if (status.ok()) {
-    status = TakeInt(&*pairs, "warmups", &spec.options.nominal_warmup_rounds);
   }
   if (status.ok()) {
     status = TakeDouble(&*pairs, "confidence", &spec.options.confidence);
@@ -226,14 +193,6 @@ std::string FormatRareEventSpec(const RareEventSpec& spec) {
                     ",g=" + std::to_string(spec.tolerated_glitches);
   out += ",theta=";
   out += spec.options.theta == 0.0 ? "auto" : Num(spec.options.theta);
-  out += ",self_normalized=";
-  out += spec.options.self_normalized ? '1' : '0';
-  out += ",antithetic=";
-  out += spec.options.antithetic ? '1' : '0';
-  out += ",strata=" + std::to_string(spec.options.strata);
-  out += ",tilt_disturbance=";
-  out += spec.options.tilt_disturbance ? '1' : '0';
-  out += ",warmups=" + std::to_string(spec.options.nominal_warmup_rounds);
   out += ",confidence=" + Num(spec.options.confidence);
   return out;
 }

@@ -12,21 +12,17 @@
 //   g=G                  tolerated glitches per lifetime (default 12)
 //   theta=X|auto         tilt parameter in 1/seconds; "auto" derives the
 //                        analytic Chernoff minimizer (default)
-//   self_normalized=0|1  sum(wI)/sum(w) instead of Horvitz-Thompson
-//   antithetic=0|1       antithetic pairing of the round uniforms
-//   strata=K             proportional strata on the leading rotation draw
-//   tilt_disturbance=0|1 tilt the sporadic-disturbance mixture too
-//   warmups=W            untilted arm-placement rounds per sample
 //   confidence=C         two-sided CI level in (0, 1)
 //
 // Example (the deep-tail golden's configuration):
 //   --rare-event="streams=30,rounds=20000,reps=8,seed=42"
 //
 // The parser owns syntax, duplicates, and representability (finite
-// doubles, in-range integers); cross-field validation (antithetic needs
-// even rounds, strata must divide the count, theta < theta_max) is
-// deferred to ImportanceSampler::Create and the estimators, so the CLI
-// and the programmatic API reject identical inputs identically.
+// doubles, in-range integers); the checks that need the sampler's
+// configuration (theta < theta_max, no auto tilt under FCFS) and the
+// confidence range are deferred to ImportanceSampler::Create and the
+// estimators, so the CLI and the programmatic API reject identical inputs
+// identically.
 #ifndef ZONESTREAM_SIM_RARE_EVENT_SPEC_H_
 #define ZONESTREAM_SIM_RARE_EVENT_SPEC_H_
 

@@ -171,11 +171,6 @@ RoundSimulator::DrawnRound RoundSimulator::DrawRound() {
   DrawnRound drawn;
   drawn.disk_failed =
       fault_injector_ != nullptr && fault_injector_->disk_failed();
-  const bool track_delays = config_.truncate_at_deadline;
-  if (track_delays) {
-    s.dist_delay_s.assign(static_cast<size_t>(n), 0.0);
-    s.fault_delay_s.assign(static_cast<size_t>(n), 0.0);
-  }
 
   // Positions: two uniforms per request — zone through the placement's
   // zone law, cylinder within the zone — drawn as two whole-round batches
@@ -209,7 +204,6 @@ RoundSimulator::DrawnRound RoundSimulator::DrawRound() {
         s.rotation_s[i] += delay;
         ++drawn.disturbances;
         drawn.disturbance_delay_s += delay;
-        if (track_delays) s.dist_delay_s[i] = delay;
       }
     }
   }
@@ -225,7 +219,6 @@ RoundSimulator::DrawnRound RoundSimulator::DrawRound() {
         s.rotation_s[i] += delay;
         ++drawn.faulted_requests;
         drawn.fault_delay_s += delay;
-        if (track_delays) s.fault_delay_s[i] = delay;
       }
       s.rate_bps[i] *= fault_injector_->RateMultiplier(s.zone[i]);
     }
@@ -277,17 +270,6 @@ RoundOutcome RoundSimulator::ServeRound(const DrawnRound& drawn) {
     breakdown.disturbances = drawn.disturbances;
     breakdown.fault_delay_s = drawn.fault_delay_s;
     breakdown.faulted_requests = drawn.faulted_requests;
-    breakdown.service_time_s = outcome.total_service_time_s;
-    if (config_.truncate_at_deadline && outcome.overran) {
-      // The kernel holds seek and transfer per position; only the
-      // rotation column needs gathering into service order.
-      std::vector<double> rotation_by_pos(static_cast<size_t>(n));
-      for (int pos = 0; pos < n; ++pos) {
-        rotation_by_pos[pos] = s.rotation_s[order[pos]];
-      }
-      TruncateBreakdown(&breakdown, order, seek_s, rotation_by_pos.data(),
-                        transfer_s, static_cast<size_t>(n), return_seek_s);
-    }
     std::fill(s.zone_hits.begin(), s.zone_hits.end(), 0);
     for (int i = 0; i < n; ++i) ++s.zone_hits[s.zone[i]];
     EmitRoundObservability(outcome, breakdown);
@@ -321,59 +303,10 @@ RoundOutcome RoundSimulator::FinishDiskFailedRound() {
   if (config_.trace != nullptr || metrics_.has_value()) {
     RoundBreakdown breakdown;
     breakdown.disk_failed = true;
-    breakdown.truncated_requests = num_streams_;
     EmitRoundObservability(outcome, breakdown);
   }
   ++rounds_run_;
   return outcome;
-}
-
-void RoundSimulator::TruncateBreakdown(
-    RoundBreakdown* breakdown, const int* order, const double* seek_by_pos,
-    const double* rotation_by_pos, const double* transfer_by_pos, size_t n,
-    double return_seek_s) const {
-  // Walk the sweep once more, clipping each phase against the time left
-  // before the deadline. `rotation_by_pos` includes the injected delays
-  // (that is the slot they ride in), so the base rotation is recovered by
-  // subtracting the per-stream delay records.
-  double remaining = config_.round_length_s;
-  bool cut = false;
-  const auto charge = [&remaining, &cut](double length, double* sum) {
-    const double clamped = std::max(length, 0.0);
-    const double take = std::min(clamped, remaining);
-    remaining -= take;
-    *sum += take;
-    if (take < clamped) cut = true;
-  };
-  double seek_sum = 0.0;
-  double rotation_sum = 0.0;
-  double transfer_sum = 0.0;
-  double disturbance_sum = 0.0;
-  double fault_sum = 0.0;
-  int truncated = 0;
-  charge(return_seek_s, &seek_sum);
-  for (size_t pos = 0; pos < n; ++pos) {
-    const int stream = order[pos];
-    const double dist_delay = scratch_.dist_delay_s[stream];
-    const double fault_delay = scratch_.fault_delay_s[stream];
-    cut = false;
-    charge(seek_by_pos[pos], &seek_sum);
-    charge(rotation_by_pos[pos] - dist_delay - fault_delay, &rotation_sum);
-    charge(dist_delay, &disturbance_sum);
-    charge(fault_delay, &fault_sum);
-    charge(transfer_by_pos[pos], &transfer_sum);
-    if (cut) ++truncated;
-  }
-  breakdown->seek_s = seek_sum;
-  breakdown->rotation_s = rotation_sum;
-  breakdown->transfer_s = transfer_sum;
-  breakdown->disturbance_delay_s = disturbance_sum;
-  breakdown->fault_delay_s = fault_sum;
-  breakdown->truncated_requests = truncated;
-  // Summed in the exact order of the trace invariant, so the recorded
-  // event's imbalance is identically zero.
-  breakdown->service_time_s = seek_sum + rotation_sum + transfer_sum +
-                              disturbance_sum + fault_sum;
 }
 
 void RoundSimulator::EmitRoundObservability(const RoundOutcome& outcome,
@@ -384,7 +317,7 @@ void RoundSimulator::EmitRoundObservability(const RoundOutcome& outcome,
     event.round = rounds_run_;
     event.source_id = config_.trace_source_id;
     event.num_requests = num_streams_;
-    event.service_time_s = breakdown.service_time_s;
+    event.service_time_s = outcome.total_service_time_s;
     event.seek_s = breakdown.seek_s;
     event.rotation_s = breakdown.rotation_s;
     event.transfer_s = breakdown.transfer_s;
@@ -395,9 +328,10 @@ void RoundSimulator::EmitRoundObservability(const RoundOutcome& outcome,
     event.glitches = glitches;
     event.overran = outcome.overran;
     event.disk_failed = breakdown.disk_failed;
-    event.truncated_requests = breakdown.truncated_requests;
+    // A failed disk leaves every request unserved.
+    event.truncated_requests = breakdown.disk_failed ? num_streams_ : 0;
     event.leftover_s =
-        std::max(0.0, config_.round_length_s - breakdown.service_time_s);
+        std::max(0.0, config_.round_length_s - outcome.total_service_time_s);
     event.zone_hits.assign(scratch_.zone_hits.begin(),
                            scratch_.zone_hits.end());
     config_.trace->Record(std::move(event));
@@ -408,7 +342,7 @@ void RoundSimulator::EmitRoundObservability(const RoundOutcome& outcome,
     metrics_->glitches->Increment(glitches);
     if (outcome.overran) metrics_->overruns->Increment();
     metrics_->disturbances->Increment(breakdown.disturbances);
-    metrics_->service_time_s->Record(breakdown.service_time_s);
+    metrics_->service_time_s->Record(outcome.total_service_time_s);
     metrics_->seek_s->Record(breakdown.seek_s);
     metrics_->rotation_s->Record(breakdown.rotation_s);
     metrics_->transfer_s->Record(breakdown.transfer_s);

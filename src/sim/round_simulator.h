@@ -89,20 +89,6 @@ struct SimulatorConfig {
   // glitches and the trace event carries disk_failed = true.
   fault::FaultSpec faults;
 
-  // Deadline-cut accounting for the per-round trace. The physical disk
-  // stops at the round boundary, so a trace row claiming more busy time
-  // than the round holds is an accounting fiction. With this set, trace
-  // events charge each component at its truncated length — the straddling
-  // request is cut mid-phase in service order (seek, rotation,
-  // disturbance, fault delay, transfer) and later requests are charged
-  // zero — so service_time_s <= round_length_s always, the decomposition
-  // identity still holds exactly, and truncated_requests counts the cut
-  // plus skipped requests. RoundOutcome (and thus every estimator,
-  // glitch set, arm dynamic and RNG draw) still uses the untruncated
-  // hypothetical sweep time, so enabling this changes trace accounting
-  // only. Default off, preserving the historical trace values.
-  bool truncate_at_deadline = false;
-
   // Optional observability hooks (not owned; null = disabled). `metrics`
   // receives counters/histograms under the "sim." prefix and `trace` one
   // obs::RoundTraceEvent per round with source_id `trace_source_id`; both
@@ -274,10 +260,6 @@ class RoundSimulator {
     // seek/transfer times and completion clock of the current round.
     sched::ScanKernel sweep;
     std::vector<int32_t> zone_hits;    // per-zone tallies, reset each round
-    // Per-stream injected delays, tracked only when truncate_at_deadline
-    // needs the phase-level breakdown of the cut request.
-    std::vector<double> dist_delay_s;
-    std::vector<double> fault_delay_s;
   };
 
   // Per-round component sums handed to the observability sink.
@@ -290,10 +272,6 @@ class RoundSimulator {
     double fault_delay_s = 0.0;
     int faulted_requests = 0;
     bool disk_failed = false;
-    int truncated_requests = 0;
-    // Trace-facing service time; equals the outcome's untruncated sweep
-    // time unless truncate_at_deadline clipped it to the round length.
-    double service_time_s = 0.0;
   };
 
   RoundSimulator(const disk::DiskGeometry& geometry,
@@ -324,16 +302,6 @@ class RoundSimulator {
   // tallied scratch_.zone_hits) but nothing is served — every stream
   // glitches and the trace event carries disk_failed = true.
   RoundOutcome FinishDiskFailedRound();
-
-  // Rewrites `breakdown` so every component is charged at its truncated
-  // length against the round deadline (see truncate_at_deadline). The
-  // arrays hold the n positions in service order; injected delays are read
-  // back per stream id from the scratch delay arrays.
-  void TruncateBreakdown(RoundBreakdown* breakdown, const int* order,
-                         const double* seek_by_pos,
-                         const double* rotation_by_pos,
-                         const double* transfer_by_pos, size_t n,
-                         double return_seek_s) const;
 
   // Emits the per-round trace event and metric updates. Zone tallies are
   // read from scratch_.zone_hits, which the caller must have filled.

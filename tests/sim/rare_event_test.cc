@@ -9,10 +9,6 @@
 //    replicated simulator; at deep tails (1e-6 .. 1e-7) it agrees with
 //    the saddlepoint estimate and respects the Chernoff upper bound
 //    while the naive estimator sees a handful of events at best,
-//  - antithetic reflection and leading-uniform stratification preserve
-//    unbiasedness without inflating the CI (on indicator payloads the
-//    reduction itself is negligible: the dominant Gamma-transfer
-//    variance cannot be reflected through rejection sampling),
 //  - p_error maps through the exact binomial tail,
 //  - estimates are bit-identical at every thread count.
 #include <algorithm>
@@ -150,20 +146,6 @@ TEST(RareEventTest, CreateRejectsUnsupportedConfigurations) {
     EXPECT_FALSE(sampler.ok());
   }
   {
-    // Antithetic needs an even number of rounds per replication.
-    ImportanceSamplingOptions options;
-    options.antithetic = true;
-    auto estimate = LateIS(30, 1001, options, BaseReplication());
-    EXPECT_FALSE(estimate.ok());
-  }
-  {
-    // Strata must divide the cycle count.
-    ImportanceSamplingOptions options;
-    options.strata = 7;
-    auto estimate = LateIS(30, 1000, options, BaseReplication());
-    EXPECT_FALSE(estimate.ok());
-  }
-  {
     // The auto tilt models SCAN; FCFS must pass an explicit theta, in
     // every estimator.
     SimulatorConfig fcfs = BaseConfig();
@@ -255,18 +237,6 @@ TEST(RareEventTest, MatchesNaiveEstimatorAtModerateProbability) {
   }
 }
 
-TEST(RareEventTest, SelfNormalizedAgreesWithHorvitzThompson) {
-  ImportanceSamplingOptions ht;
-  ImportanceSamplingOptions sn;
-  sn.self_normalized = true;
-  auto ht_estimate = LateIS(30, 20000, ht, BaseReplication());
-  auto sn_estimate = LateIS(30, 20000, sn, BaseReplication());
-  ASSERT_TRUE(ht_estimate.ok());
-  ASSERT_TRUE(sn_estimate.ok());
-  EXPECT_NEAR(sn_estimate->point, ht_estimate->point,
-              0.05 * ht_estimate->point);
-}
-
 // --------------------------------------------------------------------------
 // Theta-consistency: the estimate must not depend on the tilt.
 //
@@ -292,33 +262,6 @@ TEST(RareEventTest, ThetaConsistencyAcrossTilts) {
   EXPECT_LT(max_point / min_point, 1.10)
       << "estimate depends on the tilt: [" << min_point << ", " << max_point
       << "]";
-}
-
-// --------------------------------------------------------------------------
-// Variance-reduction layers preserve unbiasedness.
-
-TEST(RareEventTest, AntitheticIsUnbiasedAndDoesNotInflate) {
-  ImportanceSamplingOptions plain;
-  ImportanceSamplingOptions antithetic;
-  antithetic.antithetic = true;
-  auto p = LateIS(30, 20000, plain, BaseReplication());
-  auto a = LateIS(30, 20000, antithetic, BaseReplication());
-  ASSERT_TRUE(p.ok());
-  ASSERT_TRUE(a.ok());
-  EXPECT_NEAR(a->point, p->point, 3.0 * (HalfWidth(*p) + HalfWidth(*a)));
-  EXPECT_LT(HalfWidth(*a), 1.10 * HalfWidth(*p));
-}
-
-TEST(RareEventTest, StratificationIsUnbiasedAndDoesNotInflate) {
-  ImportanceSamplingOptions plain;
-  ImportanceSamplingOptions stratified;
-  stratified.strata = 8;
-  auto p = LateIS(30, 20000, plain, BaseReplication());
-  auto s = LateIS(30, 20000, stratified, BaseReplication());
-  ASSERT_TRUE(p.ok());
-  ASSERT_TRUE(s.ok());
-  EXPECT_NEAR(s->point, p->point, 3.0 * (HalfWidth(*p) + HalfWidth(*s)));
-  EXPECT_LT(HalfWidth(*s), 1.10 * HalfWidth(*p));
 }
 
 // --------------------------------------------------------------------------
@@ -384,9 +327,7 @@ TEST(RareEventTest, EstimateIsBitIdenticalAcrossThreadCounts) {
   serial.pool = &pool1;
   ReplicationOptions threaded = BaseReplication();
   threaded.pool = &pool3;
-  ImportanceSamplingOptions options;
-  options.antithetic = true;
-  options.strata = 5;
+  const ImportanceSamplingOptions options;
   auto a = LateIS(24, 5000, options, serial);
   auto b = LateIS(24, 5000, options, threaded);
   ASSERT_TRUE(a.ok());
@@ -421,11 +362,9 @@ TEST(RareEventTest, MetricsCountMeasuredRoundsOnly) {
   obs::Registry registry;
   SimulatorConfig config = BaseConfig();
   config.metrics = &registry;
-  ImportanceSamplingOptions options;
-  options.nominal_warmup_rounds = 2;
   auto sampler = ImportanceSampler::Create(
       disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 24,
-      Table1Sizes(), config, options);
+      Table1Sizes(), config, ImportanceSamplingOptions{});
   ASSERT_TRUE(sampler.ok());
   sampler->ResetForReplication(7);
   for (int i = 0; i < 50; ++i) sampler->RunRound();
@@ -452,37 +391,38 @@ TEST(RareEventSpecTest, DefaultsAndRoundTrip) {
   full.lifetime_rounds = 600;
   full.tolerated_glitches = 6;
   full.options.theta = 34.5;
-  full.options.self_normalized = true;
-  full.options.antithetic = true;
-  full.options.strata = 5;
-  full.options.tilt_disturbance = false;
-  full.options.nominal_warmup_rounds = 2;
   full.options.confidence = 0.99;
   auto reparsed = ParseRareEventSpec(FormatRareEventSpec(full));
   ASSERT_TRUE(reparsed.ok());
   EXPECT_EQ(FormatRareEventSpec(*reparsed), FormatRareEventSpec(full));
   EXPECT_EQ(reparsed->options.theta, 34.5);
-  EXPECT_TRUE(reparsed->options.antithetic);
-  EXPECT_FALSE(reparsed->options.tilt_disturbance);
 }
 
 TEST(RareEventSpecTest, ParsesKeysAndRejectsMalformedInput) {
-  auto spec = ParseRareEventSpec(
-      "streams=28,theta=auto,antithetic=on,strata=4,warmups=0");
+  auto spec = ParseRareEventSpec("streams=28,theta=auto,confidence=0.9");
   ASSERT_TRUE(spec.ok());
   EXPECT_EQ(spec->streams, 28);
   EXPECT_EQ(spec->options.theta, 0.0);
-  EXPECT_TRUE(spec->options.antithetic);
-  EXPECT_EQ(spec->options.strata, 4);
-  EXPECT_EQ(spec->options.nominal_warmup_rounds, 0);
+  EXPECT_EQ(spec->options.confidence, 0.9);
 
   for (const char* bad :
        {"streams", "streams=", "=30", "streams=30,streams=31",
         "bogus_key=1", "theta=fast", "theta=inf", "theta=-2",
         "rounds=1e9999", "rounds=2.5", "rounds=0", "reps=0",
-        "seed=-1", "m=0", "g=-1", "g=2000,m=1200", "antithetic=maybe",
+        "seed=-1", "m=0", "g=-1", "g=2000,m=1200",
         "streams=999999999999999999999"}) {
     EXPECT_FALSE(ParseRareEventSpec(bad).ok()) << bad;
+  }
+  // The sampler has one estimator and one sampling scheme; the keys that
+  // once chose another are unknown keys.
+  for (const char* removed : {"self_normalized=0", "antithetic=0",
+                              "strata=1", "tilt_disturbance=1",
+                              "warmups=1"}) {
+    const auto parsed = ParseRareEventSpec(removed);
+    ASSERT_FALSE(parsed.ok()) << removed;
+    EXPECT_NE(parsed.status().ToString().find("unknown key"),
+              std::string::npos)
+        << parsed.status().ToString();
   }
 }
 

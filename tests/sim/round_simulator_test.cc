@@ -756,11 +756,13 @@ TEST_F(FaultKernelTest, DiskFailedRoundsGlitchEveryStreamAndServeNothing) {
 }
 
 // --------------------------------------------------------------------------
-// Deadline truncation accounting
+// Overrun trace accounting
 
-TEST(TruncationKernelTest, TruncatedTraceRespectsDeadlineAndInvariant) {
+TEST_F(FaultKernelTest, OverrunTraceBalancesWithDisturbanceAndFaultDelays) {
   // Overloaded disk (far past the admissible limit) with disturbances and
-  // a permanent slowdown, so the cut lands in varied phases.
+  // a permanent slowdown, so overrun rounds carry both kinds of injected
+  // delay in the rotation slot. A trace row charges every component at its
+  // full length, past the deadline too.
   DisturbanceConfig tcal;
   tcal.probability = 0.1;
   tcal.delay_min_s = 0.001;
@@ -775,61 +777,50 @@ TEST(TruncationKernelTest, TruncatedTraceRespectsDeadlineAndInvariant) {
   obs::RoundTraceRecorder trace;
   SimulatorConfig config;
   config.seed = 101;
-  config.truncate_at_deadline = true;
   config.disturbance = tcal;
   config.faults.slowdowns.push_back(slowdown);
   config.trace = &trace;
-  auto truncating = RoundSimulator::Create(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 40,
-      RoundSimulator::IidFactory(Table1Sizes()), config);
-  ASSERT_TRUE(truncating.ok());
+  constexpr int kStreams = 40;
+  RoundSimulator traced = MakeFaulty(kStreams, config);
+  config.trace = nullptr;
+  RoundSimulator untraced = MakeFaulty(kStreams, config);
 
-  obs::RoundTraceRecorder full_trace;
-  config.truncate_at_deadline = false;
-  config.trace = &full_trace;
-  auto untruncated = RoundSimulator::Create(
-      disk::QuantumViking2100(), disk::QuantumViking2100Seek(), 40,
-      RoundSimulator::IidFactory(Table1Sizes()), config);
-  ASSERT_TRUE(untruncated.ok());
-
-  int overruns = 0;
+  std::vector<RoundOutcome> outcomes;
   for (int r = 0; r < 150; ++r) {
-    const RoundOutcome a = truncating->RunRound();
-    const RoundOutcome b = untruncated->RunRound();
-    // Truncation is trace accounting only: outcomes stay bit-identical.
-    EXPECT_EQ(a.total_service_time_s, b.total_service_time_s);
-    EXPECT_EQ(a.overran, b.overran);
-    EXPECT_EQ(a.glitched_streams, b.glitched_streams);
-    overruns += a.overran;
+    outcomes.push_back(traced.RunRound());
+    const RoundOutcome twin = untraced.RunRound();
+    // The trace only reads the round: outcomes stay bit-identical.
+    EXPECT_EQ(outcomes.back().total_service_time_s, twin.total_service_time_s)
+        << "round " << r;
+    EXPECT_EQ(outcomes.back().overran, twin.overran) << "round " << r;
+    EXPECT_EQ(outcomes.back().glitched_streams, twin.glitched_streams)
+        << "round " << r;
   }
-  ASSERT_GT(overruns, 0);  // the load must actually overrun
 
-  const std::vector<obs::RoundTraceEvent> cut = trace.Snapshot();
-  const std::vector<obs::RoundTraceEvent> full = full_trace.Snapshot();
-  ASSERT_EQ(cut.size(), 150u);
-  for (size_t i = 0; i < cut.size(); ++i) {
-    // Truncated components are summed in the invariant's order, so the
-    // residual is identically zero, not just small.
-    EXPECT_EQ(obs::RoundTraceImbalance(cut[i]), 0.0) << "round " << i;
-    // Regrouping the per-phase takes into category sums costs at most a
-    // few ulps against the sequentially-clipped round length.
-    EXPECT_LE(cut[i].service_time_s, 1.0 + 1e-12) << "round " << i;
-    if (cut[i].overran) {
-      EXPECT_GE(cut[i].truncated_requests, 1) << "round " << i;
-      EXPECT_NEAR(cut[i].leftover_s, 0.0, 1e-12) << "round " << i;
-      EXPECT_LT(cut[i].service_time_s, full[i].service_time_s);
-    } else {
-      // Non-overrun rows never engage the truncation path: bit-identical
-      // to the historical trace values.
-      EXPECT_EQ(cut[i].truncated_requests, 0);
-      EXPECT_EQ(cut[i].service_time_s, full[i].service_time_s);
-      EXPECT_EQ(cut[i].seek_s, full[i].seek_s);
-      EXPECT_EQ(cut[i].rotation_s, full[i].rotation_s);
-      EXPECT_EQ(cut[i].transfer_s, full[i].transfer_s);
-      EXPECT_EQ(cut[i].disturbance_delay_s, full[i].disturbance_delay_s);
-      EXPECT_EQ(cut[i].fault_delay_s, full[i].fault_delay_s);
+  const std::vector<obs::RoundTraceEvent> events = trace.Snapshot();
+  ASSERT_EQ(events.size(), 150u);
+  int overruns = 0;
+  int overruns_with_both_delays = 0;
+  for (size_t r = 0; r < events.size(); ++r) {
+    const obs::RoundTraceEvent& event = events[r];
+    EXPECT_NEAR(obs::RoundTraceImbalance(event), 0.0,
+                1e-9 * event.service_time_s)
+        << "round " << r;
+    EXPECT_EQ(event.service_time_s, outcomes[r].total_service_time_s)
+        << "round " << r;
+    EXPECT_EQ(event.overran, outcomes[r].overran) << "round " << r;
+    if (event.overran) {
+      ++overruns;
+      if (event.disturbances > 0 && event.faulted_requests > 0) {
+        ++overruns_with_both_delays;
+      }
+      EXPECT_EQ(event.leftover_s, 0.0) << "round " << r;
+      EXPECT_EQ(event.truncated_requests, 0) << "round " << r;
     }
   }
+  // The load must actually overrun, with both delays in the overrun rows.
+  EXPECT_GT(overruns, 0);
+  EXPECT_GT(overruns_with_both_delays, 0);
 }
 
 TEST(ObservabilityTest, NullHooksBehaveIdenticallyToWired) {

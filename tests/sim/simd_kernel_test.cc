@@ -483,25 +483,22 @@ TEST(SimdKernelTest, RoundSimulatorSamplePathTierIndependent) {
 }
 
 // Tilted samplers at the auto tilt (validate_mc's N = 30 among them: not
-// a multiple of 8, so its Gamma batches end in partial blocks), with
-// tilted disturbances, and with antithetic pairs and strata; plus the
-// untilted theta = 0 sampler at both sizes. Each sample's discrete
-// outcome, service time and log weight must match the scalar tier's bit
-// for bit.
+// a multiple of 8, so its Gamma batches end in partial blocks) and with
+// tilted disturbances; plus the untilted theta = 0 sampler at both sizes.
+// Each sample's discrete outcome, service time and log weight must match
+// the scalar tier's bit for bit.
 TEST(SimdKernelTest, ImportanceSamplerSamplePathTierIndependent) {
   struct Case {
     const char* name;
     int streams;
     bool auto_tilt;
     bool disturbances;
-    bool antithetic_strata;
   };
-  for (const Case& c : {Case{"untilted", 24, false, false, false},
-                        Case{"untilted", 30, false, false, false},
-                        Case{"auto tilt", 24, true, false, false},
-                        Case{"auto tilt", 30, true, false, false},
-                        Case{"tilted disturbances", 30, true, true, false},
-                        Case{"antithetic strata", 24, true, false, true}}) {
+  for (const Case& c : {Case{"untilted", 24, false, false},
+                        Case{"untilted", 30, false, false},
+                        Case{"auto tilt", 24, true, false},
+                        Case{"auto tilt", 30, true, false},
+                        Case{"tilted disturbances", 30, true, true}}) {
     SimulatorConfig config;
     config.round_length_s = 1.0;
     if (c.disturbances) {
@@ -517,10 +514,6 @@ TEST(SimdKernelTest, ImportanceSamplerSamplePathTierIndependent) {
       ASSERT_TRUE(theta.ok());
       ASSERT_GT(*theta, 0.0);
       options.theta = *theta;
-    }
-    if (c.antithetic_strata) {
-      options.antithetic = true;
-      options.strata = 4;
     }
     auto run = [&](SimdTier tier) {
       ScopedTier forced(tier);
